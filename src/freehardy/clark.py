@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import FreeSeries, MatrixPoint, cayley, word_powers
+from .series import FreeSeries, MatrixPoint, cayley, szego_coords, word_powers
 from .words import enumerate_tuples, index_map, word_count
 
 
@@ -319,10 +319,9 @@ def gns_kernel_coords(Z: MatrixPoint, y: np.ndarray, v: np.ndarray,
     These are the coordinates (scalar p = 1 case) on which the adjoints
     of the GNS row act by letter appending; see vB_adjoint_defect.
     """
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    words = enumerate_tuples(Z.d, N)
-    return np.array([np.vdot(Z.word_product(w[::-1]) @ v, y) for w in words])
+    # Z^{b+} is the transpose of (Z^T)^b, so <Z^{b+} v, y> = <(Z^T)^b y-bar, v-bar>
+    Zt = MatrixPoint(Z.d, Z.n, [m.T for m in Z.mats])
+    return szego_coords(Zt, np.conj(v), np.conj(y), N)
 
 
 def vb_adjoint_defect(model: GnsModel, Z: MatrixPoint, y: np.ndarray,
@@ -341,13 +340,11 @@ def vb_adjoint_defect(model: GnsModel, Z: MatrixPoint, y: np.ndarray,
     x = gns_kernel_coords(Z, y, v, model.N)
     xp = x.copy()
     xp[0] = 0.0
-    words = enumerate_tuples(model.d, model.N)
     lhs_base = model.T @ xp
     scale = max(1.0, float(np.linalg.norm(model.T @ x)))
     worst = 0.0
     for j in range(model.d):
-        xj = np.array([np.vdot(Z.word_product(w[::-1]) @ Z.mats[j] @ v, y)
-                       for w in words])
+        xj = gns_kernel_coords(Z, y, Z.mats[j] @ np.reshape(v, -1), model.N)
         res = np.linalg.norm(model.pi[j].conj().T @ lhs_base - model.T @ xj)
         worst = max(worst, float(res) / scale)
     return worst

@@ -22,10 +22,10 @@ import numpy as np
 
 from .clark import clark_moments, cuntz_check, gns_build, moment_matrix
 from .fock import Side
-from .kernels import KernelKind, KernelSpec, Pinning, membership_norm
+from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
                      dagger_series, multiplier_matrix, multiply,
-                     schur_norm_estimate)
+                     schur_norm_estimate, szego_coords)
 from .words import enumerate_tuples, index_map, word_count
 
 
@@ -65,17 +65,8 @@ class DbrModel:
     def kernel_coords(self, Z: MatrixPoint, y: np.ndarray, v: np.ndarray,
                       g: np.ndarray) -> np.ndarray:
         """Rank coordinates of the model kernel vector pinned at (Z,y,v,g)."""
-        x = _szego_coords(Z, y, v, self.d_words())
+        x = szego_coords(Z, y, v, self.M)
         return self.W.conj().T @ np.kron(x, np.asarray(g, dtype=complex))
-
-    def d_words(self) -> tuple:
-        return enumerate_tuples(self.B.d, self.M)
-
-
-def _szego_coords(Z: MatrixPoint, y, v, words) -> np.ndarray:
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return np.array([np.vdot(Z.word_product(w) @ v, y) for w in words])
 
 
 def _interior_rows(d: int, N: int, M: int, p: int) -> np.ndarray:
@@ -315,22 +306,6 @@ def square_completion(B: FreeSeries) -> FreeSeries:
     return FreeSeries(B.d, B.deg, n, n, coeffs)
 
 
-def _nilpotent_pin_family(d: int, count: int, seed: int = 0,
-                          n: int = 4) -> list[Pinning]:
-    rng = np.random.default_rng(seed)
-    pins = []
-    for _ in range(count):
-        mats = [np.triu(rng.standard_normal((n, n))
-                        + 1j * rng.standard_normal((n, n)), 1) for _ in range(d)]
-        Z = MatrixPoint(d, n, mats)
-        rn = Z.row_norm()
-        if rn > 0:
-            Z = MatrixPoint(d, n, [m * (0.85 / rn) for m in Z.mats])
-        pins.append(Pinning(Z, rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                            rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    return pins
-
-
 def szego_distance(B: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     """Distance of the embedded (I - B(0)) h to the span of nonunit-word
     classes in the Clark GNS space of the square completion, maximized
@@ -376,8 +351,8 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     # the kernel Gram is singular and membership failures register as
     # uncertifiable rather than as a large finite bound
     n_pin = 4
-    pins = _nilpotent_pin_family(B.d, word_count(B.d, n_pin - 1) + 2,
-                                 seed=seed, n=n_pin)
+    pins = nilpotent_pins(B.d, word_count(B.d, n_pin - 1) + 2,
+                          np.random.default_rng(seed), n=n_pin, scale=0.85)
     spec = KernelSpec(KernelKind.DBR_LEFT, Bsq, deg=2 * N)
     lam = 0.0
     for j in range(Bsq.q):

@@ -23,7 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .fock import FockVector
-from .series import FreeSeries, MatrixPoint, cayley, dagger_series, evaluate
+from .series import (FreeSeries, MatrixPoint, cayley, dagger_series,
+                     direct_sum, evaluate, szego_coords)
 from .words import enumerate_tuples, Word
 
 
@@ -123,32 +124,38 @@ def kernel_vector(pin: Pinning, deg: int) -> FockVector:
     Coordinate at word a is <Z^a v, y> (conjugate-linear in the first
     slot), so that the pairing with any polynomial recovers y* f(Z) v.
     """
-    Z, y, v = pin.Z, pin.y, pin.v
-    coords = {}
-    for w in enumerate_tuples(Z.d, deg):
-        c = np.vdot(Z.word_product(w) @ v, y)
-        if c != 0:
-            coords[w] = c
-    return FockVector(Z.d, deg, coords)
+    words = enumerate_tuples(pin.Z.d, deg)  # checks the basis cap first
+    x = szego_coords(pin.Z, pin.y, pin.v, deg)
+    return FockVector(pin.Z.d, deg, {w: c for w, c in zip(words, x) if c != 0})
 
 
-def _amplified_y(pin: Pinning, p: int) -> np.ndarray:
-    if p == 1:
-        return pin.y
-    h = pin.h if pin.h is not None else np.ones(p) / math.sqrt(p)
-    if len(h) != p:
-        raise ValueError(f"coefficient vector h must have length {p}")
-    return np.kron(pin.y, h)
-
-
-def _pin_entry(spec: KernelSpec, pi: Pinning, pj: Pinning) -> complex:
-    val = kernel_eval(spec, pi.Z, pj.Z, np.outer(pi.v, pj.v.conj()))
-    p = spec.coeff_dim()
-    return complex(np.vdot(_amplified_y(pi, p), val @ _amplified_y(pj, p)))
+def _amplified_ys(pins: list[Pinning], p: int) -> np.ndarray:
+    """Matrix whose column i is pin i's y (x) h, placed in block i of the
+    direct sum of the pins' spaces; h defaults to ones / sqrt(p)."""
+    Y = np.zeros((sum(pin.Z.n for pin in pins) * p, len(pins)), dtype=complex)
+    lo = 0
+    for i, pin in enumerate(pins):
+        h = pin.h if pin.h is not None and p > 1 else np.ones(p) / math.sqrt(p)
+        if len(h) != p:
+            raise ValueError(f"coefficient vector h must have length {p}")
+        Y[lo:lo + pin.Z.n * p, i] = np.kron(pin.y, h)
+        lo += pin.Z.n * p
+    return Y
 
 
 def kernel_gram(spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
-    G = np.array([[_pin_entry(spec, pi, pj) for pj in pins] for pi in pins])
+    """Gram matrix G_ij = y_i* K(Z_i, Z_j)[v_i v_j*] y_j over the pins.
+
+    Kernels respect direct sums, so K is evaluated once at
+    Z = Z_1 (+) ... (+) Z_k with P = u u*, u = (v_1; ...; v_k); block
+    (i, j) of that value is the kernel at the pair (Z_i, Z_j).
+    """
+    p = spec.coeff_dim()
+    u = np.concatenate([pin.v for pin in pins])
+    Z = direct_sum([pin.Z for pin in pins])
+    K = kernel_eval(spec, Z, Z, np.outer(u, u.conj()))
+    Y = _amplified_ys(pins, p)
+    G = Y.conj().T @ K @ Y
     return 0.5 * (G + G.conj().T)
 
 
@@ -179,12 +186,13 @@ def _rank_one_gram(f: FreeSeries, spec: KernelSpec, pins: list[Pinning]) -> np.n
     if f.p != p:
         raise ValueError(f"series output dimension {f.p} does not match "
                          f"kernel coefficient dimension {p}")
-    vecs = []
-    for pin in pins:
-        fZ = evaluate(f, pin.Z)  # (n p) x (n q)
-        w = fZ.conj().T @ _amplified_y(pin, p)  # length n q
-        vecs.append(w.reshape(pin.Z.n, f.q).T @ pin.v.conj())
-    G = np.array([[np.vdot(ui, uj) for uj in vecs] for ui in vecs])
+    Z = direct_sum([pin.Z for pin in pins])
+    u = np.concatenate([pin.v for pin in pins])
+    # f is evaluated once, at the direct sum; column k of f(Z)* Y lives
+    # in block k, where u holds v_k
+    W = evaluate(f, Z).conj().T @ _amplified_ys(pins, p)
+    U = np.einsum("r,rqk->qk", u.conj(), W.reshape(Z.n, f.q, len(pins)))
+    G = U.conj().T @ U
     return 0.5 * (G + G.conj().T)
 
 
@@ -284,10 +292,8 @@ def nilpotent_pins(d: int, count: int, rng: np.random.Generator,
     failures are genuine rather than truncation artifacts."""
     pins = []
     for _ in range(count):
-        mats = []
-        for _ in range(d):
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            mats.append(np.triu(m, 1))
+        mats = [np.triu(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)), 1) for _ in range(d)]
         Z = MatrixPoint(d, n, mats)
         rn = Z.row_norm()
         if rn > 0:

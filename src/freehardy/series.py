@@ -130,13 +130,22 @@ class MatrixPoint:
         return out
 
     def direct_sum(self, other: "MatrixPoint") -> "MatrixPoint":
-        mats = []
-        for a, b in zip(self.mats, other.mats):
-            m = np.zeros((self.n + other.n, self.n + other.n), dtype=complex)
-            m[:self.n, :self.n] = a
-            m[self.n:, self.n:] = b
-            mats.append(m)
-        return MatrixPoint(self.d, self.n + other.n, mats)
+        return direct_sum([self, other])
+
+
+def direct_sum(points: list[MatrixPoint]) -> MatrixPoint:
+    """The block-diagonal point Z_1 (+) ... (+) Z_k.  NC functions and
+    kernels respect direct sums: their value here holds the value at each
+    Z_i as a diagonal block."""
+    if len({Z.d for Z in points}) != 1:
+        raise ValueError("direct sum needs points over one alphabet")
+    n = sum(Z.n for Z in points)
+    mats = np.zeros((points[0].d, n, n), dtype=complex)
+    lo = 0
+    for Z in points:
+        mats[:, lo:lo + Z.n, lo:lo + Z.n] = Z.mats
+        lo += Z.n
+    return MatrixPoint(points[0].d, n, list(mats))
 
 
 def zero_point(d: int, n: int = 1) -> MatrixPoint:
@@ -299,6 +308,14 @@ def word_powers(Z: MatrixPoint, deg: int) -> np.ndarray:
             child = off[g + 1] + np.arange(len(parents)) * Z.d + k
             out[child] = parents @ Z.mats[k]
     return out
+
+
+def szego_coords(Z: MatrixPoint, y, v, deg: int) -> np.ndarray:
+    """Coordinates x_a = <Z^a v, y> of the Szego kernel vector pinned at
+    (Z, y, v), for every word of length <= deg in graded-lex order."""
+    y = np.asarray(y, dtype=complex).reshape(-1)
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return (word_powers(Z, deg) @ v).conj() @ y
 
 
 def evaluate(F: FreeSeries, Z: MatrixPoint) -> np.ndarray:

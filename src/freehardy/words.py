@@ -91,13 +91,13 @@ def word_count(d: int, max_len: int) -> int:
     return (d ** (max_len + 1) - 1) // (d - 1)
 
 
-@lru_cache(maxsize=None)
 def enumerate_tuples(d: int, max_len: int, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
     """All words of length <= max_len as tuples, in graded-lex order.
 
     Graded order (length first, letters as digits within each grade) keeps
     every multiplication operator block lower triangular and makes grade
-    boundaries O(1) to locate.
+    boundaries O(1) to locate.  The cap is checked outside the cache, so
+    a lowered FREEHARDY_MAX_BASIS applies to bases enumerated before.
     """
     if d < 1 or max_len < 0:
         raise ValueError("need d >= 1 and max_len >= 0")
@@ -108,6 +108,11 @@ def enumerate_tuples(d: int, max_len: int, cap: int | None = None) -> tuple[tupl
             f"basis of {total} words exceeds cap {limit} "
             f"(set FREEHARDY_MAX_BASIS to raise it)"
         )
+    return _graded_tuples(d, max_len)
+
+
+@lru_cache(maxsize=None)
+def _graded_tuples(d: int, max_len: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = [()]
     grade: list[tuple[int, ...]] = [()]
     for _ in range(max_len):

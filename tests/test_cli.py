@@ -32,6 +32,22 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel-gram", "--kind", "herglotz", "--expr", "0.4*z1+0.3*z2*z1",
+     "--d", "2", "--deg", "2", "--N", "6", "--num-points", "8", "--seed", "5"],
+    ["ce-test", "--expr", "0.6*z1+0.5*z2*z2", "--d", "2", "--deg", "2",
+     "--N", "5", "--seed", "5"],
+])
+def test_report_files_are_deterministic(tmp_path, argv):
+    out = tmp_path / "report.json"
+    reports = []
+    for _ in range(2):
+        main(argv + ["--out", str(out)])
+        reports.append(out.read_bytes())
+        out.unlink()
+    assert reports[0] == reports[1]
+
+
 def test_schur_check_pass_and_fail(capsys):
     code, rep = run_json(capsys, ["schur-check", "--expr", "0.5*z1",
                                   "--d", "1", "--deg", "2", "--N", "6"])

@@ -5,17 +5,17 @@ import pytest
 
 from freehardy.clark import clark_moments
 from freehardy.kernels import (KernelKind, KernelSpec, Pinning,
-                               coefficient_kernel, gram_psd_check,
-                               herglotz_coefficient, kernel_eval, kernel_gram,
-                               kernel_vector, membership_norm, nilpotent_pins,
-                               szego_eval)
+                               _rank_one_gram, coefficient_kernel,
+                               gram_psd_check, herglotz_coefficient,
+                               kernel_eval, kernel_gram, kernel_vector,
+                               membership_norm, nilpotent_pins, szego_eval)
 from freehardy.parser import parse
 from freehardy.series import (FreeSeries, MatrixPoint, cayley,
-                              constant_series, evaluate, invert_series,
-                              letter_series, multiply)
+                              constant_series, direct_sum, evaluate,
+                              invert_series, letter_series, multiply)
 from freehardy.words import enumerate_tuples
 
-from conftest import nilpotent_point, random_series
+from conftest import nilpotent_point, random_schur, random_series
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -149,6 +149,63 @@ def test_gram_hermitian(rng):
     spec = KernelSpec(KernelKind.DBR_RIGHT, parse("0.4*z2", 2, 4), deg=8)
     G = kernel_gram(spec, nilpotent_pins(2, 6, rng))
     assert np.allclose(G, G.conj().T)
+
+
+def _mixed_pins(rng, p):
+    """Pins at levels 1, 2 and 3 over d = 2, the last with an explicit h."""
+    pins = []
+    for k, n in enumerate((1, 2, 3, 2, 3)):
+        h = rng.standard_normal(p) + 1j * rng.standard_normal(p) if k == 4 else None
+        pins.append(Pinning(nilpotent_point(rng, 2, n),
+                            rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                            rng.standard_normal(n) + 1j * rng.standard_normal(n), h))
+    return pins
+
+
+def _amplified(pin, p):
+    h = pin.h if pin.h is not None else np.ones(p) / math.sqrt(p)
+    return pin.y if p == 1 else np.kron(pin.y, h)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_gram_matches_pairwise_definition(rng, kind, p):
+    # one evaluation at the direct sum of the pins equals one kernel_eval
+    # per pin pair
+    B = random_schur(rng, 2, 2, p, p)
+    spec = KernelSpec(kind, None if kind is KernelKind.SZEGO else B, deg=6)
+    pins = _mixed_pins(rng, p)
+    q = spec.coeff_dim()
+    ref = np.array([[np.vdot(_amplified(a, q),
+                             kernel_eval(spec, a.Z, b.Z, np.outer(a.v, b.v.conj()))
+                             @ _amplified(b, q))
+                     for b in pins] for a in pins])
+    ref = 0.5 * (ref + ref.conj().T)
+    G = kernel_gram(spec, pins)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_rank_one_gram_matches_per_pin_definition(rng, p):
+    spec = KernelSpec(KernelKind.DBR_LEFT, random_schur(rng, 2, 2, p, p), deg=6)
+    f = random_series(rng, 2, 3, p=p, q=2)
+    pins = _mixed_pins(rng, p)
+    vecs = []
+    for pin in pins:
+        w = evaluate(f, pin.Z).conj().T @ _amplified(pin, p)
+        vecs.append(w.reshape(pin.Z.n, f.q).T @ pin.v.conj())
+    ref = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
+    ref = 0.5 * (ref + ref.conj().T)
+    G = _rank_one_gram(f, spec, pins)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+
+
+def test_gram_rejects_pins_over_different_alphabets(rng):
+    pins = nilpotent_pins(2, 2, rng) + nilpotent_pins(1, 1, rng)
+    with pytest.raises(ValueError):
+        kernel_gram(KernelSpec(KernelKind.SZEGO, deg=4), pins)
+    with pytest.raises(ValueError):
+        direct_sum([pin.Z for pin in pins])
 
 
 def test_membership_zero_function(rng):

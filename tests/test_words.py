@@ -111,3 +111,11 @@ def test_dagger_involution_property(data):
     wa = Word(tuple(a), d)
     assert dagger(dagger(wa)) == wa
     assert len(concat(Word(tuple(a), d), Word(tuple(b), d))) == len(a) + len(b)
+
+
+def test_capacity_cap_applies_after_caching(monkeypatch):
+    # a cached basis must not bypass a cap lowered after its first use
+    enumerate_tuples(2, 12)
+    monkeypatch.setenv("FREEHARDY_MAX_BASIS", "100")
+    with pytest.raises(CapacityError):
+        enumerate_tuples(2, 12)
