@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import FreeSeries, MatrixPoint, cayley, szego_coords, word_powers
-from .words import enumerate_tuples, index_map, word_count
+from .words import enumerate_tuples, reversal, shift_indices, word_count
 
 
 class InvalidMomentsError(ValueError):
@@ -137,17 +137,15 @@ def moment_matrix(mu: MomentFunctional, N: int) -> np.ndarray:
                          f"need degree >= {2 * N}")
     words = enumerate_tuples(mu.d, N)
     n, p = len(words), mu.p
-    M = np.zeros((n * p, n * p), dtype=complex)
-    idx = index_map(mu.d, N)
-    for j, b in enumerate(words):
-        for cut in range(len(b) + 1):
-            a, quot = b[:cut], b[cut:]
-            i = idx[a]
-            blk = mu.moment(quot)
-            M[i * p:(i + 1) * p, j * p:(j + 1) * p] = blk
-            if i != j:
-                M[j * p:(j + 1) * p, i * p:(i + 1) * p] = blk.conj().T
-    return M
+    M = np.zeros((n, p, n, p), dtype=complex)
+    for quot in words:
+        # b = a.quot: rows index b, cols index a
+        b, a = shift_indices(mu.d, N, quot, left=False)
+        blk = mu.moment(quot)
+        M[a, :, b, :] = blk
+        if quot:
+            M[b, :, a, :] = blk.conj().T
+    return M.reshape(n * p, n * p)
 
 
 @dataclass
@@ -177,6 +175,8 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
     below -rank_tol * ||M||; eigenvalues within that band are treated as
     zero and quotiented out.
     """
+    if N < 1:
+        raise ValueError("GNS build needs N >= 1: pi_k is read off grades below N")
     M = moment_matrix(mu, N)
     evals, vecs = np.linalg.eigh(M)
     scale = max(float(evals[-1]), 0.0)
@@ -189,33 +189,26 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
     V = vecs[:, keep]
     T = (np.sqrt(lam)[:, None] * V.conj().T)
     Tplus = V / np.sqrt(lam)[None, :]
-    words = enumerate_tuples(mu.d, N)
-    idx = index_map(mu.d, N)
     p = mu.p
-    interior = [j for j, w in enumerate(words) if len(w) < N]
-    cols = np.concatenate([np.arange(j * p, (j + 1) * p) for j in interior])
-    T_int = T[:, cols]
+    # words below the top grade come first in the graded order
+    T_int = T[:, :word_count(mu.d, N - 1) * p]
     T_int_pinv = np.linalg.pinv(T_int, rcond=rank_tol)
     # pi_k acts on GNS classes by letter prepending: pi_k [f] = [L_k f].
     # The window only determines this on classes of words below the top
     # grade; least squares extends by 0 on any orthogonal complement.
+    T_words = T.reshape(T.shape[0], -1, p)
     pi = []
     for k in range(1, mu.d + 1):
-        S = np.zeros((T.shape[0], len(cols)), dtype=complex)
-        for c, j in enumerate(interior):
-            i = idx[(k,) + words[j]]
-            S[:, c * p:(c + 1) * p] = T[:, i * p:(i + 1) * p]
+        rows, _ = shift_indices(mu.d, N, (k,), left=True)
+        S = T_words[:, rows, :].reshape(T.shape[0], -1)
         pi.append(S @ T_int_pinv)
     return GnsModel(mu.d, N, p, int(T.shape[0]), T, Tplus, pi,
                     embedding=T[:, 0:p], eigenvalues=evals)
 
 
 def _interior_basis(model: GnsModel) -> np.ndarray:
-    words = enumerate_tuples(model.d, model.N)
-    interior = [j for j, w in enumerate(words) if len(w) <= model.N - 1]
-    cols = np.concatenate([np.arange(j * model.p, (j + 1) * model.p)
-                           for j in interior])
-    U, s, _ = np.linalg.svd(model.T[:, cols], full_matrices=False)
+    cols = word_count(model.d, model.N - 1) * model.p
+    U, s, _ = np.linalg.svd(model.T[:, :cols], full_matrices=False)
     keep = s > 1e-12 * max(s[0], 1e-300)
     return U[:, keep]
 
@@ -280,12 +273,7 @@ def cauchy_transform_matrix(mu: MomentFunctional, B: FreeSeries | None,
     M = moment_matrix(mu, N)
     if side == "right":
         return M
-    idx = index_map(mu.d, N)
-    out = np.zeros_like(M)
-    for i, a in enumerate(words):
-        ia = idx[a[::-1]]
-        out[i * p:(i + 1) * p, :] = M[ia * p:(ia + 1) * p, :]
-    return out
+    return M.reshape(len(words), p, -1)[reversal(mu.d, N)].reshape(M.shape)
 
 
 def vb_build(mu: MomentFunctional, B: FreeSeries | None, N: int,

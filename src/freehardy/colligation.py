@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import Side
-from .gleason import (CeObstructionError, _coeff_stack, _letter_matrix,
-                      a_empty_sq, dbr_model, gleason_maps, series_degree,
-                      shift_compressions)
-from .series import FreeSeries, MatrixPoint, dagger_series
-from .words import enumerate_tuples
+from .gleason import (CeObstructionError, a_empty_sq, dbr_model,
+                      gleason_maps, series_degree, shift_compressions)
+from .series import (FreeSeries, MatrixPoint, dagger_series, letter_series,
+                     multiplier_matrix, to_dense)
 
 
 @dataclass
@@ -131,12 +130,13 @@ def canonical_colligation(B: FreeSeries, N: int,
     p, q = B.p, B.q
     A_blocks, B_blocks = [], []
     for k in range(1, B.d + 1):
-        Rk = _letter_matrix(B.d, model.M, k, p, Side.RIGHT)
+        Rk = multiplier_matrix(letter_series(B.d, 1, k, p), Side.RIGHT,
+                               model.M)
         A_blocks.append(model.Wplus @ Rk.conj().T @ model.W)
         strip = FreeSeries(B.d, max(B.deg - 1, 0), p, q,
                            {w[:-1]: m for w, m in B.coeffs.items()
                             if w and w[-1] == k})
-        B_blocks.append(model.Wplus @ _coeff_stack(strip, B.d, model.M, p))
+        B_blocks.append(model.Wplus @ to_dense(strip, model.M).reshape(-1, q))
     U = Colligation(B.d, model.rank, q, p, A_blocks, B_blocks,
                     model.W[0:p, :], B.coeff(()))
     U.meta = {"contraction_defect": U.contraction_defect(),
@@ -149,20 +149,21 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
                     rank_tol: float = 1e-10) -> dict:
     """Append the canonical bottom row to a non-extreme column contraction.
 
-    Raises CeObstructionError when the extremality gap vanishes: a
-    column-extreme symbol admits only the zero completion.
+    Raises CeObstructionError when the extremality gap a0^2 has norm at
+    most tol, the test by which extremality_gap calls a symbol extremal:
+    a column-extreme symbol admits only the zero completion.
     """
     A = A.truncate(min(series_degree(A), N))
     gap = a_empty_sq(A, N, rank_tol=rank_tol)
-    evals, vecs = np.linalg.eigh(gap["a0_sq"])
-    a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
-    if float(np.linalg.norm(a0, 2)) <= tol:
+    if float(np.linalg.norm(gap["a0_sq"], 2)) <= tol:
         raise CeObstructionError(
             "extremality gap vanishes; no nonzero completion exists")
-    model = dbr_model(A, N, rank_tol=rank_tol)
+    evals, vecs = np.linalg.eigh(gap["a0_sq"])
+    a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
+    model = gap["model"]
     X = shift_compressions(model)
     Cg = gleason_maps(model)
-    E = _coeff_stack(A, A.d, model.M, A.p)
+    E = to_dense(A, model.M).reshape(-1, A.q)
     Aa0 = model.Wplus @ E @ a0
     U = Colligation(A.d, model.rank, A.q, A.q, X, Cg, -Aa0.conj().T, a0)
     # the augmented block stacks the bottom-channel colligation with the
@@ -184,7 +185,6 @@ def column_schur_defect(A: FreeSeries, a: FreeSeries, N: int) -> float:
     """Most negative eigenvalue (as a magnitude) of I - M*M for the
     stacked column [A; a] on words of length <= N; zero certifies the
     completion is Schur."""
-    from .series import multiplier_matrix
     if (A.d, A.q) != (a.d, a.q):
         raise ValueError("column blocks must share alphabet and input space")
     coeffs = {}

@@ -15,7 +15,8 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .words import enumerate_tuples, index_map
+from .words import (enumerate_tuples, index_map, reversal, shift_indices,
+                    word_count)
 
 DENSE_THRESHOLD = 512
 
@@ -58,16 +59,8 @@ def creation(side: Side, k: int, d: int, N: int) -> FockOperator:
     """
     if not 1 <= k <= d:
         raise ValueError(f"letter {k} outside 1..{d}")
-    basis = enumerate_tuples(d, N)
-    idx = index_map(d, N)
-    rows, cols = [], []
-    for j, w in enumerate(basis):
-        if len(w) == N:
-            continue
-        target = (k,) + w if side is Side.LEFT else w + (k,)
-        rows.append(idx[target])
-        cols.append(j)
-    n = len(basis)
+    rows, cols = shift_indices(d, N, (k,), side is Side.LEFT)
+    n = basis_dim(d, N)
     data = np.ones(len(rows), dtype=complex)
     mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     tag = "L" if side is Side.LEFT else "R"
@@ -80,10 +73,8 @@ def transpose_unitary(d: int, N: int) -> FockOperator:
     Conjugation carries left creation to right creation exactly on the
     truncation: U Lk U* = Rk.
     """
-    basis = enumerate_tuples(d, N)
-    idx = index_map(d, N)
-    n = len(basis)
-    rows = [idx[w[::-1]] for w in basis]
+    rows = reversal(d, N)
+    n = len(rows)
     mat = sp.csr_matrix((np.ones(n, dtype=complex), (rows, range(n))),
                         shape=(n, n))
     return FockOperator(d, N, mat, label="Udag")
@@ -91,10 +82,8 @@ def transpose_unitary(d: int, N: int) -> FockOperator:
 
 def grade_projection(d: int, N: int, max_len: int) -> sp.spmatrix:
     """Orthogonal projection onto span{e_alpha : |alpha| <= max_len}."""
-    basis = enumerate_tuples(d, N)
-    diag = np.array([1.0 if len(w) <= max_len else 0.0 for w in basis],
-                    dtype=complex)
-    return sp.diags(diag).tocsr()
+    diag = np.arange(basis_dim(d, N)) < word_count(d, max_len)
+    return sp.diags(diag.astype(complex)).tocsr()
 
 
 def row_isometry_defect(ops: list[FockOperator]) -> float:

@@ -24,9 +24,9 @@ from .clark import clark_moments, cuntz_check, gns_build, moment_matrix
 from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
-                     dagger_series, multiplier_matrix, multiply,
-                     schur_norm_estimate, szego_coords)
-from .words import enumerate_tuples, index_map, word_count
+                     letter_series, multiplier_matrix, multiply,
+                     schur_norm_estimate, szego_coords, to_dense)
+from .words import word_count
 
 
 class NotSchurError(ValueError):
@@ -69,12 +69,6 @@ class DbrModel:
         return self.W.conj().T @ np.kron(x, np.asarray(g, dtype=complex))
 
 
-def _interior_rows(d: int, N: int, M: int, p: int) -> np.ndarray:
-    words = enumerate_tuples(d, N)
-    keep = [j for j, w in enumerate(words) if len(w) <= M]
-    return np.concatenate([np.arange(j * p, (j + 1) * p) for j in keep])
-
-
 def series_degree(B: FreeSeries) -> int:
     return max((len(w) for w, m in B.coeffs.items() if np.any(m)), default=0)
 
@@ -97,8 +91,9 @@ def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
         raise ValueError(f"truncation {N} too small for degree {degB}")
     T = multiplier_matrix(B, side, N)
     D = np.eye(T.shape[0], dtype=complex) - T @ T.conj().T
-    rows = _interior_rows(B.d, N, M, B.p)
-    D = D[np.ix_(rows, rows)]
+    # words of length <= M come first in the graded order
+    m = word_count(B.d, M) * B.p
+    D = D[:m, :m]
     evals, vecs = np.linalg.eigh(D)
     scale = max(float(np.abs(evals).max()), 1e-300)
     keep = evals > rank_tol * scale
@@ -107,26 +102,12 @@ def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
     Wplus = (V / np.sqrt(lam)[None, :]).conj().T
     # report how far the retained range is from being backward-shift
     # invariant (exact invariance only holds without truncation)
-    p = B.p
     res = 0.0
     for k in range(1, B.d + 1):
-        Lk = _letter_matrix(B.d, M, k, p, side=Side.LEFT)
+        Lk = multiplier_matrix(letter_series(B.d, 1, k, B.p), Side.LEFT, M)
         G = (np.eye(W.shape[0]) - V @ V.conj().T) @ (Lk.conj().T @ V)
         res = max(res, float(np.linalg.norm(G, 2)))
     return DbrModel(B, N, M, side, int(W.shape[1]), W, Wplus, evals, res)
-
-
-def _letter_matrix(d: int, M: int, k: int, p: int, side: Side) -> np.ndarray:
-    """Creation matrix (ampliated by I_p) on words of length <= M."""
-    words = enumerate_tuples(d, M)
-    idx = index_map(d, M)
-    n = len(words)
-    out = np.zeros((n, n), dtype=complex)
-    for j, w in enumerate(words):
-        if len(w) < M:
-            t = (k,) + w if side is Side.LEFT else w + (k,)
-            out[idx[t], j] = 1.0
-    return np.kron(out, np.eye(p)) if p > 1 else out
 
 
 def gleason_vector(B: FreeSeries) -> list[FreeSeries]:
@@ -140,20 +121,10 @@ def gleason_vector(B: FreeSeries) -> list[FreeSeries]:
     return comps
 
 
-def _coeff_stack(F: FreeSeries, d: int, M: int, p: int) -> np.ndarray:
-    """Word-coordinate matrix of h -> F.h in the model: block at word a
-    is F_a."""
-    words = enumerate_tuples(d, M)
-    out = np.zeros((len(words) * p, F.q), dtype=complex)
-    for i, w in enumerate(words):
-        out[i * p:(i + 1) * p, :] = F.coeff(w)
-    return out
-
-
 def gleason_maps(model: DbrModel) -> list[np.ndarray]:
     """Rank-coordinate matrices of the Gleason tuple components."""
     B = model.B
-    return [model.Wplus @ _coeff_stack(comp, B.d, model.M, B.p)
+    return [model.Wplus @ to_dense(comp, model.M).reshape(-1, B.q)
             for comp in gleason_vector(B)]
 
 
@@ -161,7 +132,8 @@ def shift_compressions(model: DbrModel) -> list[np.ndarray]:
     """X_j: compression of the backward shift L_j* to the model space."""
     out = []
     for k in range(1, model.B.d + 1):
-        Lk = _letter_matrix(model.B.d, model.M, k, model.p, Side.LEFT)
+        Lk = multiplier_matrix(letter_series(model.B.d, 1, k, model.p),
+                               Side.LEFT, model.M)
         out.append(model.Wplus @ Lk.conj().T @ model.W)
     return out
 
@@ -175,9 +147,10 @@ def vacuum_kernel(model: DbrModel) -> np.ndarray:
 def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
                     rank_tol: float = 1e-10) -> dict:
     """Gap matrix (I - B(0)*B(0)) - <Gleason tuple Gram> at a ladder of
-    truncations; B is extremal when the gap vanishes."""
+    truncations; B is extremal when the gap vanishes.  The model at the
+    top rung, dbr_model(B, N, rank_tol=rank_tol), is returned with it."""
     ladder = []
-    gap_mat = None
+    gap_mat = top = None
     for Ncur in (N, N - 1, N - 2):
         if Ncur - series_degree(B) < 1:
             break
@@ -188,12 +161,12 @@ def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
             G = G - C.conj().T @ C
         G = 0.5 * (G + G.conj().T)
         if gap_mat is None:
-            gap_mat = G
+            gap_mat, top = G, model
         ladder.append({"N": Ncur, "gap_norm": float(np.linalg.norm(G, 2))})
     extremal = bool(ladder and ladder[0]["gap_norm"] <= tol)
     trend = len(ladder) >= 2 and ladder[0]["gap_norm"] < ladder[-1]["gap_norm"] - tol
     return {"gap": gap_mat, "ladder": ladder, "extremal": extremal,
-            "trend_decreasing": bool(trend)}
+            "trend_decreasing": bool(trend), "model": top}
 
 
 def support(A: FreeSeries, tol: float = 1e-10) -> np.ndarray:
@@ -210,22 +183,27 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
                rank_tol: float = 1e-10) -> dict:
     """The Hermitian matrix a0^2 = I - A(0)*A(0) - <Gleason Gram>, clipped
     to PSD, cross-validated against (I + Ahat*Ahat)^{-1} when membership
-    of A.h in the model certifies the graph realization of Ahat."""
+    of A.h in the model certifies the graph realization of Ahat.  The
+    model dbr_model(A, N, rank_tol=rank_tol) is returned with it."""
     res = extremality_gap(A, N, rank_tol=rank_tol)
+    if res["model"] is None:
+        raise ValueError(
+            f"truncation {N} too small for degree {series_degree(A)}")
     G = res["gap"]
     evals, vecs = np.linalg.eigh(G)
     if evals[0] < -tol:
         raise ValueError(
             f"extremality gap indefinite ({evals[0]:.3e}); truncation too coarse")
     clipped = (vecs * np.clip(evals, 0.0, None)[None, :]) @ vecs.conj().T
-    model = dbr_model(A, N, rank_tol=rank_tol)
-    E = _coeff_stack(A, A.d, model.M, A.p)
+    model = res["model"]
+    E = to_dense(A, model.M).reshape(-1, A.q)
     memb = max(model.membership(E[:, j])["residual"] for j in range(A.q))
     dual = None
     if memb <= tol:
         C = model.Wplus @ E
         dual = np.linalg.inv(np.eye(A.q) + C.conj().T @ C)
-    return {"a0_sq": clipped, "dual": dual, "membership_residual": memb}
+    return {"a0_sq": clipped, "dual": dual, "membership_residual": memb,
+            "model": model}
 
 
 def l_invariance_test(A: FreeSeries, N: int, tol: float = 1e-8) -> dict:
@@ -252,13 +230,13 @@ def l_invariance_test(A: FreeSeries, N: int, tol: float = 1e-8) -> dict:
 
 def exactgs_residual(A: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     """Residual of I - X*X = K0 K0* + (A a0)(A a0)* on the model space."""
-    model = dbr_model(A, N, rank_tol=rank_tol)
+    gap = a_empty_sq(A, N, rank_tol=rank_tol)
+    model = gap["model"]
     X = shift_compressions(model)
     K0 = vacuum_kernel(model)
-    a0sq = a_empty_sq(A, N, rank_tol=rank_tol)["a0_sq"]
-    evals, vecs = np.linalg.eigh(a0sq)
+    evals, vecs = np.linalg.eigh(gap["a0_sq"])
     a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
-    E = _coeff_stack(A, A.d, model.M, A.p)
+    E = to_dense(A, model.M).reshape(-1, A.q)
     Aa0 = model.Wplus @ E @ a0
     lhs = np.eye(model.rank, dtype=complex) - sum(x.conj().T @ x for x in X)
     rhs = K0 @ K0.conj().T + Aa0 @ Aa0.conj().T
@@ -269,8 +247,8 @@ def exactgs_residual(A: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
 def _class_span(model: DbrModel, max_len: int) -> np.ndarray:
     """Orthonormal basis, in rank coordinates, of the span of model
     kernel vectors pinned at basis words of length <= max_len."""
-    rows = _interior_rows(model.B.d, model.M, max_len, model.p)
-    U, s, _ = np.linalg.svd(model.W[rows, :].conj().T, full_matrices=False)
+    rows = word_count(model.B.d, max_len) * model.p
+    U, s, _ = np.linalg.svd(model.W[:rows, :].conj().T, full_matrices=False)
     return U[:, s > 1e-10 * max(float(s[0]), 1e-300)]
 
 
@@ -398,8 +376,8 @@ def _weighted_transform(B: FreeSeries, N: int, rank_tol: float):
     one = constant_series(B.d, B.deg, np.eye(B.p))
     T_im = multiplier_matrix(one - B, Side.RIGHT, N)
     M = moment_matrix(mu, N)
-    rows = _interior_rows(B.d, N, model.M, B.p)
-    Fhat = model.Wplus @ (T_im @ M)[rows, :] @ gns.Tplus
+    rows = word_count(B.d, model.M) * B.p
+    Fhat = model.Wplus @ (T_im @ M)[:rows, :] @ gns.Tplus
     return model, gns, Fhat
 
 

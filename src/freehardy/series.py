@@ -9,19 +9,21 @@ with the matrix level as the outer Kronecker factor.  Products clip to the
 smaller carried degree; overflow coefficients are dropped, never wrapped.
 
 The heavy operations (multiply, invert, evaluate) run on dense
-grade-indexed coefficient arrays with cached factorization index tables,
-so Cayley transforms at degree 12..16 over d = 2 stay fast.
+coefficient arrays in the graded-lex layout of :mod:`freehardy.words`.
+There, grade g of a product is a sum over s of row-major outer products
+of grade s of one factor with grade g - s of the other, one einsum per
+pair of grades, so Cayley transforms at degree 12..16 over d = 2 stay
+fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .fock import Side
-from .words import enumerate_tuples, index_map, word_count
+from .words import enumerate_tuples, grade_offsets, index_map, shift_indices
 
 
 @dataclass
@@ -172,36 +174,7 @@ def letter_series(d: int, deg: int, k: int, p: int = 1) -> FreeSeries:
 
 
 # ---------------------------------------------------------------------------
-# dense layout + factorization tables
-
-def _offsets(d: int, deg: int) -> list[int]:
-    return [word_count(d, g - 1) if g > 0 else 0 for g in range(deg + 2)]
-
-
-@lru_cache(maxsize=None)
-def _split_tables(d: int, deg: int):
-    """Per grade g: index triples (a, b, c) over all factorizations
-    word_a = word_b . word_c with |a| = g, as numpy arrays.
-
-    Index arithmetic in the graded-lex layout: a word of grade g with
-    digit value r sits at offset(g) + r, and concatenation stacks digits,
-    so prefix/suffix indices come from divmod by powers of d.
-    """
-    off = _offsets(d, deg)
-    tables = []
-    for g in range(deg + 1):
-        rel = np.arange(d ** g, dtype=np.int64)
-        a_parts, b_parts, c_parts, s_parts = [], [], [], []
-        for s in range(g + 1):
-            tail = d ** (g - s)
-            a_parts.append(off[g] + rel)
-            b_parts.append(off[s] + rel // tail)
-            c_parts.append(off[g - s] + rel % tail)
-            s_parts.append(np.full(d ** g, s, dtype=np.int64))
-        tables.append((np.concatenate(a_parts), np.concatenate(b_parts),
-                       np.concatenate(c_parts), np.concatenate(s_parts)))
-    return tables
-
+# dense layout
 
 def to_dense(F: FreeSeries, deg: int | None = None) -> np.ndarray:
     """Coefficient array of shape (word_count, p, q) in graded-lex order."""
@@ -218,8 +191,23 @@ def to_dense(F: FreeSeries, deg: int | None = None) -> np.ndarray:
 def from_dense(d: int, deg: int, arr: np.ndarray) -> FreeSeries:
     basis = enumerate_tuples(d, deg)
     p, q = arr.shape[1], arr.shape[2]
-    coeffs = {w: arr[i] for i, w in enumerate(basis) if np.any(arr[i])}
-    return FreeSeries(d, deg, p, q, coeffs)
+    nonzero = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
+    return FreeSeries(d, deg, p, q, {basis[i]: arr[i] for i in nonzero})
+
+
+def _grades(arr: np.ndarray, off: list[int]) -> list[np.ndarray]:
+    return [arr[off[g]:off[g + 1]] for g in range(len(off) - 1)]
+
+
+def _grade_product(F: list[np.ndarray], G: list[np.ndarray], g: int,
+                   s_min: int = 0) -> np.ndarray:
+    """Grade g of the product: word b.c with |b| = s sits at row-major
+    position (rank of b, rank of c) within the grade."""
+    out = 0
+    for s in range(s_min, g + 1):
+        x = np.einsum("ipk,jkq->ijpq", F[s], G[g - s])
+        out = out + x.reshape(-1, x.shape[2], x.shape[3])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +219,10 @@ def multiply(F: FreeSeries, G: FreeSeries) -> FreeSeries:
     if F.q != G.p or F.d != G.d:
         raise ValueError("shape mismatch in series product")
     deg = min(F.deg, G.deg)
-    Fd = to_dense(F, deg)
-    Gd = to_dense(G, deg)
-    out = np.zeros((word_count(F.d, deg), F.p, G.q), dtype=complex)
-    for a, b, c, _ in _split_tables(F.d, deg):
-        prods = np.einsum("spk,skq->spq", Fd[b], Gd[c])
-        np.add.at(out, a, prods)
+    off = grade_offsets(F.d, deg)
+    Fg = _grades(to_dense(F, deg), off)
+    Gg = _grades(to_dense(G, deg), off)
+    out = np.concatenate([_grade_product(Fg, Gg, g) for g in range(deg + 1)])
     return from_dense(F.d, deg, out)
 
 
@@ -255,21 +241,13 @@ def invert_series(F: FreeSeries) -> FreeSeries:
         F0inv = np.linalg.inv(F0)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("constant term is singular") from None
-    deg = F.deg
-    Fd = to_dense(F)
-    out = np.zeros_like(Fd)
-    out[0] = F0inv
-    tables = _split_tables(F.d, deg)
-    for g in range(1, deg + 1):
-        a, b, c, s = tables[g]
-        keep = s >= 1  # G_a = -F0inv . sum over splits with nonempty F factor
-        a, b, c = a[keep], b[keep], c[keep]
-        lo, hi = word_count(F.d, g - 1), word_count(F.d, g)
-        acc = np.zeros((hi - lo, F.p, F.q), dtype=complex)
-        prods = np.einsum("spk,skq->spq", Fd[b], out[c])
-        np.add.at(acc, a - lo, prods)
-        out[lo:hi] = -np.einsum("pk,skq->spq", F0inv, acc)
-    return from_dense(F.d, deg, out)
+    Fg = _grades(to_dense(F), grade_offsets(F.d, F.deg))
+    out = [F0inv[None]]
+    for g in range(1, F.deg + 1):
+        # G_a = -F0inv . sum over splits a = b.c with nonempty F factor b
+        acc = _grade_product(Fg, out, g, s_min=1)
+        out.append(-np.einsum("pk,skq->spq", F0inv, acc))
+    return from_dense(F.d, F.deg, np.concatenate(out))
 
 
 def cayley(F: FreeSeries, direction: str) -> FreeSeries:
@@ -298,9 +276,9 @@ def cayley(F: FreeSeries, direction: str) -> FreeSeries:
 
 def word_powers(Z: MatrixPoint, deg: int) -> np.ndarray:
     """Array of Z^alpha for every word of length <= deg, graded-lex order."""
-    off = _offsets(Z.d, deg)
+    off = grade_offsets(Z.d, deg)
     n = Z.n
-    out = np.zeros((word_count(Z.d, deg), n, n), dtype=complex)
+    out = np.zeros((off[-1], n, n), dtype=complex)
     out[0] = np.eye(n)
     for g in range(deg):
         parents = out[off[g]:off[g + 1]]
@@ -347,40 +325,21 @@ def multiplier_matrix(F: FreeSeries, side: Side, N: int) -> np.ndarray:
     """
     if F.deg > N:
         raise ValueError("series degree exceeds Fock truncation")
-    d = F.d
-    nw = word_count(d, N)
-    off = _offsets(d, N)
+    nw = grade_offsets(F.d, N)[-1]  # checks the basis cap before allocating
     out = np.zeros((nw, F.p, nw, F.q), dtype=complex)
     for w, m in F.coeffs.items():
-        ga = len(w)
-        rel_a = index_map(d, N)[w] - off[ga]
-        for gb in range(N - ga + 1):
-            relb = np.arange(d ** gb, dtype=np.int64)
-            cols = off[gb] + relb
-            if side is Side.LEFT:
-                rows = off[ga + gb] + rel_a * (d ** gb) + relb
-            else:
-                rows = off[ga + gb] + relb * (d ** ga) + rel_a
-            out[rows, :, cols, :] += m
+        rows, cols = shift_indices(F.d, N, w, side is Side.LEFT)
+        out[rows, :, cols, :] += m
     return out.reshape(nw * F.p, nw * F.q)
 
 
 def right_product(F: FreeSeries, G: FreeSeries) -> FreeSeries:
     """The series H with M^R_H = M^R_F . M^R_G on the truncated Fock space.
 
-    Coefficients are read off the vacuum action of the composition; in the
-    scalar case this equals multiply(G, F).
+    H_{c.b} = F_b G_c, the transpose of the product of the transposes; in
+    the scalar case this equals multiply(G, F).
     """
-    if F.q != G.p or F.d != G.d:
-        raise ValueError("shape mismatch in right product")
-    deg = min(F.deg, G.deg)
-    MF = multiplier_matrix(F.truncate(deg), Side.RIGHT, deg)
-    MG = multiplier_matrix(G.truncate(deg), Side.RIGHT, deg)
-    comp = MF @ MG
-    # columns of the vacuum block give e_gamma (x) H_gamma v
-    vac = comp[:, :G.q]
-    arr = vac.reshape(word_count(F.d, deg), F.p, G.q)
-    return from_dense(F.d, deg, arr)
+    return dagger_series(multiply(dagger_series(F), dagger_series(G)))
 
 
 def schur_norm_estimate(F: FreeSeries, N: int) -> float:

@@ -1,4 +1,4 @@
-"""Words of the free monoid on d letters.
+"""Words of the free monoid on d letters, and the graded-lex index arithmetic.
 
 Words index the orthonormal basis of the truncated Fock space and the
 coefficients of every free power series in this package.  Letters are
@@ -6,6 +6,15 @@ coefficients of every free power series in this package.  Letters are
 package the lightweight representation of a word is a plain tuple of
 ints; the :class:`Word` class adds alphabet validation and JSON
 round-tripping on top of that.
+
+This module owns the layout of every graded array in the package: words
+of length <= N in graded-lex order.  A word of grade g whose letters,
+read as base-d digits (letter k is digit k - 1), have value r sits at
+``grade_offsets(d, N)[g] + r``.  Concatenation stacks digits, so the
+index of w.b or b.w is affine in the index of b within its grade;
+``shift_indices`` and ``reversal`` compute such index maps as arrays.
+Every entry point checks ``FREEHARDY_MAX_BASIS`` on each call, outside
+any cache.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 DEFAULT_MAX_BASIS = 10**6
 
@@ -99,6 +110,11 @@ def enumerate_tuples(d: int, max_len: int, cap: int | None = None) -> tuple[tupl
     boundaries O(1) to locate.  The cap is checked outside the cache, so
     a lowered FREEHARDY_MAX_BASIS applies to bases enumerated before.
     """
+    _check_cap(d, max_len, cap)
+    return _graded_tuples(d, max_len)
+
+
+def _check_cap(d: int, max_len: int, cap: int | None = None) -> None:
     if d < 1 or max_len < 0:
         raise ValueError("need d >= 1 and max_len >= 0")
     limit = cap if cap is not None else max_basis_size()
@@ -108,7 +124,6 @@ def enumerate_tuples(d: int, max_len: int, cap: int | None = None) -> tuple[tupl
             f"basis of {total} words exceeds cap {limit} "
             f"(set FREEHARDY_MAX_BASIS to raise it)"
         )
-    return _graded_tuples(d, max_len)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +141,57 @@ def enumerate_words(d: int, max_len: int) -> list[Word]:
     return [Word(w, d) for w in enumerate_tuples(d, max_len)]
 
 
-@lru_cache(maxsize=None)
 def index_map(d: int, max_len: int) -> dict[tuple[int, ...], int]:
     """Word tuple -> position in ``enumerate_tuples(d, max_len)``."""
-    return {w: i for i, w in enumerate(enumerate_tuples(d, max_len))}
+    _check_cap(d, max_len)
+    return _index_map(d, max_len)
+
+
+@lru_cache(maxsize=None)
+def _index_map(d: int, max_len: int) -> dict[tuple[int, ...], int]:
+    return {w: i for i, w in enumerate(_graded_tuples(d, max_len))}
+
+
+def grade_offsets(d: int, N: int) -> list[int]:
+    """Position of the first word of each grade 0..N+1 in the graded
+    basis of words of length <= N; the last entry is the basis size."""
+    _check_cap(d, N)
+    return [word_count(d, g - 1) for g in range(N + 2)]
+
+
+def shift_indices(d: int, N: int, w: tuple[int, ...],
+                  left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (rows, cols) pairing the position of w.b (left) or
+    b.w (right) with the position of b, for every word b of length
+    <= N - |w|, in graded order of b."""
+    off = grade_offsets(d, N)
+    ga = len(w)
+    if ga > N:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    r = 0  # rank of w within its grade
+    for k in w:
+        r = r * d + (k - 1)
+    rows = []
+    for gb in range(N - ga + 1):
+        rel = np.arange(d ** gb, dtype=np.int64)
+        if left:
+            rows.append(off[ga + gb] + r * d ** gb + rel)
+        else:
+            rows.append(off[ga + gb] + rel * d ** ga + r)
+    return np.concatenate(rows), np.arange(off[N - ga + 1], dtype=np.int64)
+
+
+def reversal(d: int, N: int) -> np.ndarray:
+    """Permutation sending the position of each word of length <= N to
+    the position of the reversed word."""
+    off = grade_offsets(d, N)
+    out = np.empty(off[-1], dtype=np.int64)
+    for g in range(N + 1):
+        rel = np.arange(d ** g, dtype=np.int64)
+        rev = np.zeros_like(rel)
+        digits = rel.copy()
+        for _ in range(g):
+            rev = rev * d + digits % d
+            digits //= d
+        out[off[g]:off[g + 1]] = off[g] + rev
+    return out

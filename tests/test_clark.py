@@ -143,6 +143,12 @@ def test_gns_rejects_indefinite_moments():
         gns_build(mu, 1)
 
 
+def test_gns_rejects_empty_interior():
+    mu = clark_moments(parse("0.5*z1", 1, 2), 2)
+    with pytest.raises(ValueError, match="N >= 1"):
+        gns_build(mu, 0)
+
+
 @pytest.mark.parametrize("expr,d", [("0", 2), ("z1", 1), ("0.5*z1", 1),
                                     ("0.3*z1+0.2*z2*z1", 2)])
 def test_interior_isometry(expr, d):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from freehardy.cli import main
@@ -37,6 +38,10 @@ def test_reports_are_deterministic(capsys):
      "--d", "2", "--deg", "2", "--N", "6", "--num-points", "8", "--seed", "5"],
     ["ce-test", "--expr", "0.6*z1+0.5*z2*z2", "--d", "2", "--deg", "2",
      "--N", "5", "--seed", "5"],
+    ["realize", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2",
+     "--N", "6"],
+    ["complete-column", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2",
+     "--N", "6"],
 ])
 def test_report_files_are_deterministic(tmp_path, argv):
     out = tmp_path / "report.json"
@@ -128,6 +133,24 @@ def test_complete_column_success(capsys):
 def test_complete_column_obstruction(capsys):
     code, rep = run_json(capsys, ["complete-column", "--expr", "z1",
                                   "--d", "1", "--deg", "1", "--N", "8"])
+    assert code == 2
+    assert rep["verdict"] == "CeObstructionError"
+
+
+def test_complete_column_obstruction_on_column_isometry(capsys, tmp_path):
+    # B = M1 z1 + M2 z2 with [M1; M2] an isometry is column-extreme, but its
+    # computed gap is roundoff, so ||a0|| = sqrt(||gap||) can exceed tol
+    G = np.random.default_rng(0).standard_normal((4, 4))
+    M = np.linalg.qr(G[:, :2] + 1j * G[:, 2:])[0]
+    terms = [{"word": [k + 1], "re": M[2 * k:2 * k + 2].real.tolist(),
+              "im": M[2 * k:2 * k + 2].imag.tolist()} for k in range(2)]
+    path = tmp_path / "isometry.json"
+    path.write_text(json.dumps({"d": 2, "deg": 1, "p": 2, "q": 2,
+                                "terms": terms}))
+    argv = ["--input", str(path), "--d", "2", "--N", "6"]
+    code, rep = run_json(capsys, ["gleason-gap"] + argv)
+    assert code == 0 and rep["results"]["extremal"]
+    code, rep = run_json(capsys, ["complete-column"] + argv)
     assert code == 2
     assert rep["verdict"] == "CeObstructionError"
 

@@ -87,6 +87,19 @@ def test_a_empty_sq_zero_symbol():
     assert abs(out["a0_sq"][0, 0] - 1.0) < 1e-12
 
 
+def test_a_empty_sq_passes_on_its_model():
+    A = parse("0.9*z1", 1, 4)
+    model = a_empty_sq(A, 8)["model"]
+    ref = dbr_model(A, 8)
+    assert (model.N, model.M, model.rank) == (ref.N, ref.M, ref.rank)
+    assert np.array_equal(model.W, ref.W)
+    # no model fits when N does not exceed the degree
+    A = parse("0.5*z1*z2", 2, 2)
+    for f in (a_empty_sq, exactgs_residual):
+        with pytest.raises(ValueError, match="too small"):
+            f(A, 2)
+
+
 def test_l_invariance_strict():
     out = l_invariance_test(parse("0.5*z1", 1, 4), 8)
     assert out["invariant"]

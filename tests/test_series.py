@@ -98,6 +98,49 @@ def test_right_product_is_reversed_multiply(rng):
     assert right_product(F, G).max_coeff_diff(multiply(G, F)) < 1e-12
 
 
+def _naive_product(F, G):
+    """(FG)_a = sum over splits a = b.c of F_b G_c, word by word."""
+    deg = min(F.deg, G.deg)
+    out = {}
+    for b, x in F.coeffs.items():
+        for c, y in G.coeffs.items():
+            if len(b) + len(c) <= deg:
+                out[b + c] = out.get(b + c, 0) + x @ y
+    return FreeSeries(F.d, deg, F.p, G.q, out)
+
+
+@pytest.mark.parametrize("d, degs, shape", [
+    (1, (7, 5), (2, 2, 2)),
+    (2, (4, 3), (2, 2, 2)),
+    (3, (2, 3), (2, 2, 2)),
+    (2, (3, 4), (2, 3, 1)),
+])
+def test_multiply_and_invert_match_convolution(rng, d, degs, shape):
+    p, k, q = shape
+    F = random_series(rng, d, degs[0], p, k, scale=0.3)
+    G = random_series(rng, d, degs[1], k, q)
+    assert multiply(F, G).max_coeff_diff(_naive_product(F, G)) < 1e-12
+    if p == k:
+        F.coeffs[()] = np.eye(p, dtype=complex)
+        Finv = invert_series(F)
+        one = identity_series(d, F.deg, p)
+        assert _naive_product(F, Finv).max_coeff_diff(one) < 1e-12
+        assert _naive_product(Finv, F).max_coeff_diff(one) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 1)])
+def test_right_product_composes_right_multipliers(rng, shape):
+    p, k, q = shape
+    F = random_series(rng, 2, 3, p, k)
+    G = random_series(rng, 2, 2, k, q)
+    MF = multiplier_matrix(F.truncate(2), Side.RIGHT, 2)
+    MG = multiplier_matrix(G, Side.RIGHT, 2)
+    H = right_product(F, G)
+    assert H.deg == 2
+    assert np.allclose(multiplier_matrix(H, Side.RIGHT, 2), MF @ MG,
+                       rtol=0, atol=1e-12)
+
+
 def test_dagger_series():
     F = FreeSeries(2, 2, 1, 1, {(1, 2): np.array([[3.0]])})
     assert np.allclose(dagger_series(F).coeff((2, 1)), 3.0)

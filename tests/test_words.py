@@ -3,9 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from freehardy.fock import Side, creation
+from freehardy.series import letter_series, multiplier_matrix
 from freehardy.words import (CapacityError, Word, concat, dagger,
-                             enumerate_tuples, enumerate_words, index_map,
-                             left_quotient, word_count)
+                             enumerate_tuples, enumerate_words, grade_offsets,
+                             index_map, left_quotient, reversal,
+                             shift_indices, word_count)
 
 
 def w(*letters, d=3):
@@ -91,6 +94,22 @@ def test_index_map_roundtrip():
         assert idx[t] == i
 
 
+@pytest.mark.parametrize("d, N", [(1, 5), (2, 4), (3, 3)])
+def test_index_arithmetic_matches_index_map(d, N):
+    words = enumerate_tuples(d, N)
+    idx = index_map(d, N)
+    assert grade_offsets(d, N) == [sum(1 for x in words if len(x) < g)
+                                   for g in range(N + 2)]
+    assert reversal(d, N).tolist() == [idx[x[::-1]] for x in words]
+    for a in enumerate_tuples(d, 2):
+        short = [b for b in words if len(a) + len(b) <= N]
+        for left in (True, False):
+            rows, cols = shift_indices(d, N, a, left)
+            assert cols.tolist() == [idx[b] for b in short]
+            assert rows.tolist() == [idx[a + b if left else b + a]
+                                     for b in short]
+
+
 def test_capacity_error():
     with pytest.raises(CapacityError):
         enumerate_tuples(10, 10, cap=1000)
@@ -115,7 +134,13 @@ def test_dagger_involution_property(data):
 
 def test_capacity_cap_applies_after_caching(monkeypatch):
     # a cached basis must not bypass a cap lowered after its first use
-    enumerate_tuples(2, 12)
-    monkeypatch.setenv("FREEHARDY_MAX_BASIS", "100")
-    with pytest.raises(CapacityError):
-        enumerate_tuples(2, 12)
+    calls = [lambda: enumerate_tuples(2, 12),
+             lambda: index_map(2, 6),
+             lambda: multiplier_matrix(letter_series(2, 1, 1), Side.LEFT, 6),
+             lambda: creation(Side.LEFT, 1, 2, 6)]
+    for call in calls:
+        monkeypatch.delenv("FREEHARDY_MAX_BASIS", raising=False)
+        call()
+        monkeypatch.setenv("FREEHARDY_MAX_BASIS", "100")
+        with pytest.raises(CapacityError):
+            call()
