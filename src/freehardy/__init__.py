@@ -16,7 +16,7 @@ from .series import (FreeSeries, MatrixPoint, cayley, constant_series,
                      dagger_series, evaluate, identity_series, invert_series,
                      letter_series, multiplier_matrix, multiply,
                      normalize_schur, right_product, schur_norm_estimate,
-                     word_powers, zero_point)
+                     word_powers)
 from .parser import ParseError, parse
 from .kernels import (KernelKind, KernelSpec, Pinning, coefficient_kernel,
                       gram_psd_check, herglotz_coefficient, kernel_eval,

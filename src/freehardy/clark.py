@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import FreeSeries, MatrixPoint, cayley, szego_coords, word_powers
+from .series import (FreeSeries, MatrixPoint, cayley, range_basis,
+                     szego_coords, word_powers)
 from .words import enumerate_tuples, reversal, shift_indices, word_count
 
 
@@ -208,9 +209,7 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
 
 def _interior_basis(model: GnsModel) -> np.ndarray:
     cols = word_count(model.d, model.N - 1) * model.p
-    U, s, _ = np.linalg.svd(model.T[:, :cols], full_matrices=False)
-    keep = s > 1e-12 * max(s[0], 1e-300)
-    return U[:, keep]
+    return range_basis(model.T[:, :cols], 1e-12)
 
 
 def interior_isometry_defect(model: GnsModel) -> float:
@@ -292,12 +291,8 @@ def vb_build(mu: MomentFunctional, B: FreeSeries | None, N: int,
     S = C @ gns.Tplus
     Spinv = np.linalg.pinv(S, rcond=rank_tol)
     V = [S @ pk @ Spinv for pk in gns.pi]
-    p = mu.p
-    R = C[:, p:]
-    U, s, _ = np.linalg.svd(R, full_matrices=False)
-    cut = 1e-10 * max(float(s[0]) if len(s) else 0.0, 1e-300)
     return {"V": V, "carrier": S, "transform": C,
-            "range_basis": U[:, s > cut], "gns": gns}
+            "range_basis": range_basis(C[:, mu.p:], 1e-10), "gns": gns}
 
 
 def gns_kernel_coords(Z: MatrixPoint, y: np.ndarray, v: np.ndarray,

@@ -28,26 +28,19 @@ from .gleason import (CeObstructionError, NotSchurError, ce_test,
                       extremality_gap, series_degree)
 from .kernels import KernelKind, KernelSpec, gram_psd_check, nilpotent_pins
 from .parser import ParseError, parse
-from .series import (FreeSeries, MatrixPoint, cayley, evaluate,
-                     schur_norm_estimate)
+from .series import (FreeSeries, MatrixPoint, cayley, evaluate, mat_from_json,
+                     mat_to_json, schur_norm_estimate)
 from .words import CapacityError
 
 SCHEMA = "freehardy-report/1"
 
 
-def _mat_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[z.real, z.imag] for z in row] for row in m]
-
-
 def _point_json(Z: MatrixPoint) -> dict:
-    return {"n": Z.n, "mats": [_mat_json(m) for m in Z.mats]}
+    return {"n": Z.n, "mats": [mat_to_json(m) for m in Z.mats]}
 
 
 def _point_from_json(data: dict, d: int) -> MatrixPoint:
-    mats = [np.array([[complex(re, im) for re, im in row] for row in m])
-            for m in data["mats"]]
-    return MatrixPoint(d, data["n"], mats)
+    return MatrixPoint(d, data["n"], [mat_from_json(m) for m in data["mats"]])
 
 
 def _load_series(args) -> FreeSeries:
@@ -107,9 +100,14 @@ def _emit(report: dict, args, rows: list[dict] | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _report(args, results: dict, truncation: dict | None = None) -> dict:
+def _header(args) -> dict:
+    """Schema tag, command and full configuration, shared by every report."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {"schema": SCHEMA, "command": args.command, "config": config,
+    return {"schema": SCHEMA, "command": args.command, "config": config}
+
+
+def _report(args, results: dict, truncation: dict | None = None) -> dict:
+    return {**_header(args),
             "truncation": truncation or {"N": args.N, "deg": args.deg},
             "results": results}
 
@@ -117,7 +115,7 @@ def _report(args, results: dict, truncation: dict | None = None) -> dict:
 def cmd_eval(args) -> int:
     F = _load_series(args)
     points = _load_points(args)
-    vals = [{"point": _point_json(Z), "value": _mat_json(evaluate(F, Z))}
+    vals = [{"point": _point_json(Z), "value": mat_to_json(evaluate(F, Z))}
             for Z in points]
     _emit(_report(args, {"values": vals, "num_points": len(points)}), args)
     return 0
@@ -186,8 +184,8 @@ def cmd_gns(args) -> int:
                "eigenvalues": [float(v) for v in model.eigenvalues],
                "interior_isometry_defect": interior_isometry_defect(model)}
     if args.full:
-        results["moment_matrix"] = _mat_json(moment_matrix(mu, args.N))
-        results["pi"] = [_mat_json(P) for P in model.pi]
+        results["moment_matrix"] = mat_to_json(moment_matrix(mu, args.N))
+        results["pi"] = [mat_to_json(P) for P in model.pi]
     rows = [{"index": i, "eigenvalue": float(v)}
             for i, v in enumerate(model.eigenvalues)]
     _emit(_report(args, results), args, rows)
@@ -225,7 +223,7 @@ def cmd_ce_test(args) -> int:
 def cmd_gleason_gap(args) -> int:
     B = _load_series(args)
     res = extremality_gap(B, args.N, tol=args.tol, rank_tol=args.rank_tol)
-    results = {"gap": _mat_json(res["gap"]), "ladder": res["ladder"],
+    results = {"gap": mat_to_json(res["gap"]), "ladder": res["ladder"],
                "extremal": res["extremal"],
                "trend_decreasing": res["trend_decreasing"]}
     rows = [{"N": r["N"], "gap_norm": r["gap_norm"]} for r in res["ladder"]]
@@ -258,8 +256,8 @@ def cmd_transfer_eval(args) -> int:
         U = Colligation.from_json(json.load(fh))
     args.d = U.d
     points = _load_points(args)
-    vals = [{"point": _point_json(Z), "value": _mat_json(transfer_eval(U, Z))}
-            for Z in points]
+    vals = [{"point": _point_json(Z),
+             "value": mat_to_json(transfer_eval(U, Z))} for Z in points]
     _emit(_report(args, {"values": vals}), args)
     return 0
 
@@ -268,7 +266,7 @@ def cmd_complete_column(args) -> int:
     A = _load_series(args)
     res = complete_column(A, args.N, tol=args.tol, rank_tol=args.rank_tol)
     defect = column_schur_defect(A, res["a"], min(args.N, 6))
-    results = {"a": res["a"].to_json(), "a0": _mat_json(res["a0"]),
+    results = {"a": res["a"].to_json(), "a0": mat_to_json(res["a0"]),
                "isometry_defect": res["isometry_defect"],
                "membership_residual": res["membership_residual"],
                "column_gram_defect": defect,
@@ -353,16 +351,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CeObstructionError, NotSchurError) as exc:
-        report = {"schema": SCHEMA, "command": args.command,
-                  "config": {k: v for k, v in sorted(vars(args).items())
-                             if k != "func"},
-                  "verdict": type(exc).__name__, "detail": str(exc)}
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        report = {**_header(args), "verdict": type(exc).__name__,
+                  "detail": str(exc)}
+        args.format = "json"  # a verdict report is JSON whatever --format says
+        _emit(report, args)
         return 2
     except (ParseError, CapacityError, ValueError, OSError,
             np.linalg.LinAlgError) as exc:

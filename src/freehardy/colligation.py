@@ -27,7 +27,7 @@ from .fock import Side
 from .gleason import (CeObstructionError, a_empty_sq, dbr_model,
                       gleason_maps, series_degree, shift_compressions)
 from .series import (FreeSeries, MatrixPoint, dagger_series, letter_series,
-                     multiplier_matrix, to_dense)
+                     mat_from_json, mat_to_json, multiplier_matrix, to_dense)
 
 
 @dataclass
@@ -70,20 +70,18 @@ class Colligation:
         return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1]), 2))
 
     def to_json(self) -> dict:
-        def enc(m):
-            return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
         return {"d": self.d, "state_dim": self.state_dim,
                 "in_dim": self.in_dim, "out_dim": self.out_dim,
-                "A": [enc(a) for a in self.A], "B": [enc(b) for b in self.B],
-                "C": enc(self.C), "D": enc(self.D)}
+                "A": [mat_to_json(a) for a in self.A],
+                "B": [mat_to_json(b) for b in self.B],
+                "C": mat_to_json(self.C), "D": mat_to_json(self.D)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Colligation":
-        def dec(m):
-            return np.array([[complex(re, im) for re, im in row] for row in m])
         return cls(data["d"], data["state_dim"], data["in_dim"],
-                   data["out_dim"], [dec(a) for a in data["A"]],
-                   [dec(b) for b in data["B"]], dec(data["C"]), dec(data["D"]))
+                   data["out_dim"], [mat_from_json(a) for a in data["A"]],
+                   [mat_from_json(b) for b in data["B"]],
+                   mat_from_json(data["C"]), mat_from_json(data["D"]))
 
 
 def transfer_eval(U: Colligation, Z: MatrixPoint) -> np.ndarray:
@@ -158,9 +156,7 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
     if float(np.linalg.norm(gap["a0_sq"], 2)) <= tol:
         raise CeObstructionError(
             "extremality gap vanishes; no nonzero completion exists")
-    evals, vecs = np.linalg.eigh(gap["a0_sq"])
-    a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
-    model = gap["model"]
+    a0, model = gap["a0"], gap["model"]
     X = shift_compressions(model)
     Cg = gleason_maps(model)
     E = to_dense(A, model.M).reshape(-1, A.q)

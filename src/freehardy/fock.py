@@ -18,8 +18,6 @@ import scipy.sparse as sp
 from .words import (enumerate_tuples, index_map, reversal, shift_indices,
                     word_count)
 
-DENSE_THRESHOLD = 512
-
 
 class Side(Enum):
     LEFT = "left"

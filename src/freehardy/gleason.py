@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clark import clark_moments, cuntz_check, gns_build, moment_matrix
+from .clark import (GnsModel, clark_moments, cuntz_check, gns_build,
+                    moment_matrix)
 from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
-                     letter_series, multiplier_matrix, multiply,
+                     letter_series, multiplier_matrix, multiply, range_basis,
                      schur_norm_estimate, szego_coords, to_dense)
 from .words import word_count
 
@@ -47,7 +48,6 @@ class DbrModel:
     W: np.ndarray        # (n_words * p) x rank, columns H(B)-orthonormal
     Wplus: np.ndarray    # rank x (n_words * p), left inverse of W
     eigenvalues: np.ndarray
-    compression_residual: float
 
     @property
     def p(self) -> int:
@@ -79,8 +79,21 @@ def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
 
     D = I - T T* is formed on the full truncation and then compressed to
     the interior grades; the top deg(B) grades only carry truncation
-    artifacts of the multiplier action and are discarded.
+    artifacts of the multiplier action and are discarded.  The interior
+    block equals I - T_M T_M* with T_M the multiplier at M, which is
+    cheaper to form; but it rounds differently, and eigh then picks other
+    bases in degenerate eigenspaces, so printed reports would change.
     """
+    return _models(B, N, 1, rank_tol, side, tol)[0]
+
+
+def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float, side: Side,
+            tol: float) -> list[DbrModel]:
+    """dbr_model at N, N - 1, ..., for up to `rungs` truncations that keep
+    an interior, all from one Schur check and one D.  In graded order the
+    interior entries of D do not depend on N, so D at a lower truncation
+    is a leading principal block of D at N; and the norm estimate is
+    nondecreasing in N, so the check at N covers the lower rungs."""
     degB = series_degree(B)
     B = B.truncate(degB)
     est = schur_norm_estimate(B, N)
@@ -90,24 +103,22 @@ def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
     if M < 1:
         raise ValueError(f"truncation {N} too small for degree {degB}")
     T = multiplier_matrix(B, side, N)
-    D = np.eye(T.shape[0], dtype=complex) - T @ T.conj().T
     # words of length <= M come first in the graded order
     m = word_count(B.d, M) * B.p
-    D = D[:m, :m]
-    evals, vecs = np.linalg.eigh(D)
-    scale = max(float(np.abs(evals).max()), 1e-300)
-    keep = evals > rank_tol * scale
-    lam, V = evals[keep], vecs[:, keep]
-    W = V * np.sqrt(lam)[None, :]
-    Wplus = (V / np.sqrt(lam)[None, :]).conj().T
-    # report how far the retained range is from being backward-shift
-    # invariant (exact invariance only holds without truncation)
-    res = 0.0
-    for k in range(1, B.d + 1):
-        Lk = multiplier_matrix(letter_series(B.d, 1, k, B.p), Side.LEFT, M)
-        G = (np.eye(W.shape[0]) - V @ V.conj().T) @ (Lk.conj().T @ V)
-        res = max(res, float(np.linalg.norm(G, 2)))
-    return DbrModel(B, N, M, side, int(W.shape[1]), W, Wplus, evals, res)
+    D = (np.eye(T.shape[0], dtype=complex) - T @ T.conj().T)[:m, :m].copy()
+    del T
+    models = []
+    for k in range(min(rungs, M)):
+        m = word_count(B.d, M - k) * B.p
+        evals, vecs = np.linalg.eigh(D[:m, :m])
+        scale = max(float(np.abs(evals).max()), 1e-300)
+        keep = evals > rank_tol * scale
+        lam, V = evals[keep], vecs[:, keep]
+        W = V * np.sqrt(lam)[None, :]
+        Wplus = (V / np.sqrt(lam)[None, :]).conj().T
+        models.append(DbrModel(B, N - k, M - k, side, int(W.shape[1]), W,
+                               Wplus, evals))
+    return models
 
 
 def gleason_vector(B: FreeSeries) -> list[FreeSeries]:
@@ -146,27 +157,25 @@ def vacuum_kernel(model: DbrModel) -> np.ndarray:
 
 def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
                     rank_tol: float = 1e-10) -> dict:
-    """Gap matrix (I - B(0)*B(0)) - <Gleason tuple Gram> at a ladder of
-    truncations; B is extremal when the gap vanishes.  The model at the
-    top rung, dbr_model(B, N, rank_tol=rank_tol), is returned with it."""
-    ladder = []
-    gap_mat = top = None
-    for Ncur in (N, N - 1, N - 2):
-        if Ncur - series_degree(B) < 1:
-            break
-        model = dbr_model(B, Ncur, rank_tol=rank_tol)
-        B0 = B.coeff(())
+    """Gap matrix (I - B(0)*B(0)) - <Gleason tuple Gram> at the
+    truncations N, N - 1, N - 2 that keep an interior; B is extremal when
+    the gap vanishes.  All rungs come from one D, whose Schur check uses
+    tol; the model at the top rung, dbr_model(B, N, rank_tol=rank_tol,
+    tol=tol), is returned with it."""
+    B0 = B.coeff(())
+    gaps, ladder = [], []
+    models = _models(B, N, 3, rank_tol, Side.RIGHT, tol)
+    for model in models:
         G = np.eye(B.q, dtype=complex) - B0.conj().T @ B0
         for C in gleason_maps(model):
             G = G - C.conj().T @ C
-        G = 0.5 * (G + G.conj().T)
-        if gap_mat is None:
-            gap_mat, top = G, model
-        ladder.append({"N": Ncur, "gap_norm": float(np.linalg.norm(G, 2))})
-    extremal = bool(ladder and ladder[0]["gap_norm"] <= tol)
+        gaps.append(0.5 * (G + G.conj().T))
+        ladder.append({"N": model.N,
+                       "gap_norm": float(np.linalg.norm(gaps[-1], 2))})
+    extremal = ladder[0]["gap_norm"] <= tol
     trend = len(ladder) >= 2 and ladder[0]["gap_norm"] < ladder[-1]["gap_norm"] - tol
-    return {"gap": gap_mat, "ladder": ladder, "extremal": extremal,
-            "trend_decreasing": bool(trend), "model": top}
+    return {"gap": gaps[0], "ladder": ladder, "extremal": extremal,
+            "trend_decreasing": bool(trend), "model": models[0]}
 
 
 def support(A: FreeSeries, tol: float = 1e-10) -> np.ndarray:
@@ -174,27 +183,25 @@ def support(A: FreeSeries, tol: float = 1e-10) -> np.ndarray:
     blocks = [m.conj().T for m in A.coeffs.values() if np.any(m)]
     if not blocks:
         return np.zeros((A.q, 0), dtype=complex)
-    stacked = np.hstack(blocks)
-    U, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    return U[:, s > tol * max(float(s[0]), 1e-300)]
+    return range_basis(np.hstack(blocks), tol)
 
 
 def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
                rank_tol: float = 1e-10) -> dict:
     """The Hermitian matrix a0^2 = I - A(0)*A(0) - <Gleason Gram>, clipped
-    to PSD, cross-validated against (I + Ahat*Ahat)^{-1} when membership
-    of A.h in the model certifies the graph realization of Ahat.  The
-    model dbr_model(A, N, rank_tol=rank_tol) is returned with it."""
+    to PSD, and its PSD square root a0, cross-validated against
+    (I + Ahat*Ahat)^{-1} when membership of A.h in the model certifies the
+    graph realization of Ahat.  The model dbr_model(A, N,
+    rank_tol=rank_tol) is returned with them."""
     res = extremality_gap(A, N, rank_tol=rank_tol)
-    if res["model"] is None:
-        raise ValueError(
-            f"truncation {N} too small for degree {series_degree(A)}")
     G = res["gap"]
     evals, vecs = np.linalg.eigh(G)
     if evals[0] < -tol:
         raise ValueError(
             f"extremality gap indefinite ({evals[0]:.3e}); truncation too coarse")
     clipped = (vecs * np.clip(evals, 0.0, None)[None, :]) @ vecs.conj().T
+    evals, vecs = np.linalg.eigh(clipped)
+    a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
     model = res["model"]
     E = to_dense(A, model.M).reshape(-1, A.q)
     memb = max(model.membership(E[:, j])["residual"] for j in range(A.q))
@@ -202,8 +209,8 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     if memb <= tol:
         C = model.Wplus @ E
         dual = np.linalg.inv(np.eye(A.q) + C.conj().T @ C)
-    return {"a0_sq": clipped, "dual": dual, "membership_residual": memb,
-            "model": model}
+    return {"a0_sq": clipped, "a0": a0, "dual": dual,
+            "membership_residual": memb, "model": model}
 
 
 def l_invariance_test(A: FreeSeries, N: int, tol: float = 1e-8) -> dict:
@@ -234,10 +241,8 @@ def exactgs_residual(A: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     model = gap["model"]
     X = shift_compressions(model)
     K0 = vacuum_kernel(model)
-    evals, vecs = np.linalg.eigh(gap["a0_sq"])
-    a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
     E = to_dense(A, model.M).reshape(-1, A.q)
-    Aa0 = model.Wplus @ E @ a0
+    Aa0 = model.Wplus @ E @ gap["a0"]
     lhs = np.eye(model.rank, dtype=complex) - sum(x.conj().T @ x for x in X)
     rhs = K0 @ K0.conj().T + Aa0 @ Aa0.conj().T
     Q = _class_span(model, model.M - 1)
@@ -248,8 +253,7 @@ def _class_span(model: DbrModel, max_len: int) -> np.ndarray:
     """Orthonormal basis, in rank coordinates, of the span of model
     kernel vectors pinned at basis words of length <= max_len."""
     rows = word_count(model.B.d, max_len) * model.p
-    U, s, _ = np.linalg.svd(model.W[:rows, :].conj().T, full_matrices=False)
-    return U[:, s > 1e-10 * max(float(s[0]), 1e-300)]
+    return range_basis(model.W[:rows, :].conj().T, 1e-10)
 
 
 def kernel_identity_residual(A: FreeSeries, N: int, Z: MatrixPoint,
@@ -290,13 +294,13 @@ def szego_distance(B: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     over basis vectors h.  Zero characterizes the Szego extremal
     property."""
     Bsq = square_completion(B)
-    mu = clark_moments(Bsq, 2 * N)
-    model = gns_build(mu, N, rank_tol=rank_tol)
+    gns = gns_build(clark_moments(Bsq, 2 * N), N, rank_tol=rank_tol)
+    return _szego(gns, Bsq.coeff(()))
+
+
+def _szego(model: GnsModel, B0: np.ndarray) -> float:
     p = model.p
-    shifted = model.T[:, p:]
-    U, s, _ = np.linalg.svd(shifted, full_matrices=False)
-    Q = U[:, s > 1e-10 * max(float(s[0]) if len(s) else 0.0, 1e-300)]
-    B0 = Bsq.coeff(())
+    Q = range_basis(model.T[:, p:], 1e-10)
     target = model.T[:, 0:p] @ (np.eye(p) - B0)
     resid = target - Q @ (Q.conj().T @ target)
     worst = 0.0
@@ -314,15 +318,14 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     independent cross-checks and raise flags when they disagree.
     """
     B = B.truncate(min(series_degree(B), N))
-    est = schur_norm_estimate(B, N)
-    if est > 1.0 + tol:
-        raise NotSchurError(f"multiplier norm estimate {est:.6f} exceeds 1")
     gap = extremality_gap(B, N, tol=tol, rank_tol=rank_tol)
     by_gleason = gap["extremal"]
 
+    # one Clark GNS row serves the Szego and Cuntz criteria
     Bsq = square_completion(B)
     n_gns = min(N, 5)
-    dist = szego_distance(B, n_gns, rank_tol=rank_tol)
+    gns = gns_build(clark_moments(Bsq, 2 * n_gns), n_gns, rank_tol=rank_tol)
+    dist = _szego(gns, Bsq.coeff(()))
     by_szego = dist <= 1e-6
 
     # more pins than the span of their kernel functions can carry, so that
@@ -344,9 +347,7 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     by_cuntz = None
     cuntz_defect = None
     if B.p == B.q:
-        mu = clark_moments(Bsq, 2 * n_gns)
-        cuntz = cuntz_check(gns_build(mu, n_gns, rank_tol=rank_tol))
-        cuntz_defect = cuntz["defect"]
+        cuntz_defect = cuntz_check(gns)["defect"]
         by_cuntz = cuntz_defect <= 1e-6
 
     verdict = by_gleason

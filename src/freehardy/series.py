@@ -150,8 +150,15 @@ def direct_sum(points: list[MatrixPoint]) -> MatrixPoint:
     return MatrixPoint(points[0].d, n, list(mats))
 
 
-def zero_point(d: int, n: int = 1) -> MatrixPoint:
-    return MatrixPoint(d, n, [np.zeros((n, n), dtype=complex)] * d)
+def mat_to_json(m) -> list:
+    """A complex matrix as nested rows of [re, im] pairs, the layout of
+    report, point and colligation files."""
+    m = np.asarray(m, dtype=complex)
+    return [[[z.real, z.imag] for z in row] for row in m]
+
+
+def mat_from_json(rows) -> np.ndarray:
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def _check_same_shape(F: FreeSeries, G: FreeSeries):
@@ -346,6 +353,13 @@ def schur_norm_estimate(F: FreeSeries, N: int) -> float:
     """Operator norm of the truncated left multiplication matrix: a lower
     bound for the multiplier norm, nondecreasing in N."""
     return float(np.linalg.norm(multiplier_matrix(F, Side.LEFT, N), 2))
+
+
+def range_basis(A: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal basis of the range of A: the left singular vectors whose
+    singular values exceed rtol times the largest."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return U[:, s > rtol * max(float(s[0]) if len(s) else 0.0, 1e-300)]
 
 
 def normalize_schur(F: FreeSeries, N: int, target: float = 0.9) -> FreeSeries:

@@ -42,6 +42,8 @@ def test_reports_are_deterministic(capsys):
      "--N", "6"],
     ["complete-column", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2",
      "--N", "6"],
+    ["gleason-gap", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2",
+     "--N", "6"],
 ])
 def test_report_files_are_deterministic(tmp_path, argv):
     out = tmp_path / "report.json"
@@ -99,6 +101,15 @@ def test_ce_test_inner(capsys):
     assert rep["results"]["verdict"] == "CE"
 
 
+@pytest.mark.parametrize("cmd", ["ce-test", "gleason-gap"])
+def test_truncation_not_above_degree_exit_one(capsys, cmd):
+    code = main([cmd, "--expr", "z1", "--d", "2", "--deg", "1", "--N", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "too small for degree 1" in captured.err
+
+
 def test_gleason_gap_csv_ladder(capsys):
     code, out = run(capsys, ["gleason-gap", "--expr", "0.9*z1", "--d", "1",
                              "--deg", "1", "--N", "8", "--format", "csv"])
@@ -135,6 +146,15 @@ def test_complete_column_obstruction(capsys):
                                   "--d", "1", "--deg", "1", "--N", "8"])
     assert code == 2
     assert rep["verdict"] == "CeObstructionError"
+
+
+def test_verdict_report_is_json_under_csv_format(capsys):
+    code, rep = run_json(capsys, ["complete-column", "--expr", "z1",
+                                  "--d", "1", "--deg", "1", "--N", "8",
+                                  "--format", "csv"])
+    assert code == 2
+    assert rep["verdict"] == "CeObstructionError"
+    assert rep["config"]["format"] == "csv"
 
 
 def test_complete_column_obstruction_on_column_isometry(capsys, tmp_path):

@@ -15,7 +15,7 @@ from freehardy.parser import parse
 from freehardy.series import MatrixPoint, evaluate, letter_series, multiply
 from freehardy.words import enumerate_tuples
 
-from conftest import nilpotent_point
+from conftest import nilpotent_point, random_schur
 
 SQRT_HALF = 0.7071067811865476
 
@@ -75,6 +75,58 @@ def test_gap_free_letter_vanishes():
     assert res["ladder"][0]["gap_norm"] <= 1e-8
 
 
+def _gap_norm(model):
+    B0 = model.B.coeff(())
+    G = np.eye(model.B.q) - B0.conj().T @ B0
+    for C in gleason_maps(model):
+        G = G - C.conj().T @ C
+    return float(np.linalg.norm(0.5 * (G + G.conj().T), 2))
+
+
+@pytest.mark.parametrize("d,N", [(1, 8), (2, 5), (3, 5)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_ladder_rungs_match_independent_models(d, N, p):
+    rng = np.random.default_rng(10 * d + p)
+    B = random_schur(rng, d, 2, p, p, target=0.8)
+    res = extremality_gap(B, N)
+    assert [r["N"] for r in res["ladder"]] == [N, N - 1, N - 2]
+    for rung in res["ladder"]:
+        want = _gap_norm(dbr_model(B, rung["N"]))
+        assert abs(rung["gap_norm"] - want) <= 1e-12 * max(1.0, want)
+    # the ladder stops at the last truncation that keeps an interior
+    assert [r["N"] for r in extremality_gap(B, 3)["ladder"]] == [3]
+
+
+def test_ce_test_builds_shared_objects_once(monkeypatch):
+    from freehardy import clark, gleason, kernels, series
+    calls = {"schur_norm_estimate": 0, "clark_moments": 0}
+    for mod in (series, clark, kernels, gleason):
+        for name in calls:
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    out = ce_test(parse("0.6*z1 + 0.5*z2*z2", 2, 2), 5)
+    assert out["by_cuntz"] is not None
+    assert calls == {"schur_norm_estimate": 1, "clark_moments": 1}
+
+
+def test_schur_check_uses_caller_tolerance():
+    # estimate 1 + 1e-7; z1^6 stays outside the degree-5 Clark window of
+    # the cross-checks, so only the Schur check can reject it
+    B = parse("1.0000001*z1^6", 1, 6)
+    with pytest.raises(NotSchurError):
+        ce_test(B, 8, tol=1e-8)
+    assert ce_test(B, 8, tol=1e-6)["verdict"] in ("CE", "not-CE")
+    with pytest.raises(NotSchurError):
+        extremality_gap(B, 8)
+    assert extremality_gap(B, 8, tol=1e-6)["ladder"][0]["N"] == 8
+
+
 def test_a_empty_sq_both_routes():
     out = a_empty_sq(parse("0.9*z1", 1, 4), 8)
     assert abs(out["a0_sq"][0, 0] - 0.19) < 1e-6
@@ -93,6 +145,8 @@ def test_a_empty_sq_passes_on_its_model():
     ref = dbr_model(A, 8)
     assert (model.N, model.M, model.rank) == (ref.N, ref.M, ref.rank)
     assert np.array_equal(model.W, ref.W)
+    a0 = a_empty_sq(A, 8)["a0"]
+    assert np.allclose(a0 @ a0, a_empty_sq(A, 8)["a0_sq"], atol=1e-14)
     # no model fits when N does not exceed the degree
     A = parse("0.5*z1*z2", 2, 2)
     for f in (a_empty_sq, exactgs_residual):
