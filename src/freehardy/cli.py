@@ -16,6 +16,8 @@ import csv
 import io
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -28,8 +30,8 @@ from .gleason import (CeObstructionError, NotSchurError, ce_test,
                       extremality_gap, series_degree)
 from .kernels import KernelKind, KernelSpec, gram_psd_check, nilpotent_pins
 from .parser import ParseError, parse
-from .series import (FreeSeries, MatrixPoint, cayley, evaluate, mat_from_json,
-                     mat_to_json, schur_norm_estimate)
+from .series import (FreeSeries, MatrixPoint, cayley, evaluate, json_field,
+                     mat_from_json, mat_to_json, schur_norm_estimate)
 from .words import CapacityError
 
 SCHEMA = "freehardy-report/1"
@@ -40,7 +42,9 @@ def _point_json(Z: MatrixPoint) -> dict:
 
 
 def _point_from_json(data: dict, d: int) -> MatrixPoint:
-    return MatrixPoint(d, data["n"], [mat_from_json(m) for m in data["mats"]])
+    return MatrixPoint(d, json_field(data, "n", int),
+                       [mat_from_json(m, "mats")
+                        for m in json_field(data, "mats", list)])
 
 
 def _load_series(args) -> FreeSeries:
@@ -71,15 +75,75 @@ def _load_points(args) -> list[MatrixPoint]:
     if args.points is not None:
         with open(args.points) as fh:
             data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("a points file holds a list of points")
         return [_point_from_json(p, args.d) for p in data]
     return _random_points(args.d, args.num_points, args.seed)
+
+
+# Reports are the bytes of json.dumps(x, sort_keys=True, indent=2), whose
+# indent forces the pure-Python encoder; _dumps formats each list in the
+# mat_to_json layout, the bulk of every report, in one pass.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _atom(x) -> str | None:
+    """JSON text of a str, None, bool, int or float; None for other types."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    text = float.__repr__(x) if isinstance(x, float) else None
+    return _NONFINITE.get(text, text)
+
+
+def _pair_matrix(rows: list, level: int) -> str | None:
+    """Text of rows at `level` if equal-length rows of [re, im] floats."""
+    cells = list(chain.from_iterable(rows)) if set(map(type, rows)) == {list} else []
+    flat = list(chain.from_iterable(cells)) if set(map(type, cells)) == {list} else []
+    if (not flat or set(map(len, rows)) != {len(rows[0])}
+            or set(map(len, cells)) != {2} or set(map(type, flat)) != {float}):
+        return None
+    i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
+    text = list(map(float.__repr__, flat))
+    it = map(_NONFINITE.get, text, text)
+    pairs = map(("," + i3).join, zip(it, it))
+    lines = map((i2 + "]," + i2 + "[" + i3).join, zip(*[pairs] * len(rows[0])))
+    body = (i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3).join(lines)
+    return f"[{i1}[{i2}[{i3}{body}{i2}]{i1}]{i0}]"
+
+
+def _dumps(x, level: int = 0, out: list | None = None) -> str:
+    """The text of x nested `level` deep; a nested call appends to out."""
+    top = out is None
+    out = [] if top else out
+    atom = _atom(x)
+    if atom is None and not isinstance(x, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    brackets = "{}" if isinstance(x, dict) else "[]"
+    fast = _pair_matrix(x, level) if type(x) is list and x else None
+    if atom or fast or not x:
+        out.append(atom or fast or brackets)
+    else:
+        indent = "\n" + "  " * (level + 1)
+        for i, item in enumerate(sorted(x) if brackets == "{}" else x):
+            out.append(("," if i else brackets[0]) + indent)
+            if brackets == "{}":  # other keys as JSON text, or TypeError
+                key = item if isinstance(item, str) else _atom(item)
+                out.append(encode_basestring_ascii(key) + ": ")
+                item = x[item]
+            _dumps(item, level + 1, out)
+        out.append(indent[:-2] + brackets[1])
+    return "".join(out) if top else ""
 
 
 def _emit(report: dict, args, rows: list[dict] | None = None) -> None:
     """Write the report; CSV format needs tidy rows, else falls back to
     flat key/value pairs of the scalar results."""
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _dumps(report) + "\n"
     else:
         buf = io.StringIO()
         if rows:

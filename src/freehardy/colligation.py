@@ -27,7 +27,8 @@ from .fock import Side
 from .gleason import (CeObstructionError, a_empty_sq, dbr_model,
                       gleason_maps, series_degree, shift_compressions)
 from .series import (FreeSeries, MatrixPoint, dagger_series, letter_series,
-                     mat_from_json, mat_to_json, multiplier_matrix, to_dense)
+                     json_field, mat_from_json, mat_to_json,
+                     multiplier_matrix, to_dense)
 
 
 @dataclass
@@ -78,10 +79,11 @@ class Colligation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Colligation":
-        return cls(data["d"], data["state_dim"], data["in_dim"],
-                   data["out_dim"], [mat_from_json(a) for a in data["A"]],
-                   [mat_from_json(b) for b in data["B"]],
-                   mat_from_json(data["C"]), mat_from_json(data["D"]))
+        A, B = ([mat_from_json(m, k) for m in json_field(data, k, list)]
+                for k in "AB")
+        C, D = (mat_from_json(json_field(data, k, list), k) for k in "CD")
+        return cls(*(json_field(data, k, int) for k in
+                     ("d", "state_dim", "in_dim", "out_dim")), A, B, C, D)
 
 
 def transfer_eval(U: Colligation, Z: MatrixPoint) -> np.ndarray:
@@ -152,7 +154,7 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
     a column-extreme symbol admits only the zero completion.
     """
     A = A.truncate(min(series_degree(A), N))
-    gap = a_empty_sq(A, N, rank_tol=rank_tol)
+    gap = a_empty_sq(A, N, tol=tol, rank_tol=rank_tol)
     if float(np.linalg.norm(gap["a0_sq"], 2)) <= tol:
         raise CeObstructionError(
             "extremality gap vanishes; no nonzero completion exists")

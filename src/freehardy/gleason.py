@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clark import (GnsModel, clark_moments, cuntz_check, gns_build,
-                    moment_matrix)
+from .clark import (GnsModel, InvalidMomentsError, clark_moments, cuntz_check,
+                    gns_build, moment_matrix)
 from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
@@ -192,8 +192,8 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     to PSD, and its PSD square root a0, cross-validated against
     (I + Ahat*Ahat)^{-1} when membership of A.h in the model certifies the
     graph realization of Ahat.  The model dbr_model(A, N,
-    rank_tol=rank_tol) is returned with them."""
-    res = extremality_gap(A, N, rank_tol=rank_tol)
+    rank_tol=rank_tol, tol=tol) is returned with them."""
+    res = extremality_gap(A, N, tol=tol, rank_tol=rank_tol)
     G = res["gap"]
     evals, vecs = np.linalg.eigh(G)
     if evals[0] < -tol:
@@ -314,19 +314,26 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
             rank_tol: float = 1e-10, seed: int = 0) -> dict:
     """Column-extremeness battery.
 
-    The verdict follows the Gleason gap; the other criteria are
-    independent cross-checks and raise flags when they disagree.
+    The verdict follows the Gleason gap; the other criteria are independent
+    cross-checks that raise a flag when they disagree or cannot decide.
     """
     B = B.truncate(min(series_degree(B), N))
     gap = extremality_gap(B, N, tol=tol, rank_tol=rank_tol)
     by_gleason = gap["extremal"]
 
-    # one Clark GNS row serves the Szego and Cuntz criteria
+    # one Clark GNS row serves the Szego and Cuntz criteria, or leaves both
+    # undecided when the moments fail its positivity cut (Schur boundary)
     Bsq = square_completion(B)
     n_gns = min(N, 5)
-    gns = gns_build(clark_moments(Bsq, 2 * n_gns), n_gns, rank_tol=rank_tol)
-    dist = _szego(gns, Bsq.coeff(()))
-    by_szego = dist <= 1e-6
+    flags, gns = [], None
+    dist = by_szego = cuntz_defect = by_cuntz = None
+    try:
+        gns = gns_build(clark_moments(Bsq, 2 * n_gns), n_gns, rank_tol=rank_tol)
+    except InvalidMomentsError as exc:
+        flags.append(f"szego and cuntz criteria undecided: {exc}")
+    else:
+        dist = _szego(gns, Bsq.coeff(()))
+        by_szego = dist <= 1e-6
 
     # more pins than the span of their kernel functions can carry, so that
     # the kernel Gram is singular and membership failures register as
@@ -344,14 +351,11 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
         lam = max(lam, r)
     by_membership = not math.isfinite(lam)
 
-    by_cuntz = None
-    cuntz_defect = None
-    if B.p == B.q:
+    if B.p == B.q and gns is not None:
         cuntz_defect = cuntz_check(gns)["defect"]
         by_cuntz = cuntz_defect <= 1e-6
 
     verdict = by_gleason
-    flags = []
     for name, val in (("szego", by_szego), ("membership", by_membership),
                       ("cuntz", by_cuntz)):
         if val is not None and val != verdict:
@@ -363,7 +367,7 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
             "by_szego": {"distance": dist, "extremal": by_szego},
             "by_membership": {"lambda": lam, "extremal": by_membership},
             "by_cuntz": ({"defect": cuntz_defect, "extremal": by_cuntz}
-                         if by_cuntz is not None else None),
+                         if B.p == B.q else None),
             "flags": flags}
 
 

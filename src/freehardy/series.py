@@ -101,10 +101,18 @@ class FreeSeries:
     @classmethod
     def from_json(cls, data: dict) -> "FreeSeries":
         coeffs = {}
-        for t in data["terms"]:
-            m = np.array(t["re"], dtype=complex) + 1j * np.array(t["im"])
-            coeffs[tuple(t["word"])] = m
-        return cls(data["d"], data["deg"], data["p"], data["q"], coeffs)
+        for t in json_field(data, "terms", list):
+            word, re, im = (json_field(t, k, list) for k in ("word", "re", "im"))
+            if not all(type(k) is int for k in word):
+                raise ValueError(f"field 'word' holds a non-letter: {word!r}")
+            try:
+                re_im = np.array([re, im])  # one shape for both parts
+                coeffs[tuple(word)] = re_im[0] + 1j * re_im[1]
+            except (TypeError, ValueError):
+                raise ValueError(f"fields 're', 'im' of word {word} are not "
+                                 "numeric matrices") from None
+        return cls(*(json_field(data, k, int) for k in ("d", "deg", "p", "q")),
+                   coeffs)
 
 
 @dataclass
@@ -154,11 +162,23 @@ def mat_to_json(m) -> list:
     """A complex matrix as nested rows of [re, im] pairs, the layout of
     report, point and colligation files."""
     m = np.asarray(m, dtype=complex)
-    return [[[z.real, z.imag] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def mat_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def mat_from_json(rows, name: str = "matrix") -> np.ndarray:
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"field {name!r} is not a matrix of [re, im] pairs") from None
+
+
+def json_field(data, key: str, kind: type):
+    """data[key] if it is of type kind (bool is not int), else ValueError."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
+        raise ValueError(f"field {key!r} is missing or not {kind.__name__}")
+    return value
 
 
 def _check_same_shape(F: FreeSeries, G: FreeSeries):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from freehardy.series import FreeSeries, MatrixPoint, normalize_schur
 from freehardy.words import enumerate_tuples
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a loaded machine neither fails them on time nor changes what they try.
+settings.register_profile("freehardy", deadline=None, derandomize=True)
+settings.load_profile("freehardy")
 
 
 def random_series(rng, d, deg, p=1, q=1, scale=1.0):

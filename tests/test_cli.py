@@ -222,3 +222,31 @@ def test_csv_fallback_key_value(capsys):
     lines = out.strip().splitlines()
     assert lines[0].strip() == "key,value"
     assert any(line.startswith("is_schur") for line in lines)
+
+
+def test_complete_column_schur_check_uses_caller_tolerance(capsys):
+    # just outside the unit ball: a Schur symbol at tol 1e-6, as gleason-gap
+    # finds, and column-extreme, so there is no completion
+    argv = ["--expr", "1.0000001*z1^2", "--d", "1", "--deg", "2", "--N", "8",
+            "--tol", "1e-6"]
+    code, rep = run_json(capsys, ["gleason-gap"] + argv)
+    assert code == 0 and rep["results"]["extremal"]
+    code, rep = run_json(capsys, ["complete-column"] + argv)
+    assert code == 2
+    assert rep["verdict"] == "CeObstructionError"
+
+
+def test_ce_test_cross_checks_undecided_at_schur_boundary(capsys):
+    # the Schur check passes at tol 1e-6, but the Clark moments fail the GNS
+    # positivity cut; the Gleason verdict stands, the cross-checks cannot tell
+    code, rep = run_json(capsys, ["ce-test", "--expr", "1.0000001*z1",
+                                  "--d", "1", "--deg", "1", "--N", "6",
+                                  "--tol", "1e-6"])
+    assert code == 0
+    res = rep["results"]
+    assert res["verdict"] == "CE" and res["gleason"]["extremal"]
+    assert res["szego"] == {"distance": None, "extremal": None}
+    assert res["cuntz"] == {"defect": None, "extremal": None}
+    assert len(res["flags"]) == 1
+    assert "undecided" in res["flags"][0]
+    assert "moment matrix eigenvalue" in res["flags"][0]
