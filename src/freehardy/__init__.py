@@ -8,20 +8,17 @@ Branges-Rovnyak model spaces with Gleason solutions and extremality
 tests, and contractive colligations with transfer-function realization.
 """
 
-from .words import (CapacityError, Word, concat, dagger, enumerate_tuples,
-                    enumerate_words, index_map, left_quotient, word_count)
-from .fock import (FockOperator, FockVector, Side, basis_dim, creation,
-                   grade_projection, row_isometry_defect, transpose_unitary)
+from .words import CapacityError, enumerate_tuples, index_map, word_count
+from .fock import Side
 from .series import (FreeSeries, MatrixPoint, cayley, constant_series,
                      dagger_series, evaluate, identity_series, invert_series,
                      letter_series, multiplier_matrix, multiply,
-                     normalize_schur, right_product, schur_norm_estimate,
-                     word_powers)
+                     normalize_schur, schur_norm_estimate, word_powers)
 from .parser import ParseError, parse
 from .kernels import (KernelKind, KernelSpec, Pinning, coefficient_kernel,
                       gram_psd_check, herglotz_coefficient, kernel_eval,
-                      kernel_gram, kernel_vector, membership_norm,
-                      nilpotent_pins, szego_eval)
+                      kernel_gram, membership_norm, nilpotent_pins,
+                      szego_eval)
 from .clark import (GnsModel, InvalidMomentsError, MomentFunctional,
                     cauchy_transform_matrix, clark_moments, cuntz_check,
                     gns_build, gns_kernel_coords, herglotz_from_moments,

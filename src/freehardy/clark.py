@@ -68,17 +68,6 @@ class MomentFunctional:
                             "im": self.im_h0.imag.tolist()}
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MomentFunctional":
-        moments = {}
-        for key, m in data["moments"].items():
-            w = tuple(int(s) for s in key.split(",")) if key else ()
-            moments[w] = np.array(m["re"]) + 1j * np.array(m["im"])
-        im_h0 = None
-        if "im_h0" in data:
-            im_h0 = np.array(data["im_h0"]["re"]) + 1j * np.array(data["im_h0"]["im"])
-        return cls(data["d"], data["p"], data["deg"], moments, im_h0)
-
 
 def clark_moments(B: FreeSeries, deg: int) -> MomentFunctional:
     """Moment functional of the Clark state attached to a Schur series B."""
@@ -242,41 +231,26 @@ def cuntz_check(model: GnsModel) -> dict:
     return {"defect": defect, "rank": model.rank}
 
 
-def cauchy_transform_matrix(mu: MomentFunctional, B: FreeSeries | None,
-                            side: str, N: int) -> np.ndarray:
+def cauchy_transform_matrix(mu: MomentFunctional, side: str,
+                            N: int) -> np.ndarray:
     """Cauchy transform from word coordinates of the GNS space to
     coefficient coordinates of the Herglotz space.
 
     Column a is the coefficient stack of the image of L^a (x) h: the
-    coefficient function K^L_{a+} (left) or K^R_a (right).  With the
-    symbol B supplied the entries come from the Herglotz coefficient
-    kernel of cayley(B); with B = None they are read off the moments,
-    using that K^L_{c, a+} = mu((L^{c+})* L^a) and K^R_{c, a} =
-    mu((L^c)* L^a).  The two routes agree exactly.
+    coefficient function K^L_{a+} (left) or K^R_a (right), read off the
+    moments through K^L_{c, a+} = mu((L^{c+})* L^a) and
+    K^R_{c, a} = mu((L^c)* L^a).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    words = enumerate_tuples(mu.d, N)
-    p = mu.p
-    if B is not None:
-        from .kernels import herglotz_coefficient
-        H = cayley(FreeSeries(B.d, max(B.deg, N), B.p, B.q, B.coeffs),
-                   "schur_to_herglotz")
-        out = np.zeros((len(words) * p, len(words) * p), dtype=complex)
-        for i, c in enumerate(words):
-            row = c if side == "left" else c[::-1]
-            for j, a in enumerate(words):
-                out[i * p:(i + 1) * p, j * p:(j + 1) * p] = \
-                    herglotz_coefficient(H, row, a[::-1])
-        return out
     M = moment_matrix(mu, N)
     if side == "right":
         return M
-    return M.reshape(len(words), p, -1)[reversal(mu.d, N)].reshape(M.shape)
+    rows = M.reshape(word_count(mu.d, N), mu.p, -1)[reversal(mu.d, N)]
+    return rows.reshape(M.shape)
 
 
-def vb_build(mu: MomentFunctional, B: FreeSeries | None, N: int,
-             rank_tol: float = 1e-10) -> dict:
+def vb_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> dict:
     """Cauchy-transported GNS row on Herglotz coefficient coordinates.
 
     V_k = C pi_k C* carried on the image of the left transform; the
@@ -287,7 +261,7 @@ def vb_build(mu: MomentFunctional, B: FreeSeries | None, N: int,
     words; its orthogonal complement consists of constant functions.
     """
     gns = gns_build(mu, N, rank_tol=rank_tol)
-    C = cauchy_transform_matrix(mu, B, "left", N)
+    C = cauchy_transform_matrix(mu, "left", N)
     S = C @ gns.Tplus
     Spinv = np.linalg.pinv(S, rcond=rank_tol)
     V = [S @ pk @ Spinv for pk in gns.pi]
@@ -297,7 +271,7 @@ def vb_build(mu: MomentFunctional, B: FreeSeries | None, N: int,
 
 def gns_kernel_coords(Z: MatrixPoint, y: np.ndarray, v: np.ndarray,
                       N: int) -> np.ndarray:
-    """Word coordinates of a transported kernel vector: x_b = <Z^{b+} v, y>.
+    """Coordinates x_b = <Z^{b+} v, y> of a transported kernel vector.
 
     These are the coordinates (scalar p = 1 case) on which the adjoints
     of the GNS row act by letter appending; see vB_adjoint_defect.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .clark import (clark_moments, cuntz_check, gns_build,
                     herglotz_from_moments, interior_isometry_defect,
-                    moment_matrix, MomentFunctional)
+                    moment_matrix)
 from .colligation import (Colligation, canonical_colligation, column_schur_defect,
                           complete_column, transfer_eval, transfer_series)
 from .gleason import (CeObstructionError, NotSchurError, ce_test,

@@ -22,10 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import FockVector
 from .series import (FreeSeries, MatrixPoint, cayley, dagger_series,
-                     direct_sum, evaluate, szego_coords)
-from .words import enumerate_tuples, Word
+                     direct_sum, evaluate)
 
 
 class KernelKind(Enum):
@@ -116,17 +114,6 @@ def kernel_eval(spec: KernelSpec, Z: MatrixPoint, W: MatrixPoint,
         amp_p = np.kron(S, np.eye(B.p))
         return 0.5 * (HZ @ amp_p + amp_p @ HW.conj().T)
     raise ValueError(f"unknown kernel kind {spec.kind}")
-
-
-def kernel_vector(pin: Pinning, deg: int) -> FockVector:
-    """Fock space representative of a Szego kernel vector.
-
-    Coordinate at word a is <Z^a v, y> (conjugate-linear in the first
-    slot), so that the pairing with any polynomial recovers y* f(Z) v.
-    """
-    words = enumerate_tuples(pin.Z.d, deg)  # checks the basis cap first
-    x = szego_coords(pin.Z, pin.y, pin.v, deg)
-    return FockVector(pin.Z.d, deg, {w: c for w, c in zip(words, x) if c != 0})
 
 
 def _amplified_ys(pins: list[Pinning], p: int) -> np.ndarray:
@@ -233,8 +220,7 @@ def membership_norm(spec: KernelSpec, f: FreeSeries, pins: list[Pinning],
 def coefficient_kernel(spec: KernelSpec, alpha, beta) -> np.ndarray:
     """The (alpha, beta) coefficient K_{a,b} of the kernel's double power
     series K(Z,W)[P] = sum K_{a,b} Z^a P (W*)^{b+}."""
-    a = tuple(alpha.letters) if isinstance(alpha, Word) else tuple(alpha)
-    b = tuple(beta.letters) if isinstance(beta, Word) else tuple(beta)
+    a, b = tuple(alpha), tuple(beta)
     if len(a) > spec.deg or len(b) > spec.deg:
         raise ValueError("word length exceeds kernel degree")
     if spec.kind is KernelKind.SZEGO:

@@ -106,13 +106,14 @@ class FreeSeries:
             if not all(type(k) is int for k in word):
                 raise ValueError(f"field 'word' holds a non-letter: {word!r}")
             try:
+                _refuse_bools([re, im])
                 re_im = np.array([re, im])  # one shape for both parts
                 coeffs[tuple(word)] = re_im[0] + 1j * re_im[1]
             except (TypeError, ValueError):
                 raise ValueError(f"fields 're', 'im' of word {word} are not "
                                  "numeric matrices") from None
-        return cls(*(json_field(data, k, int) for k in ("d", "deg", "p", "q")),
-                   coeffs)
+        return cls(*(json_field(data, k, int, low) for k, low in
+                     (("d", 1), ("deg", 0), ("p", 1), ("q", 1))), coeffs)
 
 
 @dataclass
@@ -139,9 +140,6 @@ class MatrixPoint:
             out = out @ self.mats[k - 1]
         return out
 
-    def direct_sum(self, other: "MatrixPoint") -> "MatrixPoint":
-        return direct_sum([self, other])
-
 
 def direct_sum(points: list[MatrixPoint]) -> MatrixPoint:
     """The block-diagonal point Z_1 (+) ... (+) Z_k.  NC functions and
@@ -167,17 +165,33 @@ def mat_to_json(m) -> list:
 
 def mat_from_json(rows, name: str = "matrix") -> np.ndarray:
     try:
+        _refuse_bools(rows)
         return np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError):
         raise ValueError(
             f"field {name!r} is not a matrix of [re, im] pairs") from None
 
 
-def json_field(data, key: str, kind: type):
-    """data[key] if it is of type kind (bool is not int), else ValueError."""
+def _refuse_bools(x):
+    """TypeError on a bool anywhere in nested lists: JSON true and false
+    are not numbers, though Python reads them as 1 and 0."""
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if type(y) is bool:
+            raise TypeError("bool is not a number")
+        if isinstance(y, list):
+            stack.extend(y)
+
+
+def json_field(data, key: str, kind: type, low: int | None = None):
+    """data[key] if it is of type kind (bool is not int) and not below
+    low, else ValueError."""
     value = data.get(key) if isinstance(data, dict) else None
     if not isinstance(value, kind) or (kind is int and type(value) is bool):
         raise ValueError(f"field {key!r} is missing or not {kind.__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"field {key!r} is {value}, below {low}")
     return value
 
 
@@ -358,15 +372,6 @@ def multiplier_matrix(F: FreeSeries, side: Side, N: int) -> np.ndarray:
         rows, cols = shift_indices(F.d, N, w, side is Side.LEFT)
         out[rows, :, cols, :] += m
     return out.reshape(nw * F.p, nw * F.q)
-
-
-def right_product(F: FreeSeries, G: FreeSeries) -> FreeSeries:
-    """The series H with M^R_H = M^R_F . M^R_G on the truncated Fock space.
-
-    H_{c.b} = F_b G_c, the transpose of the product of the transposes; in
-    the scalar case this equals multiply(G, F).
-    """
-    return dagger_series(multiply(dagger_series(F), dagger_series(G)))
 
 
 def schur_norm_estimate(F: FreeSeries, N: int) -> float:

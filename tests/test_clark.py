@@ -1,17 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
-from freehardy.clark import (GnsModel, InvalidMomentsError, MomentFunctional,
+from freehardy.clark import (InvalidMomentsError, MomentFunctional,
                              cauchy_transform_matrix, clark_moments,
                              cuntz_check, gns_build, gns_kernel_coords,
                              herglotz_from_moments, interior_isometry_defect,
                              moment_matrix, vb_adjoint_defect, vb_build)
-from freehardy.fock import Side, creation
+from freehardy.fock import Side
+from freehardy.kernels import herglotz_coefficient
 from freehardy.parser import parse
-from freehardy.series import MatrixPoint, evaluate, cayley
+from freehardy.series import FreeSeries, MatrixPoint, evaluate, cayley
 from freehardy.words import enumerate_tuples, index_map
 
-from conftest import ball_point, nilpotent_point
+from conftest import ball_point, creation, nilpotent_point
 
 
 def test_clark_moments_vacuum_state():
@@ -112,10 +115,8 @@ def test_gns_vacuum_is_fock():
     mu = clark_moments(parse("0", 2, 6), 6)
     model = gns_build(mu, 3)
     assert model.rank == len(enumerate_tuples(2, 3))
-    for k in range(1, 3):
-        Lk = creation(Side.LEFT, k, 2, 3).matrix.toarray()
-        Pk = model.Tplus.conj().T @ model.pi[k - 1] @ model.T \
-            if False else model.pi[k - 1]
+    for k, Pk in enumerate(model.pi, 1):
+        Lk = creation(Side.LEFT, k, 2, 3)
         # T is a unitary change of basis here (M = I), so conjugate back
         assert np.allclose(model.T.conj().T @ Pk @ model.T, Lk, atol=1e-12)
 
@@ -164,21 +165,37 @@ def test_cuntz_vacuum_has_defect():
     assert cuntz_check(gns_build(mu, 3))["defect"] > 0.5
 
 
+def cauchy_via_symbol(B, side, N):
+    """The Cauchy transform read off the Herglotz coefficient kernel of
+    cayley(B), one block per pair of words."""
+    words = enumerate_tuples(B.d, N)
+    p = B.p
+    H = cayley(FreeSeries(B.d, max(B.deg, N), B.p, B.q, B.coeffs),
+               "schur_to_herglotz")
+    out = np.zeros((len(words) * p, len(words) * p), dtype=complex)
+    for i, c in enumerate(words):
+        row = c if side == "left" else c[::-1]
+        for j, a in enumerate(words):
+            out[i * p:(i + 1) * p, j * p:(j + 1) * p] = \
+                herglotz_coefficient(H, row, a[::-1])
+    return out
+
+
 @pytest.mark.parametrize("expr,d", [("0.5*z1", 1), ("0.3*z1+0.2*z2*z1", 2)])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cauchy_transform_routes_agree(expr, d, side):
     N = 3
     B = parse(expr, d, 2 * N)
     mu = clark_moments(B, 2 * N)
-    via_symbol = cauchy_transform_matrix(mu, B, side, N)
-    via_moments = cauchy_transform_matrix(mu, None, side, N)
+    via_symbol = cauchy_via_symbol(B, side, N)
+    via_moments = cauchy_transform_matrix(mu, side, N)
     assert np.array_equal(via_symbol, via_moments)
 
 
 def test_cauchy_transform_vacuum_unit_column():
     # B = 0: the transform of the unit class is the constant function 1
     mu = clark_moments(parse("0", 2, 4), 4)
-    C = cauchy_transform_matrix(mu, None, "left", 2)
+    C = cauchy_transform_matrix(mu, "left", 2)
     e = np.zeros(C.shape[1])
     e[0] = 1.0
     col = C @ e
@@ -193,7 +210,7 @@ def test_cauchy_transform_kernel_transport(rng):
     mu = clark_moments(B, 8)
     N = 4
     model = gns_build(mu, N)
-    C = cauchy_transform_matrix(mu, B, "left", N)
+    C = cauchy_transform_matrix(mu, "left", N)
     Z = nilpotent_point(rng, 1, 3)
     y = rng.standard_normal(3)
     v = rng.standard_normal(3)
@@ -208,9 +225,9 @@ def test_vb_vacuum_is_right_creation():
     # B = 0: the transform is a word permutation, so the transported row
     # acts by letter appending on coefficient coordinates
     mu = clark_moments(parse("0", 2, 6), 6)
-    out = vb_build(mu, None, 3)
+    out = vb_build(mu, 3)
     for k in range(1, 3):
-        Rk = creation(Side.RIGHT, k, 2, 3).matrix.toarray()
+        Rk = creation(Side.RIGHT, k, 2, 3)
         assert np.allclose(out["V"][k - 1], Rk, atol=1e-12)
 
 
@@ -218,7 +235,7 @@ def test_vb_range_complemented_by_constants():
     # the range of the transported row has codimension one, and adding
     # the constant function restores the full coefficient space
     mu = clark_moments(parse("0.5*z1", 1, 8), 8)
-    out = vb_build(mu, None, 4)
+    out = vb_build(mu, 4)
     R = out["range_basis"]
     n = R.shape[0]
     assert R.shape[1] == n - 1
@@ -229,7 +246,7 @@ def test_vb_range_complemented_by_constants():
 
 def test_vb_inner_compresses_to_unitary():
     mu = clark_moments(parse("z1", 1, 8), 8)
-    out = vb_build(mu, None, 4)
+    out = vb_build(mu, 4)
     S = out["carrier"]
     # rank-one carrier: the compressed operator is the 1 x 1 identity
     V = np.linalg.pinv(S) @ (out["V"][0] @ S)
@@ -255,12 +272,20 @@ def test_vb_adjoint_defect_scalar_only():
 
 
 def test_moment_functional_json_roundtrip():
+    # the moments report holds every moment and Im H_0 exactly
     mu = clark_moments(parse("0.3*z1+0.2*i*z2", 2, 4), 4)
-    back = MomentFunctional.from_json(mu.to_json())
-    assert back.d == mu.d and back.deg == mu.deg
-    for w in mu.moments:
-        assert np.array_equal(back.moment(w), mu.moment(w))
-    assert np.array_equal(back.im_h0, mu.im_h0)
+    data = json.loads(json.dumps(mu.to_json()))
+
+    def mat(m):
+        return np.array(m["re"]) + 1j * np.array(m["im"])
+
+    assert (data["d"], data["p"], data["deg"]) == (mu.d, mu.p, mu.deg)
+    back = {tuple(int(s) for s in key.split(",")) if key else (): mat(m)
+            for key, m in data["moments"].items()}
+    assert back.keys() == mu.moments.keys()
+    for w, m in back.items():
+        assert np.array_equal(m, mu.moment(w))
+    assert np.array_equal(mat(data["im_h0"]), mu.im_h0)
 
 
 def test_moment_shape_validation():

@@ -250,3 +250,32 @@ def test_ce_test_cross_checks_undecided_at_schur_boundary(capsys):
     assert len(res["flags"]) == 1
     assert "undecided" in res["flags"][0]
     assert "moment matrix eigenvalue" in res["flags"][0]
+
+
+def _series_file(tmp_path, **changes):
+    data = {"d": 1, "deg": 1, "p": 1, "q": 1,
+            "terms": [{"word": [1], "re": [[0.5]], "im": [[0.0]]}]}
+    data.update(changes)
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"deg": -1, "terms": []}, "field 'deg' is -1, below 0"),
+    ({"p": 0}, "field 'p' is 0, below 1"),
+    ({"q": 0}, "field 'q' is 0, below 1"),
+    ({"d": 0}, "field 'd' is 0, below 1"),
+    ({"terms": [{"word": [1], "re": [[0.5]], "im": [[True]]}]},
+     "fields 're', 'im' of word [1] are not numeric matrices"),
+], ids=["deg", "p", "q", "d", "bool"])
+@pytest.mark.parametrize("cmd", ["ce-test", "realize", "schur-check"])
+def test_series_file_out_of_range_exit_one(capsys, tmp_path, cmd, changes,
+                                           message):
+    # an empty series, a zero-size coefficient or a bool read as 1 is
+    # refused with the field named, not answered or left to numpy
+    code = main([cmd, "--input", _series_file(tmp_path, **changes),
+                 "--N", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -7,15 +7,17 @@ from freehardy.clark import clark_moments
 from freehardy.kernels import (KernelKind, KernelSpec, Pinning,
                                _rank_one_gram, coefficient_kernel,
                                gram_psd_check, herglotz_coefficient,
-                               kernel_eval, kernel_gram, kernel_vector,
-                               membership_norm, nilpotent_pins, szego_eval)
+                               kernel_eval, kernel_gram, membership_norm,
+                               nilpotent_pins, szego_eval)
 from freehardy.parser import parse
 from freehardy.series import (FreeSeries, MatrixPoint, cayley,
                               constant_series, direct_sum, evaluate,
-                              invert_series, letter_series, multiply)
+                              invert_series, letter_series, multiply,
+                              szego_coords, to_dense)
 from freehardy.words import enumerate_tuples
 
-from conftest import nilpotent_point, random_schur, random_series
+from conftest import (nilpotent_point, random_schur, random_series,
+                      unit_vector)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -44,18 +46,19 @@ def test_szego_nilpotent_exact():
     assert np.allclose(val, np.eye(2) + 0.81 * np.array([[1, 0], [0, 0]]))
 
 
+# The Szego kernel vector pinned at (Z, y, v) is the coefficient array
+# szego_coords(Z, y, v, N): x_a = <Z^a v, y>.
+
 def test_kernel_vector_at_origin():
-    pin = Pinning(MatrixPoint(2, 2, [np.zeros((2, 2))] * 2),
-                  y=[1.0, 0.0], v=[0.0, 1.0])
-    x = kernel_vector(pin, 3)
-    assert list(x.coords) == [] or set(x.coords) == {()}
+    Z = MatrixPoint(2, 2, [np.zeros((2, 2))] * 2)
+    x = szego_coords(Z, [1.0, 0.0], [0.0, 1.0], 3)
+    assert not np.any(x[1:])
 
 
 def test_kernel_vector_matrix_unit():
-    pin = Pinning(MatrixPoint(2, 2, [E12, np.zeros((2, 2))]),
-                  y=[1.0, 0.0], v=[0.0, 1.0])
-    x = kernel_vector(pin, 3)
-    assert x.coords == {(1,): 1.0 + 0j}
+    Z = MatrixPoint(2, 2, [E12, np.zeros((2, 2))])
+    x = szego_coords(Z, [1.0, 0.0], [0.0, 1.0], 3)
+    assert np.array_equal(x, unit_vector(2, 3, (1,)))
 
 
 def test_kernel_vector_reproduces_evaluation(rng):
@@ -63,9 +66,7 @@ def test_kernel_vector_reproduces_evaluation(rng):
     y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     f = random_series(rng, 2, 3)
-    x = kernel_vector(Pinning(Z, y, v), 3)
-    pairing = sum(x.coords.get(w, 0.0).conjugate() * f.coeff(w)[0, 0]
-                  for w in enumerate_tuples(2, 3))
+    pairing = np.vdot(szego_coords(Z, y, v, 3), to_dense(f)[:, 0, 0])
     direct = np.vdot(y, evaluate(f, Z) @ v)
     assert abs(pairing - direct) < 1e-12
 
@@ -77,13 +78,10 @@ def test_multiplier_adjoint_on_kernel_vectors(rng):
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     F = random_series(rng, 2, 1)
     g = random_series(rng, 2, 2)
-    lhs_vec = kernel_vector(Pinning(Z, evaluate(F, Z).conj().T @ y, v), 3)
-    rhs_vec = kernel_vector(Pinning(Z, y, v), 3)
     Fg = multiply(FreeSeries(2, 3, 1, 1, F.coeffs), g)
-    lhs = sum(lhs_vec.coords.get(w, 0.0).conjugate() * g.coeff(w)[0, 0]
-              for w in enumerate_tuples(2, 3))
-    rhs = sum(rhs_vec.coords.get(w, 0.0).conjugate() * Fg.coeff(w)[0, 0]
-              for w in enumerate_tuples(2, 3))
+    lhs = np.vdot(szego_coords(Z, evaluate(F, Z).conj().T @ y, v, 3),
+                  to_dense(g, 3)[:, 0, 0])
+    rhs = np.vdot(szego_coords(Z, y, v, 3), to_dense(Fg, 3)[:, 0, 0])
     assert abs(lhs - rhs) < 1e-12
 
 

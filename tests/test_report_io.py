@@ -202,8 +202,8 @@ WRONG = {type(None): None, bool: True, int: 7, float: 2.5, str: "x",
 def test_malformed_input_files_exit_one(tmp_path_factory, name, in_matrix,
                                         data):
     """A dropped key, or a value of another JSON type in a field, a matrix
-    row or a matrix entry, gives exit 1 and a message, never a traceback.
-    A bool matrix entry is not tried: it reads as a number."""
+    row or a matrix entry (a bool included), gives exit 1 and a message,
+    never a traceback."""
     doc, argv = INPUTS[name]
     doc = copy.deepcopy(doc)
     paths = [p for p, inside in _paths(doc) if inside == in_matrix]
@@ -216,7 +216,7 @@ def test_malformed_input_files_exit_one(tmp_path_factory, name, in_matrix,
     if drop:
         del parent[path[-1]]
     else:
-        numbers = (int, float, bool) if type(old) is float else ()
+        numbers = (int, float) if type(old) is float else ()
         wrong = [t for t in WRONG if t is not type(old) and t not in numbers]
         parent[path[-1]] = WRONG[data.draw(st.sampled_from(wrong))]
     target = tmp_path_factory.mktemp("input") / "file.json"

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freehardy.fock import Side, creation
+from freehardy.fock import Side
 from freehardy.series import (FreeSeries, MatrixPoint, cayley,
-                              constant_series, dagger_series, evaluate,
-                              identity_series, invert_series, letter_series,
-                              multiplier_matrix, multiply, normalize_schur,
-                              right_product, schur_norm_estimate, word_powers)
-from freehardy.fock import transpose_unitary
+                              constant_series, dagger_series, direct_sum,
+                              evaluate, identity_series, invert_series,
+                              letter_series, multiplier_matrix, multiply,
+                              normalize_schur, schur_norm_estimate,
+                              word_powers)
 
-from conftest import ball_point, random_series, random_schur
+from conftest import (ball_point, creation_oracle, random_series,
+                      random_schur, transpose_unitary)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -40,7 +41,7 @@ def test_evaluate_respects_direct_sums(rng):
     F = random_series(rng, 2, 3)
     Z = ball_point(rng, 2, 2)
     W = ball_point(rng, 2, 3)
-    both = Z.direct_sum(W)
+    both = direct_sum([Z, W])
     lhs = evaluate(F, both)
     rhs = np.zeros_like(lhs)
     rhs[:2, :2] = evaluate(F, Z)
@@ -80,22 +81,28 @@ def test_multiply_matches_evaluate(rng):
     assert np.linalg.norm(lhs - rhs) < 10 * 0.3 ** 3 / 0.7
 
 
+def right(F, N=2):
+    return multiplier_matrix(F, Side.RIGHT, N)
+
+
 def test_right_product_single_word():
-    F = letter_series(2, 2, 1)
-    G = letter_series(2, 2, 2)
-    H = right_product(F, G)
-    assert np.allclose(H.coeff((2, 1)), 1.0)
+    # R_1 R_2 appends 2, then 1: right multiplication by the word (2, 1)
+    H = multiply(letter_series(2, 2, 2), letter_series(2, 2, 1))
+    assert np.array_equal(right(letter_series(2, 1, 1)) @
+                          right(letter_series(2, 1, 2)), right(H))
 
 
 def test_right_product_unit(rng):
     F = random_series(rng, 2, 2)
-    assert right_product(F, identity_series(2, 2)).max_coeff_diff(F) < 1e-14
+    assert np.array_equal(right(F) @ right(identity_series(2, 2)), right(F))
 
 
 def test_right_product_is_reversed_multiply(rng):
+    # scalar right multipliers compose in the reversed order
     F = random_series(rng, 2, 2)
     G = random_series(rng, 2, 2)
-    assert right_product(F, G).max_coeff_diff(multiply(G, F)) < 1e-12
+    assert np.allclose(right(F) @ right(G), right(multiply(G, F)),
+                       rtol=0, atol=1e-12)
 
 
 def _naive_product(F, G):
@@ -133,11 +140,10 @@ def test_right_product_composes_right_multipliers(rng, shape):
     p, k, q = shape
     F = random_series(rng, 2, 3, p, k)
     G = random_series(rng, 2, 2, k, q)
-    MF = multiplier_matrix(F.truncate(2), Side.RIGHT, 2)
-    MG = multiplier_matrix(G, Side.RIGHT, 2)
-    H = right_product(F, G)
+    # H_{c.b} = F_b G_c: the transpose of the product of the transposes
+    H = dagger_series(multiply(dagger_series(F), dagger_series(G)))
     assert H.deg == 2
-    assert np.allclose(multiplier_matrix(H, Side.RIGHT, 2), MF @ MG,
+    assert np.allclose(right(H), right(F.truncate(2)) @ right(G),
                        rtol=0, atol=1e-12)
 
 
@@ -198,10 +204,11 @@ def test_cayley_roundtrip(rng):
 
 
 def test_multiplier_matrix_letters():
-    for side, cls in ((Side.LEFT, Side.LEFT), (Side.RIGHT, Side.RIGHT)):
-        T = multiplier_matrix(letter_series(2, 1, 1), side, 3)
-        L = creation(side, 1, 2, 3).toarray()
-        assert np.array_equal(T, L)
+    for d, N in ((1, 5), (2, 3), (3, 2)):
+        for side in (Side.LEFT, Side.RIGHT):
+            for k in range(1, d + 1):
+                T = multiplier_matrix(letter_series(d, 1, k), side, N)
+                assert np.array_equal(T, creation_oracle(side, k, d, N))
 
 
 def test_multiplier_matrix_vacuum_action():
@@ -219,7 +226,7 @@ def test_multiplier_matrix_vacuum_action():
 def test_dagger_transpose_conjugation(rng):
     F = random_series(rng, 2, 2)
     N = 3
-    U = transpose_unitary(2, N).matrix.toarray()
+    U = transpose_unitary(2, N)
     lhs = multiplier_matrix(F, Side.RIGHT, N)
     rhs = U @ multiplier_matrix(dagger_series(F), Side.LEFT, N) @ U.conj().T
     assert np.allclose(lhs, rhs, atol=1e-14)
