@@ -19,8 +19,8 @@ def main():
     b = parse("0.5*z1", 1, 20)
     mu = clark_moments(b, 20)
     print("moments of b = z/2 (geometric):")
-    for n in range(6):
-        print(f"  mu(L^{n}) = {mu.moment((1,) * n)[0, 0].real:.6f}")
+    for n in range(6):  # in one letter, the word 1^n is row n of the array
+        print(f"  mu(L^{n}) = {mu.array[n, 0, 0].real:.6f}")
 
     z = MatrixPoint(1, 1, [np.array([[0.3]], dtype=complex)])
     val = herglotz_from_moments(mu, z)[0, 0]

@@ -8,7 +8,7 @@ import numpy as np
 
 from freehardy import (canonical_colligation, evaluate, parse,
                        transfer_eval, transfer_series)
-from freehardy.series import FreeSeries, MatrixPoint
+from freehardy.series import MatrixPoint
 
 
 def random_ball_point(rng, d, n, radius=0.4):
@@ -29,7 +29,7 @@ def main():
     print(f"coefficient roundtrip error (degree <= 5): {err:.2e}")
 
     rng = np.random.default_rng(3)
-    ext = FreeSeries(2, 8, 1, 1, B.coeffs)
+    ext = B.truncate(8)
     for n in (2, 3):
         Z = random_ball_point(rng, 2, n)
         direct = evaluate(ext, Z)

@@ -13,7 +13,8 @@ from .fock import Side
 from .series import (FreeSeries, MatrixPoint, cayley, constant_series,
                      dagger_series, evaluate, identity_series, invert_series,
                      letter_series, multiplier_matrix, multiply,
-                     normalize_schur, schur_norm_estimate, word_powers)
+                     normalize_schur, schur_norm_estimate, series_degree,
+                     word_powers)
 from .parser import ParseError, parse
 from .kernels import (KernelKind, KernelSpec, Pinning, coefficient_kernel,
                       gram_psd_check, herglotz_coefficient, kernel_eval,
@@ -29,8 +30,8 @@ from .gleason import (CeObstructionError, DbrModel, NotSchurError, a_empty_sq,
                       clark_intertwining_residual, dbr_model, exactgs_residual,
                       extremality_gap, gleason_maps, gleason_vector,
                       kernel_identity_residual, l_invariance_test,
-                      series_degree, shift_compressions, square_completion,
-                      support, szego_distance, vacuum_kernel)
+                      shift_compressions, square_completion, support,
+                      szego_distance, vacuum_kernel)
 from .colligation import (Colligation, canonical_colligation,
                           column_schur_defect, complete_column, transfer_eval,
                           transfer_series)

@@ -31,37 +31,33 @@ class InvalidMomentsError(ValueError):
 
 @dataclass
 class MomentFunctional:
-    """Moments mu(L^a) of a completely positive functional, |a| <= deg."""
+    """Moments mu(L^a) of a completely positive functional, |a| <= deg:
+    array[i] is the p x p moment at the i-th word of
+    enumerate_tuples(d, deg)."""
 
     d: int
-    p: int
     deg: int
-    moments: dict[tuple[int, ...], np.ndarray]
+    array: np.ndarray
     im_h0: np.ndarray | None = None
 
     def __post_init__(self):
-        clean = {}
-        for w, m in self.moments.items():
-            w = tuple(int(k) for k in w)
-            if len(w) > self.deg:
-                raise ValueError(f"moment word {w} exceeds degree {self.deg}")
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (self.p, self.p):
-                raise ValueError(f"moment at {w} has shape {m.shape}")
-            clean[w] = m
-        self.moments = clean
+        self.array = np.asarray(self.array, dtype=complex)
+        n, p = word_count(self.d, self.deg), self.array.shape[-1]
+        if self.array.shape != (n, p, p):
+            raise ValueError(f"moment array of shape {self.array.shape}, "
+                             f"expected ({n}, {p}, {p})")
         if self.im_h0 is not None:
             self.im_h0 = np.asarray(self.im_h0, dtype=complex)
 
-    def moment(self, word) -> np.ndarray:
-        return self.moments.get(tuple(word),
-                                np.zeros((self.p, self.p), dtype=complex))
+    @property
+    def p(self) -> int:
+        return self.array.shape[1]
 
     def to_json(self) -> dict:
+        words = enumerate_tuples(self.d, self.deg)
         data = {",".join(map(str, w)): {"re": m.real.tolist(),
                                         "im": m.imag.tolist()}
-                for w, m in sorted(self.moments.items(),
-                                   key=lambda t: (len(t[0]), t[0]))}
+                for w, m in zip(words, self.array)}
         out = {"d": self.d, "p": self.p, "deg": self.deg, "moments": data}
         if self.im_h0 is not None:
             out["im_h0"] = {"re": self.im_h0.real.tolist(),
@@ -73,16 +69,11 @@ def clark_moments(B: FreeSeries, deg: int) -> MomentFunctional:
     """Moment functional of the Clark state attached to a Schur series B."""
     if B.p != B.q:
         raise ValueError("Clark moments need square coefficients")
-    H = cayley(B.truncate(min(B.deg, deg)) if B.deg > deg else
-               FreeSeries(B.d, deg, B.p, B.q, B.coeffs), "schur_to_herglotz")
-    H0 = H.coeff(())
-    moments = {(): 0.5 * (H0 + H0.conj().T)}
-    for w in enumerate_tuples(B.d, deg):
-        if not w:
-            continue
-        moments[w] = 0.5 * H.coeff(w[::-1]).conj().T
-    im_h0 = (H0 - H0.conj().T) / 2j
-    return MomentFunctional(B.d, B.p, deg, moments, im_h0)
+    H = cayley(B.truncate(deg), "schur_to_herglotz")
+    moments = 0.5 * H.array[reversal(B.d, deg)].conj().transpose(0, 2, 1)
+    H0 = H.array[0]
+    moments[0] = 0.5 * (H0 + H0.conj().T)
+    return MomentFunctional(B.d, deg, moments, (H0 - H0.conj().T) / 2j)
 
 
 def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint,
@@ -95,18 +86,16 @@ def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint,
     """
     deg = mu.deg if deg is None else min(deg, mu.deg)
     n, p = Z.n, mu.p
-    pows_check = word_powers(Z, deg)
+    pows = word_powers(Z, deg)
     top = word_count(Z.d, deg) - word_count(Z.d, deg - 1) if deg else 0
-    nilpotent = deg > 0 and not np.any(pows_check[-top:])
+    nilpotent = deg > 0 and not np.any(pows[-top:])
     if Z.row_norm() >= 1.0 and not nilpotent:
         raise ValueError("point must be in the open ball or jointly nilpotent")
     out = np.zeros((n * p, n * p), dtype=complex)
     if mu.im_h0 is not None:
         out += 1j * np.kron(np.eye(n), mu.im_h0)
-    out -= np.kron(np.eye(n), mu.moment(()))
-    pows = pows_check
-    moms = np.stack([mu.moment(w[::-1]).conj().T
-                     for w in enumerate_tuples(Z.d, deg)])
+    out -= np.kron(np.eye(n), mu.array[0])
+    moms = mu.array[reversal(Z.d, deg)].conj().transpose(0, 2, 1)
     out += 2.0 * np.einsum("wij,wkl->ikjl", pows, moms).reshape(n * p, n * p)
     return out
 
@@ -128,10 +117,9 @@ def moment_matrix(mu: MomentFunctional, N: int) -> np.ndarray:
     words = enumerate_tuples(mu.d, N)
     n, p = len(words), mu.p
     M = np.zeros((n, p, n, p), dtype=complex)
-    for quot in words:
+    for quot, blk in zip(words, mu.array):
         # b = a.quot: rows index b, cols index a
         b, a = shift_indices(mu.d, N, quot, left=False)
-        blk = mu.moment(quot)
         M[a, :, b, :] = blk
         if quot:
             M[b, :, a, :] = blk.conj().T

@@ -26,12 +26,12 @@ from .clark import (clark_moments, cuntz_check, gns_build,
                     moment_matrix)
 from .colligation import (Colligation, canonical_colligation, column_schur_defect,
                           complete_column, transfer_eval, transfer_series)
-from .gleason import (CeObstructionError, NotSchurError, ce_test,
-                      extremality_gap, series_degree)
+from .gleason import CeObstructionError, NotSchurError, ce_test, extremality_gap
 from .kernels import KernelKind, KernelSpec, gram_psd_check, nilpotent_pins
 from .parser import ParseError, parse
 from .series import (FreeSeries, MatrixPoint, cayley, evaluate, json_field,
-                     mat_from_json, mat_to_json, schur_norm_estimate)
+                     mat_from_json, mat_to_json, schur_norm_estimate,
+                     series_degree)
 from .words import CapacityError
 
 SCHEMA = "freehardy-report/1"
@@ -42,9 +42,11 @@ def _point_json(Z: MatrixPoint) -> dict:
 
 
 def _point_from_json(data: dict, d: int) -> MatrixPoint:
-    return MatrixPoint(d, json_field(data, "n", int),
-                       [mat_from_json(m, "mats")
-                        for m in json_field(data, "mats", list)])
+    n = json_field(data, "n", int, low=1)
+    mats = [mat_from_json(m, "mats") for m in json_field(data, "mats", list)]
+    if any(m.shape != (n, n) for m in mats):
+        raise ValueError(f"field 'mats' holds a matrix that is not {n} x {n}")
+    return MatrixPoint(d, n, mats)
 
 
 def _load_series(args) -> FreeSeries:
@@ -218,8 +220,7 @@ def cmd_moments(args) -> int:
 
 def cmd_herglotz_verify(args) -> int:
     B = _load_series(args)
-    ext = FreeSeries(B.d, max(B.deg, args.N), B.p, B.q, B.coeffs)
-    H = cayley(ext, "schur_to_herglotz")
+    H = cayley(B.truncate(max(B.deg, args.N)), "schur_to_herglotz")
     mu = clark_moments(B, args.N)
     points = _load_points(args)
     worst = 0.0
@@ -299,10 +300,8 @@ def cmd_realize(args) -> int:
     B = _load_series(args)
     U = canonical_colligation(B, args.N, rank_tol=args.rank_tol)
     margin = args.N - series_degree(B)
-    S = transfer_series(U, margin)
-    err = 0.0
-    for w in set(S.coeffs) | set(k for k in B.coeffs if len(k) <= margin):
-        err = max(err, float(np.linalg.norm(S.coeff(w) - B.coeff(w))))
+    diff = transfer_series(U, margin).array - B.truncate(margin).array
+    err = max(float(np.linalg.norm(m)) for m in diff)
     results = {"colligation": U.to_json(), "roundtrip_error": err,
                "contraction_defect": U.meta["contraction_defect"],
                "coisometry_defect": U.meta["coisometry_defect"],

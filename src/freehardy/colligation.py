@@ -25,10 +25,10 @@ import numpy as np
 
 from .fock import Side
 from .gleason import (CeObstructionError, a_empty_sq, dbr_model,
-                      gleason_maps, series_degree, shift_compressions)
+                      gleason_maps, shift_compressions)
 from .series import (FreeSeries, MatrixPoint, dagger_series, letter_series,
                      json_field, mat_from_json, mat_to_json,
-                     multiplier_matrix, to_dense)
+                     multiplier_matrix, series_degree, strip_letter)
 
 
 @dataclass
@@ -116,7 +116,7 @@ def transfer_series(U: Colligation, deg: int) -> FreeSeries:
                 if ell < deg:
                     nxt[w + (k,)] = mat @ U.A[k - 1]
         CA = nxt
-    return FreeSeries(U.d, deg, U.out_dim, U.in_dim, coeffs)
+    return FreeSeries.from_terms(U.d, deg, U.out_dim, U.in_dim, coeffs)
 
 
 def canonical_colligation(B: FreeSeries, N: int,
@@ -133,10 +133,8 @@ def canonical_colligation(B: FreeSeries, N: int,
         Rk = multiplier_matrix(letter_series(B.d, 1, k, p), Side.RIGHT,
                                model.M)
         A_blocks.append(model.Wplus @ Rk.conj().T @ model.W)
-        strip = FreeSeries(B.d, max(B.deg - 1, 0), p, q,
-                           {w[:-1]: m for w, m in B.coeffs.items()
-                            if w and w[-1] == k})
-        B_blocks.append(model.Wplus @ to_dense(strip, model.M).reshape(-1, q))
+        strip = strip_letter(B, k, Side.RIGHT).truncate(model.M)
+        B_blocks.append(model.Wplus @ strip.array.reshape(-1, q))
     U = Colligation(B.d, model.rank, q, p, A_blocks, B_blocks,
                     model.W[0:p, :], B.coeff(()))
     U.meta = {"contraction_defect": U.contraction_defect(),
@@ -161,7 +159,7 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
     a0, model = gap["a0"], gap["model"]
     X = shift_compressions(model)
     Cg = gleason_maps(model)
-    E = to_dense(A, model.M).reshape(-1, A.q)
+    E = A.truncate(model.M).array.reshape(-1, A.q)
     Aa0 = model.Wplus @ E @ a0
     U = Colligation(A.d, model.rank, A.q, A.q, X, Cg, -Aa0.conj().T, a0)
     # the augmented block stacks the bottom-channel colligation with the
@@ -185,15 +183,9 @@ def column_schur_defect(A: FreeSeries, a: FreeSeries, N: int) -> float:
     completion is Schur."""
     if (A.d, A.q) != (a.d, a.q):
         raise ValueError("column blocks must share alphabet and input space")
-    coeffs = {}
-    for w in set(A.coeffs) | set(a.coeffs):
-        if len(w) > N:
-            continue
-        mat = np.zeros((A.p + a.p, A.q), dtype=complex)
-        mat[:A.p, :] = A.coeff(w)
-        mat[A.p:, :] = a.coeff(w) if len(w) <= a.deg else 0.0
-        coeffs[w] = mat
-    col = FreeSeries(A.d, min(max(A.deg, a.deg), N), A.p + a.p, A.q, coeffs)
+    deg = min(max(A.deg, a.deg), N)
+    col = FreeSeries(A.d, deg, np.concatenate(
+        [A.truncate(deg).array, a.truncate(deg).array], axis=1))
     T = multiplier_matrix(col, Side.RIGHT, N)
     G = np.eye(T.shape[1], dtype=complex) - T.conj().T @ T
     return max(0.0, -float(np.linalg.eigvalsh(G)[0]))

@@ -26,7 +26,8 @@ from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
                      letter_series, multiplier_matrix, multiply, range_basis,
-                     schur_norm_estimate, szego_coords, to_dense)
+                     schur_norm_estimate, series_degree, strip_letter,
+                     szego_coords)
 from .words import word_count
 
 
@@ -67,10 +68,6 @@ class DbrModel:
         """Rank coordinates of the model kernel vector pinned at (Z,y,v,g)."""
         x = szego_coords(Z, y, v, self.M)
         return self.W.conj().T @ np.kron(x, np.asarray(g, dtype=complex))
-
-
-def series_degree(B: FreeSeries) -> int:
-    return max((len(w) for w, m in B.coeffs.items() if np.any(m)), default=0)
 
 
 def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
@@ -124,18 +121,13 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float, side: Side,
 def gleason_vector(B: FreeSeries) -> list[FreeSeries]:
     """The canonical Gleason tuple: component j strips a leading letter j,
     so that Z.(vec)(Z) = B(Z) - B(0) identically."""
-    comps = []
-    for j in range(1, B.d + 1):
-        coeffs = {w[1:]: m for w, m in B.coeffs.items()
-                  if w and w[0] == j}
-        comps.append(FreeSeries(B.d, max(B.deg - 1, 0), B.p, B.q, coeffs))
-    return comps
+    return [strip_letter(B, j, Side.LEFT) for j in range(1, B.d + 1)]
 
 
 def gleason_maps(model: DbrModel) -> list[np.ndarray]:
     """Rank-coordinate matrices of the Gleason tuple components."""
     B = model.B
-    return [model.Wplus @ to_dense(comp, model.M).reshape(-1, B.q)
+    return [model.Wplus @ comp.truncate(model.M).array.reshape(-1, B.q)
             for comp in gleason_vector(B)]
 
 
@@ -180,10 +172,7 @@ def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
 
 def support(A: FreeSeries, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of span{ran A_a* : all coefficients}."""
-    blocks = [m.conj().T for m in A.coeffs.values() if np.any(m)]
-    if not blocks:
-        return np.zeros((A.q, 0), dtype=complex)
-    return range_basis(np.hstack(blocks), tol)
+    return range_basis(A.array.conj().transpose(2, 0, 1).reshape(A.q, -1), tol)
 
 
 def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
@@ -203,7 +192,7 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     evals, vecs = np.linalg.eigh(clipped)
     a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
     model = res["model"]
-    E = to_dense(A, model.M).reshape(-1, A.q)
+    E = A.truncate(model.M).array.reshape(-1, A.q)
     memb = max(model.membership(E[:, j])["residual"] for j in range(A.q))
     dual = None
     if memb <= tol:
@@ -241,7 +230,7 @@ def exactgs_residual(A: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     model = gap["model"]
     X = shift_compressions(model)
     K0 = vacuum_kernel(model)
-    E = to_dense(A, model.M).reshape(-1, A.q)
+    E = A.truncate(model.M).array.reshape(-1, A.q)
     Aa0 = model.Wplus @ E @ gap["a0"]
     lhs = np.eye(model.rank, dtype=complex) - sum(x.conj().T @ x for x in X)
     rhs = K0 @ K0.conj().T + Aa0 @ Aa0.conj().T
@@ -280,12 +269,8 @@ def square_completion(B: FreeSeries) -> FreeSeries:
     if B.p == B.q:
         return B
     n = max(B.p, B.q)
-    coeffs = {}
-    for w, m in B.coeffs.items():
-        mat = np.zeros((n, n), dtype=complex)
-        mat[:B.p, :B.q] = m
-        coeffs[w] = mat
-    return FreeSeries(B.d, B.deg, n, n, coeffs)
+    return FreeSeries(B.d, B.deg, np.pad(B.array, ((0, 0), (0, n - B.p),
+                                                   (0, n - B.q))))
 
 
 def szego_distance(B: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:

@@ -20,7 +20,8 @@ import re
 
 import numpy as np
 
-from .series import FreeSeries, constant_series, identity_series, letter_series, multiply
+from .series import (FreeSeries, constant_series, identity_series,
+                     letter_series, multiply, series_degree)
 
 
 class ParseError(ValueError):
@@ -104,8 +105,7 @@ class _Parser:
         return out
 
     def _mul(self, a: FreeSeries, b: FreeSeries) -> FreeSeries:
-        da = max((len(w) for w, m in a.coeffs.items() if np.any(m)), default=0)
-        db = max((len(w) for w, m in b.coeffs.items() if np.any(m)), default=0)
+        da, db = series_degree(a), series_degree(b)
         if da + db > self.deg:
             raise ParseError(
                 f"product of degree {da + db} exceeds truncation {self.deg}",
@@ -113,11 +113,9 @@ class _Parser:
         if a.q != b.p:
             # scalar coefficients broadcast against matrix ones
             if a.p == a.q == 1:
-                a = FreeSeries(self.d, self.deg, b.p, b.p,
-                               {w: m.item() * np.eye(b.p) for w, m in a.coeffs.items()})
+                a = _scalar_times_eye(a, b.p, b.p)
             elif b.p == b.q == 1:
-                b = FreeSeries(self.d, self.deg, a.q, a.q,
-                               {w: m.item() * np.eye(a.q) for w, m in b.coeffs.items()})
+                b = _scalar_times_eye(b, a.q, a.q)
         return multiply(a, b)
 
     def factor(self) -> FreeSeries:
@@ -204,7 +202,10 @@ def parse(text: str, d: int, deg: int, shape: tuple[int, int] = (1, 1)) -> FreeS
     parser = _Parser(text, d, deg, shape)
     out = parser.parse()
     if (out.p, out.q) == (1, 1) and shape != (1, 1):
-        out = FreeSeries(d, deg, shape[0], shape[1],
-                         {w: m.item() * np.eye(shape[0], shape[1])
-                          for w, m in out.coeffs.items()})
+        out = _scalar_times_eye(out, *shape)
     return out
+
+
+def _scalar_times_eye(F: FreeSeries, p: int, q: int) -> FreeSeries:
+    """A scalar series with each coefficient c replaced by c I (p x q)."""
+    return FreeSeries(F.d, F.deg, F.array * np.eye(p, q))

@@ -1,6 +1,9 @@
 """Free power series with matrix coefficients, truncated by total degree.
 
-A FreeSeries is a map from words to complex p x q coefficient matrices.
+A FreeSeries holds one complex array of shape (word_count(d, deg), p, q),
+the p x q coefficient of each word in the graded-lex layout of
+:mod:`freehardy.words`.  Lower degrees are a prefix of that layout, so
+truncating or zero-padding to another degree is a slice or a pad.
 Evaluation at a d-tuple of n x n matrices Z follows the convention
 
     F(Z) = sum_alpha Z^alpha (x) F_alpha,   Z^alpha = Z_{i1} ... Z_{i|alpha|},
@@ -8,99 +11,133 @@ Evaluation at a d-tuple of n x n matrices Z follows the convention
 with the matrix level as the outer Kronecker factor.  Products clip to the
 smaller carried degree; overflow coefficients are dropped, never wrapped.
 
-The heavy operations (multiply, invert, evaluate) run on dense
-coefficient arrays in the graded-lex layout of :mod:`freehardy.words`.
-There, grade g of a product is a sum over s of row-major outer products
-of grade s of one factor with grade g - s of the other, one einsum per
-pair of grades, so Cayley transforms at degree 12..16 over d = 2 stay
-fast.
+In this layout, grade g of a product is a sum over s of row-major outer
+products of grade s of one factor with grade g - s of the other, one
+einsum per pair of grades, so Cayley transforms at degree 12..16 over
+d = 2 stay fast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import Side
-from .words import enumerate_tuples, grade_offsets, index_map, shift_indices
+from .words import (enumerate_tuples, grade_offsets, index_map, reversal,
+                    shift_indices, word_count)
 
 
 @dataclass
 class FreeSeries:
+    """The coefficients of the words of length <= deg as one array:
+    array[i] is the p x q coefficient at the i-th word of
+    enumerate_tuples(d, deg).  The constructor checks the shape once;
+    from_terms and from_json are the entry points for outside input."""
+
     d: int
     deg: int
-    p: int
-    q: int
-    coeffs: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
+    array: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for w, m in self.coeffs.items():
+        self.array = np.asarray(self.array, dtype=complex)
+        n = word_count(self.d, self.deg)
+        if self.array.ndim != 3 or len(self.array) != n:
+            raise ValueError(f"coefficient array of shape {self.array.shape} "
+                             f"does not have {n} rows")
+
+    @property
+    def p(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def q(self) -> int:
+        return self.array.shape[2]
+
+    @classmethod
+    def from_terms(cls, d: int, deg: int, p: int, q: int,
+                   terms) -> "FreeSeries":
+        """The series with the given {word: p x q matrix} terms, or
+        (word, matrix) pairs; other words get zero.  Refuses letters
+        outside 1..d, words longer than deg, a word given twice, another
+        shape and bool entries."""
+        idx = index_map(d, deg)
+        out = np.zeros((len(idx), p, q), dtype=complex)
+        seen = set()
+        for w, m in (terms.items() if isinstance(terms, dict) else terms):
             w = tuple(w)
-            if len(w) > self.deg:
-                raise ValueError(f"word {w} exceeds degree {self.deg}")
-            if any(not 1 <= k <= self.d for k in w):
-                raise ValueError(f"word {w} has letters outside 1..{self.d}")
+            if len(w) > deg:
+                raise ValueError(f"word {w} exceeds degree {deg}")
+            if any(not 1 <= k <= d for k in w):
+                raise ValueError(f"word {w} has letters outside 1..{d}")
+            if w in seen:
+                raise ValueError(f"word {w} is given twice")
+            seen.add(w)
+            _refuse_bools(m)
             m = np.asarray(m, dtype=complex)
-            if m.shape != (self.p, self.q):
-                raise ValueError(
-                    f"coefficient at {w} has shape {m.shape}, "
-                    f"expected ({self.p}, {self.q})")
-            clean[w] = m
-        self.coeffs = clean
+            if m.shape != (p, q):
+                raise ValueError(f"coefficient at {w} has shape {m.shape}, "
+                                 f"expected ({p}, {q})")
+            out[idx[w]] = m
+        return cls(d, deg, out)
+
+    def terms(self):
+        """(word, coefficient) for each nonzero coefficient, in graded
+        order."""
+        words = enumerate_tuples(self.d, self.deg)
+        for i in np.flatnonzero(self.array.any(axis=(1, 2))):
+            yield words[i], self.array[i]
 
     def coeff(self, word) -> np.ndarray:
-        return self.coeffs.get(tuple(word),
-                               np.zeros((self.p, self.q), dtype=complex))
+        i = index_map(self.d, self.deg).get(tuple(word))
+        if i is None:
+            return np.zeros((self.p, self.q), dtype=complex)
+        return self.array[i]
 
     def copy(self) -> "FreeSeries":
-        return FreeSeries(self.d, self.deg, self.p, self.q,
-                          {w: m.copy() for w, m in self.coeffs.items()})
+        return FreeSeries(self.d, self.deg, self.array.copy())
 
     def truncate(self, deg: int) -> "FreeSeries":
-        return FreeSeries(self.d, deg, self.p, self.q,
-                          {w: m for w, m in self.coeffs.items()
-                           if len(w) <= deg})
+        """The same coefficients carried to degree deg: a prefix of the
+        array in graded order (a view of it), zero-padded when
+        deg > self.deg."""
+        n = grade_offsets(self.d, deg)[-1]
+        if deg <= self.deg:
+            return FreeSeries(self.d, deg, self.array[:n])
+        out = np.zeros((n, self.p, self.q), dtype=complex)
+        out[:len(self.array)] = self.array
+        return FreeSeries(self.d, deg, out)
 
     def __add__(self, other: "FreeSeries") -> "FreeSeries":
-        _check_same_shape(self, other)
+        if (self.d, self.p, self.q) != (other.d, other.p, other.q):
+            raise ValueError("series shape/alphabet mismatch")
         deg = min(self.deg, other.deg)
-        out = {w: m.copy() for w, m in self.coeffs.items() if len(w) <= deg}
-        for w, m in other.coeffs.items():
-            if len(w) <= deg:
-                out[w] = out.get(w, 0) + m
-        return FreeSeries(self.d, deg, self.p, self.q, out)
+        return FreeSeries(self.d, deg, self.truncate(deg).array
+                          + other.truncate(deg).array)
 
     def __sub__(self, other: "FreeSeries") -> "FreeSeries":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "FreeSeries":
-        return FreeSeries(self.d, self.deg, self.p, self.q,
-                          {w: m * scalar for w, m in self.coeffs.items()})
+        return FreeSeries(self.d, self.deg, self.array * scalar)
 
     __rmul__ = __mul__
 
     def max_coeff_diff(self, other: "FreeSeries") -> float:
-        words = set(self.coeffs) | set(other.coeffs)
-        if not words:
-            return 0.0
-        return max(float(np.max(np.abs(self.coeff(w) - other.coeff(w))))
-                   for w in words)
+        deg = max(self.deg, other.deg)
+        diff = self.truncate(deg).array - other.truncate(deg).array
+        return float(np.max(np.abs(diff), initial=0.0))
 
     def to_json(self) -> dict:
-        terms = []
-        for w in sorted(self.coeffs, key=lambda t: (len(t), t)):
-            m = self.coeffs[w]
-            terms.append({"word": list(w),
-                          "re": m.real.tolist(),
-                          "im": m.imag.tolist()})
+        """The file format; terms lists the nonzero coefficients only."""
+        terms = [{"word": list(w), "re": m.real.tolist(),
+                  "im": m.imag.tolist()} for w, m in self.terms()]
         return {"d": self.d, "deg": self.deg, "p": self.p, "q": self.q,
                 "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "FreeSeries":
-        coeffs = {}
+        terms = []
         for t in json_field(data, "terms", list):
             word, re, im = (json_field(t, k, list) for k in ("word", "re", "im"))
             if not all(type(k) is int for k in word):
@@ -108,12 +145,13 @@ class FreeSeries:
             try:
                 _refuse_bools([re, im])
                 re_im = np.array([re, im])  # one shape for both parts
-                coeffs[tuple(word)] = re_im[0] + 1j * re_im[1]
+                terms.append((word, re_im[0] + 1j * re_im[1]))
             except (TypeError, ValueError):
                 raise ValueError(f"fields 're', 'im' of word {word} are not "
                                  "numeric matrices") from None
-        return cls(*(json_field(data, k, int, low) for k, low in
-                     (("d", 1), ("deg", 0), ("p", 1), ("q", 1))), coeffs)
+        return cls.from_terms(*(json_field(data, k, int, low) for k, low in
+                                (("d", 1), ("deg", 0), ("p", 1), ("q", 1))),
+                              terms)
 
 
 @dataclass
@@ -173,12 +211,12 @@ def mat_from_json(rows, name: str = "matrix") -> np.ndarray:
 
 
 def _refuse_bools(x):
-    """TypeError on a bool anywhere in nested lists: JSON true and false
-    are not numbers, though Python reads them as 1 and 0."""
+    """TypeError on a bool anywhere in nested lists, or a bool array: JSON
+    true and false are not numbers, though Python reads them as 1 and 0."""
     stack = [x]
     while stack:
         y = stack.pop()
-        if type(y) is bool:
+        if type(y) is bool or getattr(y, "dtype", None) == bool:
             raise TypeError("bool is not a number")
         if isinstance(y, list):
             stack.extend(y)
@@ -195,45 +233,27 @@ def json_field(data, key: str, kind: type, low: int | None = None):
     return value
 
 
-def _check_same_shape(F: FreeSeries, G: FreeSeries):
-    if (F.d, F.p, F.q) != (G.d, G.p, G.q):
-        raise ValueError("series shape/alphabet mismatch")
-
-
 def identity_series(d: int, deg: int, p: int = 1) -> FreeSeries:
-    return FreeSeries(d, deg, p, p, {(): np.eye(p, dtype=complex)})
+    return FreeSeries.from_terms(d, deg, p, p, {(): np.eye(p)})
 
 
 def constant_series(d: int, deg: int, mat) -> FreeSeries:
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return FreeSeries(d, deg, mat.shape[0], mat.shape[1], {(): mat})
+    return FreeSeries.from_terms(d, deg, *mat.shape, {(): mat})
 
 
 def letter_series(d: int, deg: int, k: int, p: int = 1) -> FreeSeries:
     """The series Z_k with identity coefficient."""
-    return FreeSeries(d, deg, p, p, {(k,): np.eye(p, dtype=complex)})
+    return FreeSeries.from_terms(d, deg, p, p, {(k,): np.eye(p)})
 
 
-# ---------------------------------------------------------------------------
-# dense layout
-
-def to_dense(F: FreeSeries, deg: int | None = None) -> np.ndarray:
-    """Coefficient array of shape (word_count, p, q) in graded-lex order."""
-    if deg is None:
-        deg = F.deg
-    idx = index_map(F.d, deg)
-    out = np.zeros((len(idx), F.p, F.q), dtype=complex)
-    for w, m in F.coeffs.items():
-        if len(w) <= deg:
-            out[idx[w]] = m
-    return out
-
-
-def from_dense(d: int, deg: int, arr: np.ndarray) -> FreeSeries:
-    basis = enumerate_tuples(d, deg)
-    p, q = arr.shape[1], arr.shape[2]
-    nonzero = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
-    return FreeSeries(d, deg, p, q, {basis[i]: arr[i] for i in nonzero})
+def series_degree(F: FreeSeries) -> int:
+    """Length of the longest word with a nonzero coefficient, 0 if none."""
+    rows = np.flatnonzero(F.array.any(axis=(1, 2)))
+    if not len(rows):
+        return 0
+    return int(np.searchsorted(grade_offsets(F.d, F.deg), rows[-1],
+                               side="right")) - 1
 
 
 def _grades(arr: np.ndarray, off: list[int]) -> list[np.ndarray]:
@@ -261,34 +281,43 @@ def multiply(F: FreeSeries, G: FreeSeries) -> FreeSeries:
         raise ValueError("shape mismatch in series product")
     deg = min(F.deg, G.deg)
     off = grade_offsets(F.d, deg)
-    Fg = _grades(to_dense(F, deg), off)
-    Gg = _grades(to_dense(G, deg), off)
+    Fg = _grades(F.truncate(deg).array, off)
+    Gg = _grades(G.truncate(deg).array, off)
     out = np.concatenate([_grade_product(Fg, Gg, g) for g in range(deg + 1)])
-    return from_dense(F.d, deg, out)
+    return FreeSeries(F.d, deg, out)
+
+
+def strip_letter(F: FreeSeries, k: int, side: Side) -> FreeSeries:
+    """The series of degree deg - 1 whose coefficient at b is F at k.b
+    (left) or at b.k (right)."""
+    deg = max(F.deg - 1, 0)
+    rows, _ = shift_indices(F.d, F.deg, (k,), side is Side.LEFT)
+    out = np.zeros((word_count(F.d, deg), F.p, F.q), dtype=complex)
+    out[:len(rows)] = F.array[rows]
+    return FreeSeries(F.d, deg, out)
 
 
 def dagger_series(F: FreeSeries) -> FreeSeries:
     """Transpose symbol: coefficient at alpha moves to the reversed word."""
-    return FreeSeries(F.d, F.deg, F.p, F.q,
-                      {w[::-1]: m.copy() for w, m in F.coeffs.items()})
+    return FreeSeries(F.d, F.deg, F.array[reversal(F.d, F.deg)])
 
 
 def invert_series(F: FreeSeries) -> FreeSeries:
     """Two-sided inverse up to the carried degree, by grade recursion."""
     if F.p != F.q:
         raise ValueError("only square series are invertible")
-    F0 = F.coeff(())
+    F0 = F.array[0]
     try:
         F0inv = np.linalg.inv(F0)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("constant term is singular") from None
-    Fg = _grades(to_dense(F), grade_offsets(F.d, F.deg))
+    Fg = _grades(F.array, grade_offsets(F.d, F.deg))
     out = [F0inv[None]]
     for g in range(1, F.deg + 1):
         # G_a = -F0inv . sum over splits a = b.c with nonempty F factor b
         acc = _grade_product(Fg, out, g, s_min=1)
         out.append(-np.einsum("pk,skq->spq", F0inv, acc))
-    return from_dense(F.d, F.deg, np.concatenate(out))
+    return FreeSeries(F.d, F.deg, np.concatenate(out))
 
 
 def cayley(F: FreeSeries, direction: str) -> FreeSeries:
@@ -338,18 +367,19 @@ def szego_coords(Z: MatrixPoint, y, v, deg: int) -> np.ndarray:
 
 
 def evaluate(F: FreeSeries, Z: MatrixPoint) -> np.ndarray:
-    """F(Z) = sum Z^alpha (x) F_alpha, an (n p) x (n q) matrix."""
+    """F(Z) = sum Z^alpha (x) F_alpha, an (n p) x (n q) matrix: a sum of
+    Kronecker products over at most 32 nonzero coefficients, one einsum
+    over every word above that."""
     if F.d != Z.d:
         raise ValueError("alphabet mismatch between series and point")
     n = Z.n
-    if len(F.coeffs) <= 32:
+    if np.count_nonzero(F.array.any(axis=(1, 2))) <= 32:
         out = np.zeros((n * F.p, n * F.q), dtype=complex)
-        for w, m in F.coeffs.items():
+        for w, m in F.terms():
             out += np.kron(Z.word_product(w), m)
         return out
     Zp = word_powers(Z, F.deg)
-    C = to_dense(F)
-    return np.einsum("wij,wab->iajb", Zp, C).reshape(n * F.p, n * F.q)
+    return np.einsum("wij,wab->iajb", Zp, F.array).reshape(n * F.p, n * F.q)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +398,7 @@ def multiplier_matrix(F: FreeSeries, side: Side, N: int) -> np.ndarray:
         raise ValueError("series degree exceeds Fock truncation")
     nw = grade_offsets(F.d, N)[-1]  # checks the basis cap before allocating
     out = np.zeros((nw, F.p, nw, F.q), dtype=complex)
-    for w, m in F.coeffs.items():
+    for w, m in F.terms():
         rows, cols = shift_indices(F.d, N, w, side is Side.LEFT)
         out[rows, :, cols, :] += m
     return out.reshape(nw * F.p, nw * F.q)

@@ -18,7 +18,7 @@ def random_series(rng, d, deg, p=1, q=1, scale=1.0):
     for w in enumerate_tuples(d, deg):
         m = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
         coeffs[w] = scale * m
-    return FreeSeries(d, deg, p, q, coeffs)
+    return FreeSeries.from_terms(d, deg, p, q, coeffs)
 
 
 def random_schur(rng, d, deg, p=1, q=1, target=0.9, N=None):

@@ -44,6 +44,9 @@ def test_reports_are_deterministic(capsys):
      "--N", "6"],
     ["gleason-gap", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2",
      "--N", "6"],
+    ["cayley", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "4"],
+    ["moments", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2",
+     "--N", "3"],
 ])
 def test_report_files_are_deterministic(tmp_path, argv):
     out = tmp_path / "report.json"
@@ -268,7 +271,10 @@ def _series_file(tmp_path, **changes):
     ({"d": 0}, "field 'd' is 0, below 1"),
     ({"terms": [{"word": [1], "re": [[0.5]], "im": [[True]]}]},
      "fields 're', 'im' of word [1] are not numeric matrices"),
-], ids=["deg", "p", "q", "d", "bool"])
+    ({"terms": [{"word": [1], "re": [[0.5]], "im": [[0.0]]},
+                {"word": [1], "re": [[0.9]], "im": [[0.0]]}]},
+     "word (1,) is given twice"),
+], ids=["deg", "p", "q", "d", "bool", "repeated word"])
 @pytest.mark.parametrize("cmd", ["ce-test", "realize", "schur-check"])
 def test_series_file_out_of_range_exit_one(capsys, tmp_path, cmd, changes,
                                            message):
@@ -276,6 +282,41 @@ def test_series_file_out_of_range_exit_one(capsys, tmp_path, cmd, changes,
     # refused with the field named, not answered or left to numpy
     code = main([cmd, "--input", _series_file(tmp_path, **changes),
                  "--N", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("point, message", [
+    ({"n": 0, "mats": [[], []]}, "field 'n' is 0, below 1"),
+    ({"n": 3, "mats": [[[[0.1, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.2, 0.0]]]] * 2},
+     "field 'mats' holds a matrix that is not 3 x 3"),
+], ids=["n=0", "2x2 under n=3"])
+def test_points_file_out_of_range_exit_one(capsys, tmp_path, point, message):
+    # an empty point is not evaluated, and a matrix of the wrong size is
+    # named rather than left to numpy's reshape
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([point]))
+    code = main(["eval", "--expr", "0.3*z1", "--d", "2", "--deg", "1",
+                 "--points", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cmd, message", [
+    ("cayley", "cayley needs square coefficients"),
+    ("herglotz-verify", "cayley needs square coefficients"),
+    ("moments", "Clark moments need square coefficients"),
+    ("gns", "Clark moments need square coefficients"),
+    ("cuntz-check", "Clark moments need square coefficients"),
+])
+def test_square_only_commands_refuse_rectangular_symbol(capsys, tmp_path, cmd,
+                                                         message):
+    path = _series_file(tmp_path, q=2, terms=[
+        {"word": [1], "re": [[0.3, 0.2]], "im": [[0.0, 0.0]]}])
+    code = main([cmd, "--input", path, "--N", "3"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"

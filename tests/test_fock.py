@@ -10,7 +10,7 @@ import pytest
 
 import freehardy
 from freehardy.fock import Side
-from freehardy.series import FreeSeries, from_dense, letter_series, to_dense
+from freehardy.series import FreeSeries, letter_series
 from freehardy.words import enumerate_tuples, index_map, word_count
 
 from conftest import creation, transpose_unitary, unit_vector as unit
@@ -119,17 +119,22 @@ def test_wold_complement():
 
 def test_fock_vector_word_length_check():
     with pytest.raises(ValueError):
-        FreeSeries(2, 1, 1, 1, {(1, 2): [[1.0]]})
+        FreeSeries.from_terms(2, 1, 1, 1, {(1, 2): [[1.0]]})
 
 
 def test_dense_roundtrip():
     # a Fock vector is a coefficient array in the graded word basis
     idx = index_map(2, 2)
-    x = FreeSeries(2, 2, 1, 1, {(1, 2): [[3.0]], (): [[1.0]]})
-    dense = to_dense(x)
-    assert dense[idx[(1, 2)], 0, 0] == 3.0
-    assert np.count_nonzero(dense) == 2
-    assert from_dense(2, 2, dense).max_coeff_diff(x) == 0.0
+    x = FreeSeries.from_terms(2, 2, 1, 1, {(1, 2): [[3.0]], (): [[1.0]]})
+    assert x.array[idx[(1, 2)], 0, 0] == 3.0
+    assert np.count_nonzero(x.array) == 2
+    # another degree is a prefix or a zero pad of the array
+    assert np.array_equal(x.truncate(1).array, x.array[:3])
+    padded = x.truncate(3).array
+    assert np.array_equal(padded[:len(idx)], x.array)
+    assert not np.any(padded[len(idx):])
+    with pytest.raises(ValueError):
+        FreeSeries(2, 1, x.array)
 
 
 def test_import_loads_no_scipy():

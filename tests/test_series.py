@@ -1,3 +1,6 @@
+import json
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from freehardy.series import (FreeSeries, MatrixPoint, cayley,
                               letter_series, multiplier_matrix, multiply,
                               normalize_schur, schur_norm_estimate,
                               word_powers)
+from freehardy.words import enumerate_tuples
 
 from conftest import (ball_point, creation_oracle, random_series,
                       random_schur, transpose_unitary)
@@ -18,7 +22,7 @@ E21 = E12.T
 
 
 def test_evaluate_matrix_units():
-    F = FreeSeries(2, 2, 1, 1, {(1, 2): np.array([[1.0]])})
+    F = FreeSeries.from_terms(2, 2, 1, 1, {(1, 2): np.array([[1.0]])})
     Z = MatrixPoint(2, 2, [0.9 * E12, 0.9 * E21])
     out = evaluate(F, Z)
     assert np.allclose(out, 0.81 * np.array([[1.0, 0], [0, 0]]))
@@ -31,8 +35,8 @@ def test_evaluate_constant():
 
 
 def test_evaluate_geometric():
-    F = FreeSeries(1, 20, 1, 1, {(1,) * k: np.array([[1.0]])
-                                 for k in range(21)})
+    F = FreeSeries.from_terms(1, 20, 1, 1, {(1,) * k: np.array([[1.0]])
+                                            for k in range(21)})
     Z = MatrixPoint(1, 1, [np.array([[0.5]])])
     assert abs(evaluate(F, Z)[0, 0] - 2.0) < 1e-5
 
@@ -54,7 +58,7 @@ def test_multiply_single_word():
     G = letter_series(2, 2, 2)
     H = multiply(F, G)
     assert np.allclose(H.coeff((1, 2)), 1.0)
-    assert len([w for w, m in H.coeffs.items() if np.any(m)]) == 1
+    assert len(list(H.terms())) == 1
 
 
 def test_multiply_unit_law(rng):
@@ -109,11 +113,11 @@ def _naive_product(F, G):
     """(FG)_a = sum over splits a = b.c of F_b G_c, word by word."""
     deg = min(F.deg, G.deg)
     out = {}
-    for b, x in F.coeffs.items():
-        for c, y in G.coeffs.items():
+    for b, x in F.terms():
+        for c, y in G.terms():
             if len(b) + len(c) <= deg:
                 out[b + c] = out.get(b + c, 0) + x @ y
-    return FreeSeries(F.d, deg, F.p, G.q, out)
+    return FreeSeries.from_terms(F.d, deg, F.p, G.q, out)
 
 
 @pytest.mark.parametrize("d, degs, shape", [
@@ -128,7 +132,7 @@ def test_multiply_and_invert_match_convolution(rng, d, degs, shape):
     G = random_series(rng, d, degs[1], k, q)
     assert multiply(F, G).max_coeff_diff(_naive_product(F, G)) < 1e-12
     if p == k:
-        F.coeffs[()] = np.eye(p, dtype=complex)
+        F.array[0] = np.eye(p, dtype=complex)
         Finv = invert_series(F)
         one = identity_series(d, F.deg, p)
         assert _naive_product(F, Finv).max_coeff_diff(one) < 1e-12
@@ -148,7 +152,7 @@ def test_right_product_composes_right_multipliers(rng, shape):
 
 
 def test_dagger_series():
-    F = FreeSeries(2, 2, 1, 1, {(1, 2): np.array([[3.0]])})
+    F = FreeSeries.from_terms(2, 2, 1, 1, {(1, 2): np.array([[3.0]])})
     assert np.allclose(dagger_series(F).coeff((2, 1)), 3.0)
     C = constant_series(2, 2, 5.0)
     assert dagger_series(C).max_coeff_diff(C) == 0.0
@@ -174,7 +178,7 @@ def test_invert_identity():
 
 def test_invert_self_check(rng):
     F = random_series(rng, 2, 4, scale=0.5)
-    F.coeffs[()] = np.array([[1.0 + 0j]])
+    F.array[0] = np.array([[1.0 + 0j]])
     prod = multiply(F, invert_series(F))
     assert prod.max_coeff_diff(identity_series(2, 4)) < 1e-12
 
@@ -267,6 +271,72 @@ def test_series_json_roundtrip(rng):
     G = FreeSeries.from_json(F.to_json())
     assert F.max_coeff_diff(G) == 0.0
     assert (G.d, G.deg, G.p, G.q) == (2, 3, 2, 3)
+
+
+def _term_dicts(d, deg, p, q):
+    """Sparse {word: p x q matrix} dicts over the words of length <= deg;
+    entries may be 0.0 or -0.0, so some terms are zero."""
+    n = p * q
+    entries = st.lists(st.floats(-1e3, 1e3), min_size=2 * n, max_size=2 * n)
+    matrix = entries.map(
+        lambda x: np.reshape(x[:n], (p, q)) + 1j * np.reshape(x[n:], (p, q)))
+    return st.dictionaries(st.sampled_from(enumerate_tuples(d, deg)), matrix,
+                           max_size=8)
+
+
+def _agrees(F, oracle):
+    """F holds the oracle's coefficients bit for bit at the oracle's words
+    and zero at every other word, also past its degree."""
+    for w in enumerate_tuples(F.d, F.deg + 1):
+        if w in oracle:
+            want = np.asarray(oracle[w], dtype=complex)
+            assert F.coeff(w).tobytes() == want.tobytes(), w
+        else:
+            assert not np.any(F.coeff(w)), w
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_storage_matches_word_dict_oracle(data):
+    d, p, q = (data.draw(st.integers(1, k)) for k in (3, 2, 2))
+    deg, deg2, k = (data.draw(st.integers(0, 3)) for _ in range(3))
+    terms = data.draw(_term_dicts(d, deg, p, q))
+    others = data.draw(_term_dicts(d, deg2, p, q))
+    F = FreeSeries.from_terms(d, deg, p, q, terms)
+    G = FreeSeries.from_terms(d, deg2, p, q, others)
+    _agrees(F, terms)
+    # the file format lists the nonzero terms in graded order and reads
+    # back to the same array
+    nonzero = {w: m for w, m in terms.items() if np.any(m)}
+    data_out = json.loads(json.dumps(F.to_json()))
+    assert [tuple(t["word"]) for t in data_out["terms"]] == sorted(
+        nonzero, key=lambda w: (len(w), w))
+    _agrees(FreeSeries.from_json(data_out), nonzero)
+    # arithmetic, with missing words read as zero matrices
+    zero = np.zeros((p, q), dtype=complex)
+    low = min(deg, deg2)
+    _agrees(F + G, {w: terms.get(w, zero) + others.get(w, zero)
+                    for w in set(terms) | set(others) if len(w) <= low})
+    scalar = data.draw(st.floats(-10, 10))
+    _agrees(F * scalar, {w: m * scalar for w, m in terms.items()})
+    _agrees(F.truncate(k), {w: m for w, m in terms.items() if len(w) <= k})
+    _agrees(F.truncate(deg + k), terms)
+    _agrees(dagger_series(F), {w[::-1]: m for w, m in terms.items()})
+
+
+@pytest.mark.parametrize("count", [20, 63])
+def test_evaluate_paths_match_kron_sum(rng, count):
+    # 20 nonzero words take the Kronecker path, all 63 words of length <= 5
+    # the einsum path
+    words = enumerate_tuples(2, 5)
+    terms = {words[i]: rng.standard_normal((2, 3))
+             + 1j * rng.standard_normal((2, 3))
+             for i in rng.choice(len(words), count, replace=False)}
+    F = FreeSeries.from_terms(2, 5, 2, 3, terms)
+    Z = direct_sum([ball_point(rng, 2, 2), ball_point(rng, 2, 1)])
+    want = sum(np.kron(reduce(np.matmul, [Z.mats[k - 1] for k in w],
+                              np.eye(Z.n)), m) for w, m in terms.items())
+    assert np.abs(evaluate(F, Z) - want).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,14 +12,14 @@ from conftest import random_series, unit_vector
 
 
 def monomial(d, deg, word):
-    return FreeSeries(d, deg, 1, 1, {tuple(word): np.eye(1)})
+    return FreeSeries.from_terms(d, deg, 1, 1, {tuple(word): np.eye(1)})
 
 
 def test_concat_basic():
     # the product of monomials is the monomial of the concatenated word
     for a, b in (((1, 2), (3,)), ((1, 2), ()), ((), ())):
         H = multiply(monomial(3, 4, a), monomial(3, 4, b))
-        assert H.coeffs.keys() == {a + b}
+        assert dict(H.terms()).keys() == {a + b}
         assert H.coeff(a + b)[0, 0] == 1.0
 
 
@@ -39,7 +39,7 @@ def test_dagger_basic():
     rev = reversal(3, 3)
     for a, b in (((1, 2), (2, 1)), ((), ()), ((1, 2, 3), (3, 2, 1))):
         assert rev[idx[a]] == idx[b]
-        assert dagger_series(monomial(3, 3, a)).coeffs.keys() == {b}
+        assert dict(dagger_series(monomial(3, 3, a)).terms()).keys() == {b}
 
 
 def test_dagger_antihomomorphism_exhaustive(rng):
