@@ -76,16 +76,14 @@ def clark_moments(B: FreeSeries, deg: int) -> MomentFunctional:
     return MomentFunctional(B.d, deg, moments, (H0 - H0.conj().T) / 2j)
 
 
-def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint,
-                          deg: int | None = None) -> np.ndarray:
+def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint) -> np.ndarray:
     """Reconstruct the Herglotz series value at a strict ball point:
 
         H(Z) = i I (x) Im H_0 - I (x) mu(1) + 2 sum_a Z^a (x) mu(L^{a+})*
 
     Exact (as a truncated sum) at jointly nilpotent points.
     """
-    deg = mu.deg if deg is None else min(deg, mu.deg)
-    n, p = Z.n, mu.p
+    deg, n, p = mu.deg, Z.n, mu.p
     pows = word_powers(Z, deg)
     top = word_count(Z.d, deg) - word_count(Z.d, deg - 1) if deg else 0
     nilpotent = deg > 0 and not np.any(pows[-top:])

@@ -25,10 +25,10 @@ import numpy as np
 
 from .fock import Side
 from .gleason import (CeObstructionError, a_empty_sq, dbr_model,
-                      gleason_maps, shift_compressions)
-from .series import (FreeSeries, MatrixPoint, dagger_series, letter_series,
-                     json_field, mat_from_json, mat_to_json,
-                     multiplier_matrix, series_degree, strip_letter)
+                      gleason_maps, shift_compressions, vacuum_kernel)
+from .series import (FreeSeries, MatrixPoint, dagger_series, json_field,
+                     mat_from_json, mat_to_json, multiplier_matrix,
+                     series_degree)
 
 
 @dataclass
@@ -105,38 +105,27 @@ def transfer_eval(U: Colligation, Z: MatrixPoint) -> np.ndarray:
 def transfer_series(U: Colligation, deg: int) -> FreeSeries:
     """Taylor coefficients of the transfer function: the coefficient at
     the word i1..ik is C A_{i1} ... A_{i_{k-1}} B_{ik}."""
-    coeffs = {(): U.D.copy()}
-    # CA[w] = C A_{w_1} ... A_{w_len}, grown one grade at a time
-    CA = {(): U.C.copy()}
+    grades = [U.D[None]]
+    # C A_w for the words w of one grade; w.k is row (w, k) of the next
+    CA = U.C[None]
     for ell in range(1, deg + 1):
-        nxt = {}
-        for w, mat in CA.items():
-            for k in range(1, U.d + 1):
-                coeffs[w + (k,)] = mat @ U.B[k - 1]
-                if ell < deg:
-                    nxt[w + (k,)] = mat @ U.A[k - 1]
-        CA = nxt
-    return FreeSeries.from_terms(U.d, deg, U.out_dim, U.in_dim, coeffs)
+        grades.append(np.stack([CA @ b for b in U.B], axis=1).reshape(
+            -1, U.out_dim, U.in_dim))
+        if ell < deg:
+            CA = np.stack([CA @ a for a in U.A], axis=1).reshape(
+                -1, U.out_dim, U.state_dim)
+    return FreeSeries(U.d, deg, np.concatenate(grades))
 
 
 def canonical_colligation(B: FreeSeries, N: int,
                           rank_tol: float = 1e-10) -> Colligation:
-    """Functional-model realization of a Schur series on the left model
-    space: states are rank coordinates, A_k compresses the right backward
-    shift, B_k feeds the letter-k right strip of the symbol, C evaluates
-    at the vacuum and D = B(0)."""
+    """Functional-model realization of a Schur series on its left model
+    space (the right model space of the transpose): A_k compresses the
+    backward shift, B_k is the k-th Gleason map, C = K_0* and D = B(0)."""
     model = dbr_model(B, N, rank_tol=rank_tol, side=Side.LEFT)
-    B = model.B
-    p, q = B.p, B.q
-    A_blocks, B_blocks = [], []
-    for k in range(1, B.d + 1):
-        Rk = multiplier_matrix(letter_series(B.d, 1, k, p), Side.RIGHT,
-                               model.M)
-        A_blocks.append(model.Wplus @ Rk.conj().T @ model.W)
-        strip = strip_letter(B, k, Side.RIGHT).truncate(model.M)
-        B_blocks.append(model.Wplus @ strip.array.reshape(-1, q))
-    U = Colligation(B.d, model.rank, q, p, A_blocks, B_blocks,
-                    model.W[0:p, :], B.coeff(()))
+    U = Colligation(B.d, model.rank, B.q, B.p, shift_compressions(model),
+                    gleason_maps(model), vacuum_kernel(model).conj().T,
+                    B.coeff(()))
     U.meta = {"contraction_defect": U.contraction_defect(),
               "coisometry_defect": U.coisometry_defect(),
               "model_rank": model.rank, "interior_degree": model.M}

@@ -2,7 +2,7 @@
 
 The model space of a Schur-class series B is carried numerically by the
 Hermitian matrix D = I - T T* on truncated Fock coordinates, T the
-multiplier matrix of B.  Its eigen-factorization provides rank
+right multiplier matrix of B.  Its eigen-factorization provides rank
 coordinates in which the model inner product is Euclidean; all Gleason
 and extremality quantities below are computed there.
 
@@ -25,9 +25,9 @@ from .clark import (GnsModel, InvalidMomentsError, clark_moments, cuntz_check,
 from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
-                     letter_series, multiplier_matrix, multiply, range_basis,
-                     schur_norm_estimate, series_degree, strip_letter,
-                     szego_coords)
+                     dagger_series, letter_series, multiplier_matrix,
+                     multiply, range_basis, schur_norm_estimate,
+                     series_degree, strip_letter, szego_coords)
 from .words import word_count
 
 
@@ -44,7 +44,6 @@ class DbrModel:
     B: FreeSeries
     N: int
     M: int               # interior truncation: words of length <= M carried
-    side: Side
     rank: int
     W: np.ndarray        # (n_words * p) x rank, columns H(B)-orthonormal
     Wplus: np.ndarray    # rank x (n_words * p), left inverse of W
@@ -73,6 +72,9 @@ class DbrModel:
 def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
               side: Side = Side.RIGHT, tol: float = 1e-8) -> DbrModel:
     """Model space of a Schur series on words of length <= N - deg(B).
+    Side.LEFT gives the right-side model of dagger_series(B): word
+    reversal is a unitary that fixes the vacuum and swaps left and right
+    letter shifts.
 
     D = I - T T* is formed on the full truncation and then compressed to
     the interior grades; the top deg(B) grades only carry truncation
@@ -81,10 +83,12 @@ def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
     cheaper to form; but it rounds differently, and eigh then picks other
     bases in degenerate eigenspaces, so printed reports would change.
     """
-    return _models(B, N, 1, rank_tol, side, tol)[0]
+    if side is Side.LEFT:
+        B = dagger_series(B)
+    return _models(B, N, 1, rank_tol, tol)[0]
 
 
-def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float, side: Side,
+def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
             tol: float) -> list[DbrModel]:
     """dbr_model at N, N - 1, ..., for up to `rungs` truncations that keep
     an interior, all from one Schur check and one D.  In graded order the
@@ -93,13 +97,14 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float, side: Side,
     nondecreasing in N, so the check at N covers the lower rungs."""
     degB = series_degree(B)
     B = B.truncate(degB)
-    est = schur_norm_estimate(B, N)
+    # the norm of the right multiplier that D factors
+    est = schur_norm_estimate(dagger_series(B), N)
     if est > 1.0 + tol:
         raise NotSchurError(f"multiplier norm estimate {est:.6f} exceeds 1")
     M = N - degB
     if M < 1:
         raise ValueError(f"truncation {N} too small for degree {degB}")
-    T = multiplier_matrix(B, side, N)
+    T = multiplier_matrix(B, Side.RIGHT, N)
     # words of length <= M come first in the graded order
     m = word_count(B.d, M) * B.p
     D = (np.eye(T.shape[0], dtype=complex) - T @ T.conj().T)[:m, :m].copy()
@@ -113,15 +118,15 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float, side: Side,
         lam, V = evals[keep], vecs[:, keep]
         W = V * np.sqrt(lam)[None, :]
         Wplus = (V / np.sqrt(lam)[None, :]).conj().T
-        models.append(DbrModel(B, N - k, M - k, side, int(W.shape[1]), W,
-                               Wplus, evals))
+        models.append(DbrModel(B, N - k, M - k, int(W.shape[1]), W, Wplus,
+                               evals))
     return models
 
 
 def gleason_vector(B: FreeSeries) -> list[FreeSeries]:
     """The canonical Gleason tuple: component j strips a leading letter j,
     so that Z.(vec)(Z) = B(Z) - B(0) identically."""
-    return [strip_letter(B, j, Side.LEFT) for j in range(1, B.d + 1)]
+    return [strip_letter(B, j) for j in range(1, B.d + 1)]
 
 
 def gleason_maps(model: DbrModel) -> list[np.ndarray]:
@@ -147,6 +152,15 @@ def vacuum_kernel(model: DbrModel) -> np.ndarray:
     return model.W[0:model.p, :].conj().T
 
 
+def _gap(model: DbrModel) -> np.ndarray:
+    """(I - B(0)*B(0)) - <Gleason tuple Gram> on one model, Hermitian."""
+    B0 = model.B.coeff(())
+    G = np.eye(model.B.q, dtype=complex) - B0.conj().T @ B0
+    for C in gleason_maps(model):
+        G = G - C.conj().T @ C
+    return 0.5 * (G + G.conj().T)
+
+
 def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
                     rank_tol: float = 1e-10) -> dict:
     """Gap matrix (I - B(0)*B(0)) - <Gleason tuple Gram> at the
@@ -154,16 +168,10 @@ def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
     the gap vanishes.  All rungs come from one D, whose Schur check uses
     tol; the model at the top rung, dbr_model(B, N, rank_tol=rank_tol,
     tol=tol), is returned with it."""
-    B0 = B.coeff(())
-    gaps, ladder = [], []
-    models = _models(B, N, 3, rank_tol, Side.RIGHT, tol)
-    for model in models:
-        G = np.eye(B.q, dtype=complex) - B0.conj().T @ B0
-        for C in gleason_maps(model):
-            G = G - C.conj().T @ C
-        gaps.append(0.5 * (G + G.conj().T))
-        ladder.append({"N": model.N,
-                       "gap_norm": float(np.linalg.norm(gaps[-1], 2))})
+    models = _models(B, N, 3, rank_tol, tol)
+    gaps = [_gap(model) for model in models]
+    ladder = [{"N": model.N, "gap_norm": float(np.linalg.norm(G, 2))}
+              for model, G in zip(models, gaps)]
     extremal = ladder[0]["gap_norm"] <= tol
     trend = len(ladder) >= 2 and ladder[0]["gap_norm"] < ladder[-1]["gap_norm"] - tol
     return {"gap": gaps[0], "ladder": ladder, "extremal": extremal,
@@ -182,16 +190,14 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     (I + Ahat*Ahat)^{-1} when membership of A.h in the model certifies the
     graph realization of Ahat.  The model dbr_model(A, N,
     rank_tol=rank_tol, tol=tol) is returned with them."""
-    res = extremality_gap(A, N, tol=tol, rank_tol=rank_tol)
-    G = res["gap"]
-    evals, vecs = np.linalg.eigh(G)
+    model = _models(A, N, 1, rank_tol, tol)[0]
+    evals, vecs = np.linalg.eigh(_gap(model))
     if evals[0] < -tol:
         raise ValueError(
             f"extremality gap indefinite ({evals[0]:.3e}); truncation too coarse")
     clipped = (vecs * np.clip(evals, 0.0, None)[None, :]) @ vecs.conj().T
     evals, vecs = np.linalg.eigh(clipped)
     a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
-    model = res["model"]
     E = A.truncate(model.M).array.reshape(-1, A.q)
     memb = max(model.membership(E[:, j])["residual"] for j in range(A.q))
     dual = None

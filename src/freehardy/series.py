@@ -287,11 +287,10 @@ def multiply(F: FreeSeries, G: FreeSeries) -> FreeSeries:
     return FreeSeries(F.d, deg, out)
 
 
-def strip_letter(F: FreeSeries, k: int, side: Side) -> FreeSeries:
-    """The series of degree deg - 1 whose coefficient at b is F at k.b
-    (left) or at b.k (right)."""
+def strip_letter(F: FreeSeries, k: int) -> FreeSeries:
+    """The series of degree deg - 1 whose coefficient at b is F at k.b."""
     deg = max(F.deg - 1, 0)
-    rows, _ = shift_indices(F.d, F.deg, (k,), side is Side.LEFT)
+    rows, _ = shift_indices(F.d, F.deg, (k,), left=True)
     out = np.zeros((word_count(F.d, deg), F.p, F.q), dtype=complex)
     out[:len(rows)] = F.array[rows]
     return FreeSeries(F.d, deg, out)

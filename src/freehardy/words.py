@@ -121,7 +121,13 @@ def shift_indices(d: int, N: int, w: tuple[int, ...],
 
 def reversal(d: int, N: int) -> np.ndarray:
     """Permutation sending the position of each word of length <= N to
-    the position of the reversed word."""
+    the position of the reversed word; cached, so read-only."""
+    _check_cap(d, N)
+    return _reversal(d, N)
+
+
+@lru_cache(maxsize=None)
+def _reversal(d: int, N: int) -> np.ndarray:
     off = grade_offsets(d, N)
     out = np.empty(off[-1], dtype=np.int64)
     for g in range(N + 1):
@@ -132,4 +138,5 @@ def reversal(d: int, N: int) -> np.ndarray:
             rev = rev * d + digits % d
             digits //= d
         out[off[g]:off[g + 1]] = off[g] + rev
+    out.flags.writeable = False
     return out

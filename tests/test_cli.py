@@ -239,6 +239,30 @@ def test_complete_column_schur_check_uses_caller_tolerance(capsys):
     assert rep["verdict"] == "CeObstructionError"
 
 
+def test_each_model_checks_the_multiplier_it_factors(capsys):
+    # gleason-gap, ce-test and complete-column factor the right multiplier;
+    # realize and schur-check read the left one.  Each symbol below is a
+    # contraction on one side only: norms 0.9434 and 1.2655.
+    args = ["--d", "2", "--deg", "2", "--N", "6"]
+    left_small = ["--expr", "0.8*z1+0.5*z2*z1"] + args
+    right_small = ["--expr", "0.8*z1+0.5*z1*z2"] + args
+    for cmd in ("gleason-gap", "ce-test", "complete-column"):
+        code, rep = run_json(capsys, [cmd] + left_small)
+        assert code == 2 and rep["verdict"] == "NotSchurError"
+        assert rep["detail"] == "multiplier norm estimate 1.265515 exceeds 1"
+    for cmd in ("realize", "schur-check"):
+        assert run_json(capsys, [cmd] + left_small)[0] == 0
+        assert run_json(capsys, [cmd] + right_small)[0] == 2
+    # gap 1 - 0.8^2 - 0.5^2 on every rung
+    code, rep = run_json(capsys, ["gleason-gap"] + right_small)
+    assert code == 0
+    assert [r["N"] for r in rep["results"]["ladder"]] == [6, 5, 4]
+    for rung in rep["results"]["ladder"]:
+        assert abs(rung["gap_norm"] - 0.11) <= 1e-12
+    code, rep = run_json(capsys, ["complete-column"] + right_small)
+    assert code == 0 and rep["results"]["column_gram_defect"] <= 1e-12
+
+
 def test_ce_test_cross_checks_undecided_at_schur_boundary(capsys):
     # the Schur check passes at tol 1e-6, but the Clark moments fail the GNS
     # positivity cut; the Gleason verdict stands, the cross-checks cannot tell

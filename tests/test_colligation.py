@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from freehardy import colligation, gleason
 from freehardy.colligation import (Colligation, canonical_colligation,
                                    column_schur_defect, complete_column,
                                    transfer_eval, transfer_series)
-from freehardy.gleason import CeObstructionError
+from freehardy.fock import Side
+from freehardy.gleason import CeObstructionError, dbr_model
 from freehardy.parser import parse
-from freehardy.series import MatrixPoint, dagger_series, evaluate
+from freehardy.series import (FreeSeries, MatrixPoint, dagger_series, evaluate,
+                              letter_series, multiplier_matrix, series_degree)
+from freehardy.words import enumerate_tuples, index_map, reversal, word_count
 
-from conftest import nilpotent_point
+from conftest import nilpotent_point, random_schur
 
 
 def shift_colligation():
@@ -62,6 +66,27 @@ def test_transfer_series_matches_eval(rng):
     for _ in range(10):
         Z = nilpotent_point(rng, 2, 3)
         assert np.allclose(evaluate(F, Z), transfer_eval(U, Z), atol=1e-10)
+
+
+def test_transfer_series_matches_word_loop(rng):
+    # rectangular complex colligation: coefficient at i1..ik is
+    # C A_{i1} ... A_{i_{k-1}} B_{ik}, multiplied left to right
+    def cmat(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    d, n, m, p = 3, 4, 2, 3
+    U = Colligation(d, n, m, p, [0.3 * cmat(n, n) for _ in range(d)],
+                    [cmat(n, m) for _ in range(d)], cmat(p, n), cmat(p, m))
+    for deg in (0, 1, 4):
+        want = np.zeros((word_count(d, deg), p, m), dtype=complex)
+        for w, i in index_map(d, deg).items():
+            if not w:
+                want[i] = U.D
+                continue
+            mat = U.C
+            for k in w[:-1]:
+                mat = mat @ U.A[k - 1]
+            want[i] = mat @ U.B[w[-1] - 1]
+        assert np.array_equal(transfer_series(U, deg).array, want)
 
 
 def test_transfer_eval_singular_pencil():
@@ -129,6 +154,53 @@ def test_canonical_surfaces_truncation_defects():
     assert F.max_coeff_diff(parse("0.4*z1+0.4*z2*z1", 2, 4)) < 1e-12
 
 
+def _left_realization_oracle(B, N, rank_tol=1e-10):
+    """The functional model on the left model space, built directly: D from
+    the left multiplier, A_k compressing the right backward shift, B_k
+    feeding the right strip b -> B_{b.k}, C evaluating at the vacuum."""
+    B = B.truncate(series_degree(B))
+    M = N - B.deg
+    T = multiplier_matrix(B, Side.LEFT, N)
+    m = word_count(B.d, M) * B.p
+    D = (np.eye(len(T)) - T @ T.conj().T)[:m, :m]
+    evals, vecs = np.linalg.eigh(D)
+    keep = evals > rank_tol * np.abs(evals).max()
+    W = vecs[:, keep] * np.sqrt(evals[keep])
+    Wplus = (vecs[:, keep] / np.sqrt(evals[keep])).conj().T
+    A, Bk = [], []
+    for k in range(1, B.d + 1):
+        Rk = multiplier_matrix(letter_series(B.d, 1, k, B.p), Side.RIGHT, M)
+        A.append(Wplus @ Rk.conj().T @ W)
+        strip = FreeSeries.from_terms(B.d, M, B.p, B.q, {
+            b: B.coeff(b + (k,)) for b in enumerate_tuples(B.d, M)})
+        Bk.append(Wplus @ strip.array.reshape(-1, B.q))
+    return W, A, Bk, W[:B.p]
+
+
+@pytest.mark.parametrize("d,N", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_canonical_colligation_matches_left_construction(d, N, p):
+    # word reversal carries the left model of B onto the right model of its
+    # transpose; the two realizations agree up to the induced unitary Q
+    B = random_schur(np.random.default_rng(7 * d + p), d, 2, p, p, target=0.8)
+    assert B.max_coeff_diff(dagger_series(B)) > 0.01
+    W_old, A_old, B_old, C_old = _left_realization_oracle(B, N)
+    U = canonical_colligation(B, N)
+    new = dbr_model(B, N, side=Side.LEFT)
+    M = new.M
+    rows = np.arange(word_count(d, M) * p).reshape(-1, p)[reversal(d, M)]
+    Q = new.Wplus @ W_old[rows.reshape(-1)]
+    eye = np.eye(U.state_dim)
+    assert Q.shape == eye.shape
+    assert np.linalg.norm(Q @ Q.conj().T - eye) <= 1e-10
+    assert np.linalg.norm(Q.conj().T @ Q - eye) <= 1e-10
+    for k in range(d):
+        assert np.linalg.norm(U.A[k] - Q @ A_old[k] @ Q.conj().T) <= 1e-10
+        assert np.linalg.norm(U.B[k] - Q @ B_old[k]) <= 1e-10
+    assert np.linalg.norm(U.C - C_old @ Q.conj().T) <= 1e-10
+    assert np.array_equal(U.D, B.coeff(()))
+
+
 def test_complete_column_constant():
     # a = r: the completion is the constant sqrt(1 - r^2)
     out = complete_column(parse("0.5", 1, 2), 6)
@@ -168,3 +240,17 @@ def test_column_schur_defect_detects_violation():
     b = parse("z1", 1, 4)
     assert column_schur_defect(b, b, 6) > 0.5
     assert column_schur_defect(b, parse("0", 1, 4), 6) == 0.0
+
+
+def test_complete_column_factors_one_rung(monkeypatch):
+    # the completion reads the top rung only: one Gleason Gram for a0 and
+    # one for the input maps
+    calls = []
+
+    def counted(model, _fn=gleason.gleason_maps):
+        calls.append(model.N)
+        return _fn(model)
+    monkeypatch.setattr(gleason, "gleason_maps", counted)
+    monkeypatch.setattr(colligation, "gleason_maps", counted)
+    complete_column(parse("0.9*z1", 1, 4), 10)
+    assert calls == [10, 10]

@@ -144,10 +144,19 @@ def test_capacity_cap_applies_after_caching(monkeypatch):
     calls = [lambda: enumerate_tuples(2, 12),
              lambda: index_map(2, 6),
              lambda: multiplier_matrix(letter_series(2, 1, 1), Side.LEFT, 6),
-             lambda: multiplier_matrix(letter_series(2, 1, 2), Side.RIGHT, 6)]
+             lambda: multiplier_matrix(letter_series(2, 1, 2), Side.RIGHT, 6),
+             lambda: reversal(2, 6)]
     for call in calls:
         monkeypatch.delenv("FREEHARDY_MAX_BASIS", raising=False)
         call()
         monkeypatch.setenv("FREEHARDY_MAX_BASIS", "100")
         with pytest.raises(CapacityError):
             call()
+
+
+def test_reversal_is_read_only():
+    # the permutation is cached, so a caller must not be able to corrupt it
+    rev = reversal(2, 3)
+    with pytest.raises(ValueError):
+        rev[0] = 1
+    assert reversal(2, 3)[0] == 0
