@@ -140,7 +140,7 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
     most tol, the test by which extremality_gap calls a symbol extremal:
     a column-extreme symbol admits only the zero completion.
     """
-    A = A.truncate(min(series_degree(A), N))
+    A = A.truncate(series_degree(A))
     gap = a_empty_sq(A, N, tol=tol, rank_tol=rank_tol)
     if float(np.linalg.norm(gap["a0_sq"], 2)) <= tol:
         raise CeObstructionError(

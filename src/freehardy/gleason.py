@@ -308,7 +308,7 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     The verdict follows the Gleason gap; the other criteria are independent
     cross-checks that raise a flag when they disagree or cannot decide.
     """
-    B = B.truncate(min(series_degree(B), N))
+    B = B.truncate(series_degree(B))
     gap = extremality_gap(B, N, tol=tol, rank_tol=rank_tol)
     by_gleason = gap["extremal"]
 

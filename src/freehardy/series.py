@@ -403,10 +403,132 @@ def multiplier_matrix(F: FreeSeries, side: Side, N: int) -> np.ndarray:
     return out.reshape(nw * F.p, nw * F.q)
 
 
+# schur_norm_estimate runs Lanczos from this size word_count(d, N) *
+# max(p, q) of the left multiplier up, and a dense SVD below it.  With one
+# BLAS thread the measured cost curves (dense vs Lanczos) cross between 200
+# and 255 for random dense degree-2 symbols at d >= 2 (6 vs 9 ms at 189,
+# 10 vs 10 ms at 200, 15 vs 12 ms at 242, 110 vs 21 ms at 510), and below
+# 127 for the two- and three-term symbols of the model-space commands.  At
+# d = 1 the multiplier is a Toeplitz matrix whose top singular values
+# cluster, Lanczos needs nearly n steps, and the dense SVD wins at every
+# size measured (11 vs 60 ms at 256).
+LANCZOS_MIN_SIZE = 200
+
+
 def schur_norm_estimate(F: FreeSeries, N: int) -> float:
     """Operator norm of the truncated left multiplication matrix: a lower
-    bound for the multiplier norm, nondecreasing in N."""
-    return float(np.linalg.norm(multiplier_matrix(F, Side.LEFT, N), 2))
+    bound for the multiplier norm, nondecreasing in N.
+
+    The dense 2-norm of multiplier_matrix at d = 1 or below
+    LANCZOS_MIN_SIZE; otherwise the top Ritz value of _lanczos_norm, which
+    agrees with the dense norm to rounding.  Refuses a series whose
+    degree, not its carried degree, exceeds N."""
+    deg = series_degree(F)
+    if deg > N:
+        raise ValueError(f"series degree {deg} exceeds Fock truncation {N}")
+    F = F.truncate(deg)
+    size = grade_offsets(F.d, N)[-1] * max(F.p, F.q)  # checks the basis cap
+    if F.d == 1 or size < LANCZOS_MIN_SIZE:
+        return float(np.linalg.norm(multiplier_matrix(F, Side.LEFT, N), 2))
+    return _lanczos_norm(F, N)
+
+
+def _left_products(F: FreeSeries, N: int):
+    """x -> T x and y -> T* y for the left multiplier T of F on F2(d, N),
+    on arrays of shape (nw, q) and (nw, p), without forming T.  Each
+    (row, col) pair of shift_indices over F.terms() adds F_w x[col] to
+    row; a product gathers x at the pairs, applies the coefficients in one
+    einsum and sums the pairs of each row with one reduceat."""
+    nw = grade_offsets(F.d, N)[-1]
+    pairs = [(shift_indices(F.d, N, w, left=True), m) for w, m in F.terms()]
+    rows = np.concatenate([r for (r, _), _ in pairs])
+    cols = np.concatenate([c for (_, c), _ in pairs])
+    coef = np.repeat(np.stack([m for _, m in pairs]),
+                     [len(r) for (r, _), _ in pairs], axis=0)
+
+    def grouped_by(target):
+        order = np.argsort(target, kind="stable")
+        starts = np.flatnonzero(np.diff(target[order], prepend=-1))
+        return order, starts, target[order][starts]
+
+    r_order, r_starts, r_out = grouped_by(rows)
+    c_order, c_starts, c_out = grouped_by(cols)
+    coef_r, src_r = coef[r_order], cols[r_order]
+    coef_c, src_c = coef[c_order].conj(), rows[c_order]
+
+    def matvec(x):
+        out = np.zeros((nw, F.p), dtype=complex)
+        out[r_out] = np.add.reduceat(
+            np.einsum("kpq,kq->kp", coef_r, x[src_r]), r_starts)
+        return out
+
+    def rmatvec(y):
+        out = np.zeros((nw, F.q), dtype=complex)
+        out[c_out] = np.add.reduceat(
+            np.einsum("kpq,kp->kq", coef_c, y[src_c]), c_starts)
+        return out
+
+    return nw, matvec, rmatvec
+
+
+def _lanczos_norm(F: FreeSeries, N: int) -> float:
+    """Largest singular value of the left multiplier T of F on F2(d, N)
+    by Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
+    (Golub and Kahan 1965), from a fixed seeded start vector.
+
+    With T V_k = U_k B_k and T* U_k = V_k B_k* + beta_k v_{k+1} e_k*, the
+    top singular triple (s, x, y) of the bidiagonal B_k gives
+    ||T* U_k x - s V_k y|| = beta_k |x_k|.  The loop stops when that
+    residual is at most 1e-14 s or the Krylov space is exhausted, and
+    returns s, a lower bound for ||T||.  Each reading of the residual is an
+    SVD of B_k, so it is read at k = 1..8 and then every k/4 steps."""
+    if not F.array.any():
+        return 0.0
+    nw, matvec, rmatvec = _left_products(F, N)
+    p, q = F.p, F.q
+    kmax = nw * min(p, q)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(nw * q) + 1j * rng.standard_normal(nw * q)
+    U = np.empty((min(kmax, 32), nw * p), dtype=complex)
+    V = np.empty((len(U), nw * q), dtype=complex)
+    V[0] = v / np.linalg.norm(v)
+    alpha, beta = [], [0.0]  # diagonal and superdiagonal of B_k
+    u = np.zeros(nw * p, dtype=complex)
+    check = 1
+    for k in range(kmax):
+        u = matvec(V[k].reshape(nw, q)).reshape(-1) - beta[k] * u
+        u = _reorthogonalize(u, U[:k])
+        alpha.append(float(np.linalg.norm(u)))
+        if alpha[k] == 0.0:  # T V_k lies in the span of U_{k-1}
+            break
+        u /= alpha[k]
+        U = _with_row(U, k, u)
+        v = rmatvec(u.reshape(nw, p)).reshape(-1) - alpha[k] * V[k]
+        v = _reorthogonalize(v, V[:k + 1])
+        beta.append(float(np.linalg.norm(v)))
+        if k + 1 in (check, kmax) or beta[k + 1] == 0.0:
+            P, s, _ = np.linalg.svd(np.diag(alpha) + np.diag(beta[1:-1], 1))
+            if beta[k + 1] * abs(P[-1, 0]) <= 1e-14 * s[0] or k + 1 == kmax:
+                return float(s[0])
+            check = k + 1 + max(1, (k + 1) // 4)
+        V = _with_row(V, k + 1, v / beta[k + 1])
+    return float(np.linalg.norm(np.diag(alpha) + np.diag(beta[1:], 1), 2))
+
+
+def _with_row(Q: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """Q with x written to row k, doubling the rows of Q when it is full."""
+    if k == len(Q):
+        Q = np.concatenate([Q, np.empty_like(Q)])
+    Q[k] = x
+    return Q
+
+
+def _reorthogonalize(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """x minus its projection on the orthonormal rows of Q, in two
+    classical Gram-Schmidt passes ("twice is enough")."""
+    for _ in range(2):
+        x = x - (Q @ x.conj()).conj() @ Q
+    return x
 
 
 def range_basis(A: np.ndarray, rtol: float) -> np.ndarray:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freehardy.cli import main
+from freehardy.series import FreeSeries, series_degree
+from freehardy.words import enumerate_tuples
 
 
 def run(capsys, argv):
@@ -111,6 +116,66 @@ def test_truncation_not_above_degree_exit_one(capsys, cmd):
     assert code == 1
     assert captured.out == ""
     assert "too small for degree 1" in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["ce-test", "complete-column"])
+def test_terms_above_truncation_are_not_dropped(capsys, cmd):
+    # 0.6*z1 + 0.8*z1^3 is not 0.6*z1: N = 2 cannot hold its degree
+    code = main([cmd, "--expr", "0.6*z1 + 0.8*z1^3", "--d", "1", "--deg", "3",
+                 "--N", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: series degree 3 exceeds Fock "
+                            "truncation 2\n")
+
+
+def test_schur_check_reads_series_degree(capsys):
+    # the default --deg 6 carries 0.5*z1 past N = 4; its degree is 1
+    code, rep = run_json(capsys, ["schur-check", "--expr", "0.5*z1",
+                                  "--d", "1", "--N", "4"])
+    assert code == 0 and rep["results"]["norm_estimate"] == 0.5
+    code = main(["schur-check", "--expr", "0.5*z1^5", "--d", "1", "--N", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "exceeds Fock truncation 4" in captured.err
+
+
+def _schur_symbol_file(directory, d, deg, p, seed):
+    """A random symbol of degree deg with sum_w ||B_w|| = 0.9, so Schur."""
+    rng = np.random.default_rng(seed)
+    words = [w for w in enumerate_tuples(d, deg) if rng.random() < 0.5]
+    words.append(tuple(rng.integers(1, d + 1, deg)))
+    coeffs = {w: rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+              for w in words}
+    total = sum(np.linalg.norm(m, 2) for m in coeffs.values())
+    F = FreeSeries.from_terms(d, deg, p, p,
+                              {w: 0.9 * m / total for w, m in coeffs.items()})
+    assert series_degree(F) == deg
+    path = directory / "symbol.json"
+    path.write_text(json.dumps(F.to_json()))
+    return str(path)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_truncation_at_or_below_degree_exits_one(tmp_path_factory, d, deg, p,
+                                                 seed, data):
+    """N <= deg(B) leaves no interior: every model-space command, and
+    schur-check when N < deg(B), refuses with exit 1 and a message that
+    names the truncation, never a traceback or a report."""
+    path = _schur_symbol_file(tmp_path_factory.mktemp("symbol"), d, deg, p,
+                              seed)
+    N = data.draw(st.integers(0, deg))
+    cmds = ["ce-test", "gleason-gap", "realize", "complete-column"]
+    for cmd in cmds + (["schur-check"] if N < deg else []):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([cmd, "--input", path, "--N", str(N)])
+        assert code == 1, (cmd, N)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert "truncation" in err.getvalue(), err.getvalue()
 
 
 def test_gleason_gap_csv_ladder(capsys):

@@ -12,7 +12,8 @@ from freehardy.series import (FreeSeries, MatrixPoint, cayley,
                               letter_series, multiplier_matrix, multiply,
                               normalize_schur, schur_norm_estimate,
                               word_powers)
-from freehardy.words import enumerate_tuples
+from freehardy import series
+from freehardy.words import enumerate_tuples, word_count
 
 from conftest import (ball_point, creation_oracle, random_series,
                       random_schur, transpose_unitary)
@@ -245,9 +246,77 @@ def test_schur_norm_estimates():
 
 def test_schur_norm_monotone(rng):
     F = random_series(rng, 2, 2)
-    vals = [schur_norm_estimate(F, N) for N in (2, 3, 4, 5)]
+    # N = 8 runs Lanczos, the others the dense SVD
+    vals = [schur_norm_estimate(F, N) for N in (2, 3, 4, 5, 8)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a - 1e-12
+
+
+def _dense_norm(F, N):
+    return float(np.linalg.norm(multiplier_matrix(F, Side.LEFT, N), 2))
+
+
+def _above_crossover(F, N):
+    return (F.d > 1 and word_count(F.d, N) * max(F.p, F.q)
+            >= series.LANCZOS_MIN_SIZE)
+
+
+@pytest.mark.parametrize("d, N, p, q", [
+    (2, 7, 1, 1), (2, 7, 2, 2), (2, 8, 1, 1), (2, 8, 2, 2), (3, 5, 1, 1),
+    (2, 7, 1, 3), (2, 7, 3, 1),
+])
+def test_lanczos_norm_matches_dense_norm(rng, d, N, p, q):
+    F = random_schur(rng, d, 2, p, q)
+    assert _above_crossover(F, N)
+    est = schur_norm_estimate(F, N)
+    assert abs(est - _dense_norm(F, N)) <= 1e-12 * est
+    # deterministic: the same bits on a repeated call
+    assert schur_norm_estimate(F, N) == est
+
+
+def test_schur_norm_switches_paths_on_size_and_alphabet(rng):
+    F = random_series(rng, 2, 2)
+    assert schur_norm_estimate(F, 8) == series._lanczos_norm(F, 8)
+    # below the crossover, and at d = 1 at any size, the dense norm bit for bit
+    assert not _above_crossover(F, 6)
+    assert schur_norm_estimate(F, 6) == _dense_norm(F, 6)
+    G = random_series(rng, 1, 3)
+    assert schur_norm_estimate(G, 300) == _dense_norm(G, 300)
+
+
+def _column_isometry(rng):
+    G = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    M = np.linalg.qr(G)[0]
+    return FreeSeries.from_terms(2, 1, 2, 2, {(1,): M[:2], (2,): M[2:]})
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: letter_series(2, 1, 1),
+    lambda rng: (letter_series(2, 1, 1) + letter_series(2, 1, 2))
+    * (1 / np.sqrt(2)),
+    _column_isometry,
+], ids=["z1", "unit row", "2x2 isometry"])
+@pytest.mark.parametrize("N", [7, 8])
+def test_lanczos_norm_of_column_extreme_symbols_is_one(rng, make, N):
+    F = make(rng)
+    assert _above_crossover(F, N)
+    est = schur_norm_estimate(F, N)
+    assert abs(est - 1.0) <= 1e-12
+    assert est <= 1.0 + 1e-8  # the default Schur gate of the CLI
+
+
+def test_lanczos_norm_of_zero_series():
+    F = FreeSeries(2, 2, np.zeros((word_count(2, 2), 2, 1)))
+    assert _above_crossover(F, 8)
+    assert schur_norm_estimate(F, 8) == 0.0
+
+
+def test_schur_norm_reads_series_degree_not_carried_degree():
+    F = letter_series(1, 6, 1) * 0.5  # carried to degree 6, degree 1
+    assert schur_norm_estimate(F, 4) == 0.5
+    G = FreeSeries.from_terms(1, 6, 1, 1, {(1,) * 5: [[0.5]]})
+    with pytest.raises(ValueError, match="degree 5 exceeds Fock truncation 4"):
+        schur_norm_estimate(G, 4)
 
 
 def test_normalize_schur(rng):
