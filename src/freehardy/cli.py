@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -358,7 +359,10 @@ def cmd_kernel_gram(args) -> int:
     return 0 if res["certified"] else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args fills a
+    new namespace from the defaults on every call."""
     top = argparse.ArgumentParser(prog="freehardy",
                                   description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

@@ -76,12 +76,11 @@ def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
     reversal is a unitary that fixes the vacuum and swaps left and right
     letter shifts.
 
-    D = I - T T* is formed on the full truncation and then compressed to
-    the interior grades; the top deg(B) grades only carry truncation
-    artifacts of the multiplier action and are discarded.  The interior
-    block equals I - T_M T_M* with T_M the multiplier at M, which is
-    cheaper to form; but it rounds differently, and eigh then picks other
-    bases in degenerate eigenspaces, so printed reports would change.
+    D = I - T_M T_M* is formed on the interior grades only, with T_M the
+    right multiplier of B at M.  A right multiplier only lengthens words,
+    so this is the interior block of I - T T* at the full truncation N;
+    the top deg(B) grades would only carry truncation artifacts of the
+    multiplier action.
     """
     if side is Side.LEFT:
         B = dagger_series(B)
@@ -104,10 +103,10 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
     M = N - degB
     if M < 1:
         raise ValueError(f"truncation {N} too small for degree {degB}")
-    T = multiplier_matrix(B, Side.RIGHT, N)
-    # words of length <= M come first in the graded order
-    m = word_count(B.d, M) * B.p
-    D = (np.eye(T.shape[0], dtype=complex) - T @ T.conj().T)[:m, :m].copy()
+    # a right multiplier only lengthens words, so terms longer than M and
+    # grades above M never reach the interior block of I - T T*
+    T = multiplier_matrix(B.truncate(min(degB, M)), Side.RIGHT, M)
+    D = np.eye(T.shape[0], dtype=complex) - T @ T.conj().T
     del T
     models = []
     for k in range(min(rungs, M)):

@@ -69,7 +69,9 @@ class Pinning:
 def szego_eval(Z: MatrixPoint, W: MatrixPoint, P: np.ndarray, deg: int) -> np.ndarray:
     """Truncated Szego sum, via the fixed point map S -> P + sum Z_k S W_k*.
 
-    Exact when either point is jointly nilpotent of order <= deg.
+    Exact when either point is jointly nilpotent of order <= deg.  The map
+    is deterministic, so the loop stops at the first iterate that repeats
+    its predecessor bit for bit: every later iterate would repeat it too.
     """
     P = np.asarray(P, dtype=complex)
     if P.shape != (Z.n, W.n):
@@ -78,7 +80,10 @@ def szego_eval(Z: MatrixPoint, W: MatrixPoint, P: np.ndarray, deg: int) -> np.nd
         raise ValueError("points live over different alphabets")
     S = P
     for _ in range(deg):
-        S = P + sum(Zk @ S @ Wk.conj().T for Zk, Wk in zip(Z.mats, W.mats))
+        prev, S = S, P + sum(Zk @ S @ Wk.conj().T
+                             for Zk, Wk in zip(Z.mats, W.mats))
+        if S.tobytes() == prev.tobytes():
+            break
     return S
 
 

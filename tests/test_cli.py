@@ -409,3 +409,26 @@ def test_square_only_commands_refuse_rectangular_symbol(capsys, tmp_path, cmd,
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_parser_is_built_once_and_keeps_its_defaults(capsys, monkeypatch):
+    import argparse
+    from freehardy import cli
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        if kwargs.get("prog") == "freehardy":
+            built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    base = ["schur-check", "--expr", "0.5*z1", "--d", "1", "--deg", "2"]
+    code, first = run_json(capsys, base + ["--N", "4", "--tol", "1e-3",
+                                           "--rank-tol", "1e-6", "--seed", "3"])
+    assert code == 0 and first["config"]["N"] == 4
+    code, second = run_json(capsys, base)
+    assert code == 0 and len(built) == 1
+    config = second["config"]
+    assert (config["N"], config["tol"], config["rank_tol"], config["seed"],
+            config["out"], config["format"]) == (6, 1e-8, 1e-10, 0, None, "json")

@@ -11,9 +11,11 @@ from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                kernel_identity_residual, l_invariance_test,
                                shift_compressions, square_completion, support,
                                szego_distance, vacuum_kernel)
+from freehardy.fock import Side
 from freehardy.parser import parse
-from freehardy.series import MatrixPoint, evaluate, letter_series, multiply
-from freehardy.words import enumerate_tuples
+from freehardy.series import (MatrixPoint, evaluate, letter_series,
+                              multiplier_matrix, multiply)
+from freehardy.words import enumerate_tuples, word_count
 
 from conftest import nilpotent_point, random_schur
 
@@ -95,6 +97,50 @@ def test_ladder_rungs_match_independent_models(d, N, p):
         assert abs(rung["gap_norm"] - want) <= 1e-12 * max(1.0, want)
     # the ladder stops at the last truncation that keeps an interior
     assert [r["N"] for r in extremality_gap(B, 3)["ladder"]] == [3]
+
+
+@pytest.mark.parametrize("deg,N", [(2, None), (3, 4)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_model_d_is_interior_block_of_full_truncation(monkeypatch, d, p,
+                                                      deg, N):
+    from freehardy import gleason
+    N = N or {1: 8, 2: 6, 3: 4}[d]
+    rng = np.random.default_rng(100 * d + 10 * deg + p)
+    B = random_schur(rng, d, deg, p, p, target=0.5, N=N)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(A, *args, **kwargs):
+        seen.append(np.array(A))
+        return eigh(A, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    model = gleason._models(B, N, 1, 1e-10, 1e-8)[0]
+    monkeypatch.undo()
+    T = multiplier_matrix(B, Side.RIGHT, N)
+    m = word_count(d, N - deg) * p
+    want = (np.eye(T.shape[0]) - T @ T.conj().T)[:m, :m]
+    assert model.M == N - deg and len(seen) == 1
+    assert np.abs(seen[0] - want).max() <= 1e-14
+
+
+def test_models_build_no_multiplier_above_interior(monkeypatch):
+    from freehardy import gleason
+    asked = []
+    multiplier = gleason.multiplier_matrix
+
+    def spy(F, side, N):
+        asked.append(N)
+        return multiplier(F, side, N)
+    monkeypatch.setattr(gleason, "multiplier_matrix", spy)
+    for expr, d, deg, N in (("0.5*z1 + 0.3*z2*z1", 2, 2, 6),
+                            ("0.4*z1*z1*z1 + 0.3*z2", 2, 3, 4),
+                            ("0.6*z1", 1, 1, 8)):
+        B = parse(expr, d, deg)
+        asked.clear()
+        extremality_gap(B, N)
+        dbr_model(B, N, side=Side.LEFT)
+        assert asked and max(asked) <= N - deg
 
 
 def test_ce_test_builds_shared_objects_once(monkeypatch):

@@ -16,8 +16,8 @@ from freehardy.series import (MatrixPoint, cayley,
                               szego_coords)
 from freehardy.words import enumerate_tuples, index_map
 
-from conftest import (nilpotent_point, random_schur, random_series,
-                      unit_vector)
+from conftest import (ball_point, nilpotent_point, random_schur,
+                      random_series, unit_vector)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -38,6 +38,39 @@ def test_szego_at_origin(rng):
     P = rng.standard_normal((3, 2))
     W = nilpotent_point(rng, 2, 2)
     assert np.array_equal(szego_eval(Z, W, P, 6), P)
+
+
+def _szego_full_length(Z, W, P, deg):
+    S = np.asarray(P, dtype=complex)
+    for _ in range(deg):
+        S = P + sum(Zk @ S @ Wk.conj().T for Zk, Wk in zip(Z.mats, W.mats))
+    return S
+
+
+@pytest.mark.parametrize("deg", [0, 1, 3, 8, 16])
+@pytest.mark.parametrize("d", [1, 2])
+def test_szego_stops_at_fixed_point_bitwise(d, deg):
+    rng = np.random.default_rng(20 + d)
+    pins = nilpotent_pins(d, 5, rng, n=3)
+    Z = direct_sum([pin.Z for pin in pins])
+    u = np.concatenate([pin.v for pin in pins])
+    W = direct_sum([pin.Z for pin in pins[::-1]])
+    origin = MatrixPoint(d, 3, [np.zeros((3, 3))] * d)
+    R = rng.standard_normal((15, 3)) + 1j * rng.standard_normal((15, 3))
+    for Z1, W1, P in ((Z, Z, np.outer(u, u.conj())), (Z, W, np.outer(u, u)),
+                      (Z, origin, R), (origin, origin, R[:3])):
+        want = _szego_full_length(Z1, W1, P, deg)
+        assert szego_eval(Z1, W1, P, deg).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("deg", [5, 40])
+def test_szego_ball_point_runs_full_length(rng, deg):
+    # geometric convergence: the iterates settle bitwise after about 20
+    # steps, so deg 5 ends before the fixed point and deg 40 after it
+    Z = ball_point(rng, 2, 3)
+    P = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    want = _szego_full_length(Z, Z, P, deg)
+    assert szego_eval(Z, Z, P, deg).tobytes() == want.tobytes()
 
 
 def test_szego_nilpotent_exact():
