@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import (FreeSeries, MatrixPoint, cayley, range_basis,
+from .series import (FreeSeries, MatrixPoint, _kron_sum, cayley, range_basis,
                      szego_coords, word_powers)
 from .words import enumerate_tuples, reversal, shift_indices, word_count
 
@@ -94,7 +94,7 @@ def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint) -> np.ndarray:
         out += 1j * np.kron(np.eye(n), mu.im_h0)
     out -= np.kron(np.eye(n), mu.array[0])
     moms = mu.array[reversal(Z.d, deg)].conj().transpose(0, 2, 1)
-    out += 2.0 * np.einsum("wij,wkl->ikjl", pows, moms).reshape(n * p, n * p)
+    out += 2.0 * _kron_sum(pows, moms)
     return out
 
 

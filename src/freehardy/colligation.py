@@ -58,13 +58,21 @@ class Colligation:
         rows.append(np.hstack([self.C, self.D]))
         return np.vstack(rows)
 
+    def defects(self) -> dict:
+        """max(0, ||U|| - 1) and ||U U* - I|| from one SVD: U U* has
+        eigenvalues s^2, and zeros when U has more rows than columns."""
+        U = self.block_matrix()
+        s = np.linalg.svd(U, compute_uv=False)
+        return {"contraction_defect": max(0.0, float(s[0]) - 1.0),
+                "coisometry_defect": float(np.abs(s ** 2 - 1).max(
+                    initial=float(len(U) > len(s))))}
+
     def contraction_defect(self) -> float:
         """max(0, ||U|| - 1): zero iff the block matrix is a contraction."""
-        return max(0.0, float(np.linalg.norm(self.block_matrix(), 2)) - 1.0)
+        return self.defects()["contraction_defect"]
 
     def coisometry_defect(self) -> float:
-        U = self.block_matrix()
-        return float(np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0]), 2))
+        return self.defects()["coisometry_defect"]
 
     def isometry_defect(self) -> float:
         U = self.block_matrix()
@@ -126,9 +134,8 @@ def canonical_colligation(B: FreeSeries, N: int,
     U = Colligation(B.d, model.rank, B.q, B.p, shift_compressions(model),
                     gleason_maps(model), vacuum_kernel(model).conj().T,
                     B.coeff(()))
-    U.meta = {"contraction_defect": U.contraction_defect(),
-              "coisometry_defect": U.coisometry_defect(),
-              "model_rank": model.rank, "interior_degree": model.M}
+    U.meta = {**U.defects(), "model_rank": model.rank,
+              "interior_degree": model.M}
     return U
 
 

@@ -12,9 +12,10 @@ with the matrix level as the outer Kronecker factor.  Products clip to the
 smaller carried degree; overflow coefficients are dropped, never wrapped.
 
 In this layout, grade g of a product is a sum over s of row-major outer
-products of grade s of one factor with grade g - s of the other, one
-einsum per pair of grades, so Cayley transforms at degree 12..16 over
-d = 2 stay fast.
+products of grade s of one factor with grade g - s of the other: one
+BLAS matrix product per pair of grades, over max(0, g - deg G) <= s <=
+min(g, deg F) only, deg being the degree of the nonzero part.  So Cayley
+transforms at degree 12..16 over d = 2 stay fast.
 """
 
 from __future__ import annotations
@@ -256,18 +257,19 @@ def series_degree(F: FreeSeries) -> int:
                                side="right")) - 1
 
 
-def _grades(arr: np.ndarray, off: list[int]) -> list[np.ndarray]:
-    return [arr[off[g]:off[g + 1]] for g in range(len(off) - 1)]
-
-
-def _grade_product(F: list[np.ndarray], G: list[np.ndarray], g: int,
-                   s_min: int = 0) -> np.ndarray:
-    """Grade g of the product: word b.c with |b| = s sits at row-major
-    position (rank of b, rank of c) within the grade."""
-    out = 0
-    for s in range(s_min, g + 1):
-        x = np.einsum("ipk,jkq->ijpq", F[s], G[g - s])
-        out = out + x.reshape(-1, x.shape[2], x.shape[3])
+def _convolve(out: np.ndarray, F: np.ndarray, G: np.ndarray, off: list[int],
+              s_min: int, top_f: int, top_g: int) -> np.ndarray:
+    """Add to out, grades upward, F_b G_c over words b.c with |b| = s in
+    max(s_min, g - top_g) .. min(g, top_f): one matmul per (s, g) into the
+    row-major position (rank b, rank c) of b.c.  F may end at grade top_f,
+    and G may be out if s_min > 0."""
+    Og, Fg, Gg = ([x[i:j] for i, j in zip(off, off[1:])] for x in (out, F, G))
+    for g in range(len(off) - 1):
+        for s in range(max(s_min, g - top_g), min(g, top_f) + 1):
+            (n_s, p, k), (n_t, _, q) = Fg[s].shape, Gg[g - s].shape
+            x = Fg[s].reshape(-1, k) @ Gg[g - s].swapaxes(0, 1).reshape(k, -1)
+            Og[g].reshape(n_s, n_t, p, q)[...] += \
+                x.reshape(n_s, p, n_t, q).transpose(0, 2, 1, 3)
     return out
 
 
@@ -281,10 +283,10 @@ def multiply(F: FreeSeries, G: FreeSeries) -> FreeSeries:
         raise ValueError("shape mismatch in series product")
     deg = min(F.deg, G.deg)
     off = grade_offsets(F.d, deg)
-    Fg = _grades(F.truncate(deg).array, off)
-    Gg = _grades(G.truncate(deg).array, off)
-    out = np.concatenate([_grade_product(Fg, Gg, g) for g in range(deg + 1)])
-    return FreeSeries(F.d, deg, out)
+    out = np.zeros((off[-1], F.p, G.q), dtype=complex)
+    return FreeSeries(F.d, deg, _convolve(
+        out, F.truncate(deg).array, G.truncate(deg).array, off, 0,
+        series_degree(F), series_degree(G)))
 
 
 def strip_letter(F: FreeSeries, k: int) -> FreeSeries:
@@ -305,18 +307,16 @@ def invert_series(F: FreeSeries) -> FreeSeries:
     """Two-sided inverse up to the carried degree, by grade recursion."""
     if F.p != F.q:
         raise ValueError("only square series are invertible")
-    F0 = F.array[0]
     try:
-        F0inv = np.linalg.inv(F0)
+        F0inv = np.linalg.inv(F.array[0])
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("constant term is singular") from None
-    Fg = _grades(F.array, grade_offsets(F.d, F.deg))
-    out = [F0inv[None]]
-    for g in range(1, F.deg + 1):
-        # G_a = -F0inv . sum over splits a = b.c with nonempty F factor b
-        acc = _grade_product(Fg, out, g, s_min=1)
-        out.append(-np.einsum("pk,skq->spq", F0inv, acc))
-    return FreeSeries(F.d, F.deg, np.concatenate(out))
+    off, top = grade_offsets(F.d, F.deg), series_degree(F)
+    out = np.zeros(F.array.shape, dtype=complex)
+    out[0] = F0inv
+    # G_a = sum of (-F0inv F_b) G_c over splits a = b.c with 0 < |b| <= top
+    return FreeSeries(F.d, F.deg, _convolve(
+        out, -F0inv @ F.array[:off[top + 1]], out, off, 1, top, F.deg))
 
 
 def cayley(F: FreeSeries, direction: str) -> FreeSeries:
@@ -324,6 +324,10 @@ def cayley(F: FreeSeries, direction: str) -> FreeSeries:
 
     direction "schur_to_herglotz": H = (I + B)(I - B)^{-1}, needs ||B_0|| < 1.
     direction "herglotz_to_schur": B = (H - I)(H + I)^{-1}.
+
+    Each takes one inverse: with X = I - B, I + B = 2I - X, so
+    H = 2 X^{-1} - I; likewise B = I - 2 (H + I)^{-1}.  Truncation keeps
+    this exact: trunc((2I - X) Y) = 2Y - I when trunc(X Y) = I.
     """
     if F.p != F.q:
         raise ValueError("cayley needs square coefficients")
@@ -331,12 +335,11 @@ def cayley(F: FreeSeries, direction: str) -> FreeSeries:
     if direction == "schur_to_herglotz":
         if np.linalg.norm(F.coeff(()), 2) >= 1:
             raise np.linalg.LinAlgError("constant term not a strict contraction")
-        return multiply(I + F, invert_series(I - F))
+        return 2.0 * invert_series(I - F) - I
     if direction == "herglotz_to_schur":
-        H0 = F.coeff(())
-        if np.linalg.cond(np.eye(F.p) + H0) > 1e14:
+        if np.linalg.cond(np.eye(F.p) + F.coeff(())) > 1e14:
             raise np.linalg.LinAlgError("I + H(0) numerically singular")
-        return multiply(F - I, invert_series(F + I))
+        return I - 2.0 * invert_series(F + I)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -346,14 +349,14 @@ def cayley(F: FreeSeries, direction: str) -> FreeSeries:
 def word_powers(Z: MatrixPoint, deg: int) -> np.ndarray:
     """Array of Z^alpha for every word of length <= deg, graded-lex order."""
     off = grade_offsets(Z.d, deg)
-    n = Z.n
+    d, n, row = Z.d, Z.n, np.hstack(Z.mats)
     out = np.zeros((off[-1], n, n), dtype=complex)
     out[0] = np.eye(n)
-    for g in range(deg):
-        parents = out[off[g]:off[g + 1]]
-        for k in range(Z.d):
-            child = off[g + 1] + np.arange(len(parents)) * Z.d + k
-            out[child] = parents @ Z.mats[k]
+    for g in range(deg):  # child w.k of w sits at row (w, k) of grade g + 1
+        L = off[g + 1] - off[g]
+        x = out[off[g]:off[g + 1]].reshape(L * n, n) @ row
+        out[off[g + 1]:off[g + 2]].reshape(L, d, n, n)[...] = \
+            x.reshape(L, n, d, n).transpose(0, 2, 1, 3)
     return out
 
 
@@ -367,8 +370,8 @@ def szego_coords(Z: MatrixPoint, y, v, deg: int) -> np.ndarray:
 
 def evaluate(F: FreeSeries, Z: MatrixPoint) -> np.ndarray:
     """F(Z) = sum Z^alpha (x) F_alpha, an (n p) x (n q) matrix: a sum of
-    Kronecker products over at most 32 nonzero coefficients, one einsum
-    over every word above that."""
+    Kronecker products over at most 32 nonzero coefficients; above that,
+    one matrix product of the word powers of Z with the coefficients."""
     if F.d != Z.d:
         raise ValueError("alphabet mismatch between series and point")
     n = Z.n
@@ -377,8 +380,15 @@ def evaluate(F: FreeSeries, Z: MatrixPoint) -> np.ndarray:
         for w, m in F.terms():
             out += np.kron(Z.word_product(w), m)
         return out
-    Zp = word_powers(Z, F.deg)
-    return np.einsum("wij,wab->iajb", Zp, F.array).reshape(n * F.p, n * F.q)
+    return _kron_sum(word_powers(Z, F.deg), F.array)
+
+
+def _kron_sum(pows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_w pows[w] (x) coeffs[w]: one matmul over the words w into
+    entries ((i, j), (a, b)), transposed to the layout ((i, a), (j, b))."""
+    (w, n, _), (_, p, q) = pows.shape, coeffs.shape
+    x = pows.reshape(w, n * n).T @ coeffs.reshape(w, p * q)
+    return x.reshape(n, n, p, q).transpose(0, 2, 1, 3).reshape(n * p, n * q)
 
 
 # ---------------------------------------------------------------------------

@@ -432,3 +432,21 @@ def test_parser_is_built_once_and_keeps_its_defaults(capsys, monkeypatch):
     config = second["config"]
     assert (config["N"], config["tol"], config["rank_tol"], config["seed"],
             config["out"], config["format"]) == (6, 1e-8, 1e-10, 0, None, "json")
+
+
+def test_transfer_eval_singular_pencil_exits_one(capsys, tmp_path):
+    # the colligation of test_colligation's singular-pencil case: at Z = 1
+    # the state pencil I - Z A vanishes, so there is no value to report
+    from freehardy.colligation import Colligation
+    U = Colligation(1, 1, 1, 1, [np.eye(1)], [np.eye(1)], np.eye(1),
+                    np.zeros((1, 1)))
+    colligation = tmp_path / "colligation.json"
+    colligation.write_text(json.dumps(U.to_json()))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps([{"n": 1, "mats": [[[[1.0, 0.0]]]]}]))
+    out = tmp_path / "report.json"
+    code = main(["transfer-eval", "--input", str(colligation),
+                 "--points", str(points), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: state pencil numerically singular")

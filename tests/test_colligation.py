@@ -254,3 +254,38 @@ def test_complete_column_factors_one_rung(monkeypatch):
     monkeypatch.setattr(colligation, "gleason_maps", counted)
     complete_column(parse("0.9*z1", 1, 4), 10)
     assert calls == [10, 10]
+
+
+def _from_block(M, d, state):
+    """The colligation whose block matrix is M."""
+    rows = [M[k * state:(k + 1) * state] for k in range(d)]
+    bottom = M[d * state:]
+    return Colligation(d, state, M.shape[1] - state, len(bottom),
+                       [r[:, :state] for r in rows], [r[:, state:] for r in rows],
+                       bottom[:, :state], bottom[:, state:])
+
+
+@pytest.mark.parametrize("d, state, n_in, n_out", [
+    (1, 2, 3, 1),   # 3 x 5: U U* has every eigenvalue among the s^2
+    (1, 2, 1, 1),   # 3 x 3
+    (2, 2, 1, 1),   # 5 x 3: U U* has two zero eigenvalues besides the s^2
+    (3, 1, 2, 2),   # 5 x 3
+])
+def test_defects_match_their_definitions(rng, d, state, n_in, n_out):
+    # both defects come from one SVD; a random block and a partial isometry
+    # (the singular values of a tall one all equal 1, so only the missing
+    # ones make U U* - I nonzero) against the norms that define them
+    shape = (d * state + n_out, state + n_in)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Q = np.linalg.qr(M if shape[0] >= shape[1] else M.conj().T)[0]
+    for block in (M, Q if shape[0] >= shape[1] else Q.conj().T):
+        U = _from_block(block, d, state)
+        want = (max(0.0, np.linalg.norm(block, 2) - 1.0),
+                np.linalg.norm(block @ block.conj().T - np.eye(shape[0]), 2))
+        got = U.defects()
+        assert U.block_matrix().tobytes() == block.tobytes()
+        scale = max(1.0, np.linalg.norm(block, 2) ** 2)
+        assert abs(got["contraction_defect"] - want[0]) <= 1e-14 * scale
+        assert abs(got["coisometry_defect"] - want[1]) <= 1e-14 * scale
+        assert (U.contraction_defect(), U.coisometry_defect()) == (
+            got["contraction_defect"], got["coisometry_defect"])

@@ -13,6 +13,7 @@ from freehardy.series import (FreeSeries, MatrixPoint, cayley,
                               normalize_schur, schur_norm_estimate,
                               word_powers)
 from freehardy import series
+from freehardy.clark import MomentFunctional, herglotz_from_moments
 from freehardy.words import enumerate_tuples, word_count
 
 from conftest import (ball_point, creation_oracle, random_series,
@@ -396,7 +397,7 @@ def test_storage_matches_word_dict_oracle(data):
 @pytest.mark.parametrize("count", [20, 63])
 def test_evaluate_paths_match_kron_sum(rng, count):
     # 20 nonzero words take the Kronecker path, all 63 words of length <= 5
-    # the einsum path
+    # the word-power matrix product
     words = enumerate_tuples(2, 5)
     terms = {words[i]: rng.standard_normal((2, 3))
              + 1j * rng.standard_normal((2, 3))
@@ -418,3 +419,174 @@ def test_evaluate_multiplicative_property(seed):
     lhs = evaluate(multiply(F, G), Z)
     rhs = evaluate(F, Z) @ evaluate(G, Z)
     assert np.linalg.norm(lhs - rhs) < 5 * 0.25 ** 3 / 0.75
+
+
+# ---------------------------------------------------------------------------
+# grade arithmetic and evaluation against word-by-word references
+#
+# A floating-point sum of products is off by at most a small multiple of
+# eps times the sum of the magnitudes of its terms, whatever cancels.  So
+# each reference below also returns that magnitude, entry by entry, and
+# the computed value must agree within REL of it: a relative tolerance
+# that stays meaningful where the value itself cancels to near zero.
+REL = 1e-13
+
+
+def _word_dict(rng, d, top, p, q, dense):
+    """{word: p x q matrix} over words of length <= top: every word when
+    dense, else a handful of them, with complex standard normal entries."""
+    words = enumerate_tuples(d, top)
+    if not dense:
+        words = [words[i] for i in rng.choice(len(words), min(6, len(words)),
+                                              replace=False)]
+    return {w: rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+            for w in words}
+
+
+def _dict_product(F, G, deg):
+    """(FG)_a = sum over splits a = b.c of F_b G_c for |a| <= deg, and the
+    same sum of |F_b| |G_c|."""
+    out, mag = {}, {}
+    for b, x in F.items():
+        for c, y in G.items():
+            if len(b) + len(c) <= deg:
+                out[b + c] = out.get(b + c, 0) + x @ y
+                mag[b + c] = mag.get(b + c, 0) + abs(x) @ abs(y)
+    return out, mag
+
+
+def _close_to_dict(F, want, mag):
+    """Every coefficient of F within REL of the magnitude of its reference
+    sum; words the reference has no term at must hold exact zeros."""
+    zero = np.zeros((F.p, F.q))
+    for w in enumerate_tuples(F.d, F.deg):
+        err = np.abs(F.coeff(w) - want.get(w, zero))
+        assert np.all(err <= REL * mag.get(w, zero)), w
+
+
+def _terms(F):
+    return {w: m.copy() for w, m in F.terms()}
+
+
+def _abs_point(Z):
+    return MatrixPoint(Z.d, Z.n, [np.abs(m) for m in Z.mats])
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_multiply_matches_word_dict_reference(data):
+    # rectangular p x k by k x q, carried degrees 0..6 that may differ, and
+    # nonzero parts that may stop below the carried degree
+    d, p, k, q = (data.draw(st.integers(1, 3)) for _ in range(4))
+    deg_f, deg_g = (data.draw(st.integers(0, 6)) for _ in range(2))
+    top_f, top_g = (data.draw(st.integers(0, x)) for x in (deg_f, deg_g))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dense = d < 3 and data.draw(st.booleans())
+    Fd = _word_dict(rng, d, top_f, p, k, dense)
+    Gd = _word_dict(rng, d, top_g, k, q, dense)
+    F = FreeSeries.from_terms(d, deg_f, p, k, Fd)
+    G = FreeSeries.from_terms(d, deg_g, k, q, Gd)
+    H = multiply(F, G)
+    assert (H.deg, H.p, H.q) == (min(deg_f, deg_g), p, q)
+    _close_to_dict(H, *_dict_product(Fd, Gd, H.deg))
+
+
+def _unit_constant(rng, d, deg, p, top, radius):
+    """A square series whose constant term lies within radius of I (so it
+    is invertible with condition number at most (1 + r) / (1 - r)) and
+    whose other terms end at grade top."""
+    terms = _word_dict(rng, d, top, p, p, d < 3)
+    A = terms.get((), rng.standard_normal((p, p)))
+    terms[()] = np.eye(p) + radius * A / np.linalg.norm(A, 2)
+    return FreeSeries.from_terms(d, deg, p, p, terms)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_invert_series_is_two_sided_inverse(data):
+    d, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    deg = data.draw(st.integers(0, 6))
+    top = data.draw(st.integers(0, deg))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    F = _unit_constant(rng, d, deg, p, top, 0.5)
+    Fd, Gd = _terms(F), _terms(invert_series(F))
+    one = identity_series(d, deg, p)
+    for left, right in ((Fd, Gd), (Gd, Fd)):
+        _close_to_dict(one, *_dict_product(left, right, deg))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_cayley_equals_product_form(data):
+    # the one-inverse forms 2 (I - B)^{-1} - I and I - 2 (H + I)^{-1}
+    # against (I + B)(I - B)^{-1} and (H - I)(H + I)^{-1}, truncation and all
+    d, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    deg = data.draw(st.integers(0, 6))
+    top = data.draw(st.integers(0, deg))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    I = identity_series(d, deg, p)
+    B = _unit_constant(rng, d, deg, p, top, 0.6) - I      # ||B_0|| = 0.6
+    H = _unit_constant(rng, d, deg, p, top, 0.5)          # I + H_0 near 2I
+    for F, direction, X, Y in ((B, "schur_to_herglotz", I + B, I - B),
+                               (H, "herglotz_to_schur", H - I, H + I)):
+        Xd, Yinv = _terms(X), _terms(invert_series(Y))
+        old, mag = _dict_product(Xd, Yinv, deg)
+        _close_to_dict(cayley(F, direction), old, mag)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_word_powers_match_word_products(data):
+    d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    deg = data.draw(st.integers(0, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Z = ball_point(rng, d, n, radius=0.9)
+    pows = word_powers(Z, deg)
+    assert pows.shape == (word_count(d, deg), n, n)
+    for w, got in zip(enumerate_tuples(d, deg), pows):
+        err = np.abs(got - Z.word_product(w))
+        assert np.all(err <= REL * _abs_point(Z).word_product(w)), w
+
+
+def _kron_reference(terms, Z):
+    """sum over the terms of Z^w (x) F_w, and the same sum of magnitudes."""
+    absZ = _abs_point(Z)
+    want = sum(np.kron(Z.word_product(w), m) for w, m in terms.items())
+    mag = sum(np.kron(absZ.word_product(w), abs(m)) for w, m in terms.items())
+    return want, mag
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_evaluate_dense_branch_matches_kron_sum(data):
+    # more than 32 nonzero coefficients: d = 2 from degree 5, d = 3 from 4
+    d = data.draw(st.integers(2, 3))
+    deg = data.draw(st.integers(7 - d, 6))
+    p, q, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    terms = _word_dict(rng, d, deg, p, q, True)
+    assert len(terms) > 32
+    F = FreeSeries.from_terms(d, deg, p, q, terms)
+    Z = ball_point(rng, d, n, radius=0.9)
+    want, mag = _kron_reference(terms, Z)
+    assert np.all(np.abs(evaluate(F, Z) - want) <= REL * mag)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_herglotz_from_moments_matches_defining_sum(data):
+    d, p, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+    deg = data.draw(st.integers(0, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    moms = _word_dict(rng, d, deg, p, p, True)
+    im_h0 = rng.standard_normal((p, p)) if data.draw(st.booleans()) else None
+    mu = MomentFunctional(
+        d, deg, np.stack([moms[w] for w in enumerate_tuples(d, deg)]), im_h0)
+    Z = ball_point(rng, d, n, radius=0.9)
+    # H(Z) = i I (x) Im H_0 - I (x) mu(1) + 2 sum_a Z^a (x) mu(L^{a+})*
+    want, mag = _kron_reference({a: moms[a[::-1]].conj().T for a in moms}, Z)
+    im = np.zeros((p, p)) if im_h0 is None else im_h0
+    want = 2 * want + np.kron(np.eye(n), 1j * im - moms[()])
+    mag = 2 * mag + np.kron(np.eye(n), abs(im) + abs(moms[()]))
+    got = herglotz_from_moments(mu, Z)
+    assert np.all(np.abs(got - want) <= REL * mag)
