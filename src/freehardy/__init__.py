@@ -23,8 +23,8 @@ from .kernels import (KernelKind, KernelSpec, Pinning, coefficient_kernel,
 from .clark import (GnsModel, InvalidMomentsError, MomentFunctional,
                     cauchy_transform_matrix, clark_moments, cuntz_check,
                     gns_build, gns_kernel_coords, herglotz_from_moments,
-                    interior_isometry_defect, moment_matrix, vb_adjoint_defect,
-                    vb_build)
+                    herglotz_moments, interior_isometry_defect, moment_matrix,
+                    vb_adjoint_defect, vb_build)
 from .gleason import (CeObstructionError, DbrModel, NotSchurError, a_empty_sq,
                       ce_test, clark_gleason_residual,
                       clark_intertwining_residual, dbr_model, exactgs_residual,

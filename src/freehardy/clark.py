@@ -69,11 +69,16 @@ def clark_moments(B: FreeSeries, deg: int) -> MomentFunctional:
     """Moment functional of the Clark state attached to a Schur series B."""
     if B.p != B.q:
         raise ValueError("Clark moments need square coefficients")
-    H = cayley(B.truncate(deg), "schur_to_herglotz")
-    moments = 0.5 * H.array[reversal(B.d, deg)].conj().transpose(0, 2, 1)
+    return herglotz_moments(cayley(B.truncate(deg), "schur_to_herglotz"))
+
+
+def herglotz_moments(H: FreeSeries) -> MomentFunctional:
+    """Moment functional, to the carried degree of H, of the Herglotz
+    series H: mu(1) = Re H_0 and mu(L^a) = (1/2) H_{a+}^*."""
+    moments = 0.5 * H.array[reversal(H.d, H.deg)].conj().transpose(0, 2, 1)
     H0 = H.array[0]
     moments[0] = 0.5 * (H0 + H0.conj().T)
-    return MomentFunctional(B.d, deg, moments, (H0 - H0.conj().T) / 2j)
+    return MomentFunctional(H.d, H.deg, moments, (H0 - H0.conj().T) / 2j)
 
 
 def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint) -> np.ndarray:

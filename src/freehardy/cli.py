@@ -17,21 +17,20 @@ import functools
 import io
 import json
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .clark import (clark_moments, cuntz_check, gns_build,
-                    herglotz_from_moments, interior_isometry_defect,
-                    moment_matrix)
+                    herglotz_from_moments, herglotz_moments,
+                    interior_isometry_defect, moment_matrix)
 from .colligation import (Colligation, canonical_colligation, column_schur_defect,
                           complete_column, transfer_eval, transfer_series)
 from .gleason import CeObstructionError, NotSchurError, ce_test, extremality_gap
 from .kernels import KernelKind, KernelSpec, gram_psd_check, nilpotent_pins
 from .parser import ParseError, parse
 from .series import (FreeSeries, MatrixPoint, cayley, evaluate, json_field,
-                     mat_from_json, mat_to_json, schur_norm_estimate,
+                     mat_from_json, schur_norm_estimate,
                      series_degree)
 from .words import CapacityError
 
@@ -39,7 +38,7 @@ SCHEMA = "freehardy-report/1"
 
 
 def _point_json(Z: MatrixPoint) -> dict:
-    return {"n": Z.n, "mats": [mat_to_json(m) for m in Z.mats]}
+    return {"n": Z.n, "mats": Z.mats}
 
 
 def _point_from_json(data: dict, d: int) -> MatrixPoint:
@@ -84,9 +83,10 @@ def _load_points(args) -> list[MatrixPoint]:
     return _random_points(args.d, args.num_points, args.seed)
 
 
-# Reports are the bytes of json.dumps(x, sort_keys=True, indent=2), whose
-# indent forces the pure-Python encoder; _dumps formats each list in the
-# mat_to_json layout, the bulk of every report, in one pass.
+# Reports are the bytes of json.dumps(x, sort_keys=True, indent=2), with
+# each complex matrix written as json.dumps writes its mat_to_json lists;
+# the indent forces the pure-Python encoder, so _dumps writes the tree
+# itself and each matrix, the bulk of every report, from its array.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -102,18 +102,23 @@ def _atom(x) -> str | None:
     return _NONFINITE.get(text, text)
 
 
-def _pair_matrix(rows: list, level: int) -> str | None:
-    """Text of rows at `level` if equal-length rows of [re, im] floats."""
-    cells = list(chain.from_iterable(rows)) if set(map(type, rows)) == {list} else []
-    flat = list(chain.from_iterable(cells)) if set(map(type, cells)) == {list} else []
-    if (not flat or set(map(len, rows)) != {len(rows[0])}
-            or set(map(len, cells)) != {2} or set(map(type, flat)) != {float}):
-        return None
+def _matrix(m: np.ndarray, level: int) -> str:
+    """Text of the mat_to_json lists of a 2-D complex array nested `level`
+    deep.  Pairs whose bits are all zero share one string; only the other
+    entries are repr'd, in one batch."""
+    rows, cols = m.shape
     i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
-    text = list(map(float.__repr__, flat))
+    if not rows * cols:
+        return "[" + i1 + ("," + i1).join(["[]"] * rows) + i0 + "]" if rows else "[]"
+    ri = np.ascontiguousarray(m).view(float).reshape(-1, 2)
+    bits = ri.view(np.uint64)
+    nz = (bits[:, 0] | bits[:, 1]) != 0  # -0.0 is nonzero: it prints -0.0
+    text = list(map(float.__repr__, ri[nz].ravel().tolist()))
     it = map(_NONFINITE.get, text, text)
-    pairs = map(("," + i3).join, zip(it, it))
-    lines = map((i2 + "]," + i2 + "[" + i3).join, zip(*[pairs] * len(rows[0])))
+    cells = np.empty(rows * cols, dtype=object)
+    cells.fill("0.0," + i3 + "0.0")
+    cells[nz] = list(map(("," + i3).join, zip(it, it)))
+    lines = map((i2 + "]," + i2 + "[" + i3).join, cells.reshape(rows, cols).tolist())
     body = (i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3).join(lines)
     return f"[{i1}[{i2}[{i3}{body}{i2}]{i1}]{i0}]"
 
@@ -123,12 +128,13 @@ def _dumps(x, level: int = 0, out: list | None = None) -> str:
     top = out is None
     out = [] if top else out
     atom = _atom(x)
-    if atom is None and not isinstance(x, (list, tuple, dict)):
+    matrix = (type(x) is np.ndarray and x.ndim == 2
+              and x.dtype == np.complex128)
+    if atom is None and not matrix and not isinstance(x, (list, tuple, dict)):
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     brackets = "{}" if isinstance(x, dict) else "[]"
-    fast = _pair_matrix(x, level) if type(x) is list and x else None
-    if atom or fast or not x:
-        out.append(atom or fast or brackets)
+    if atom or matrix or not x:
+        out.append(atom or (_matrix(x, level) if matrix else brackets))
     else:
         indent = "\n" + "  " * (level + 1)
         for i, item in enumerate(sorted(x) if brackets == "{}" else x):
@@ -182,7 +188,7 @@ def _report(args, results: dict, truncation: dict | None = None) -> dict:
 def cmd_eval(args) -> int:
     F = _load_series(args)
     points = _load_points(args)
-    vals = [{"point": _point_json(Z), "value": mat_to_json(evaluate(F, Z))}
+    vals = [{"point": _point_json(Z), "value": evaluate(F, Z)}
             for Z in points]
     _emit(_report(args, {"values": vals, "num_points": len(points)}), args)
     return 0
@@ -222,7 +228,8 @@ def cmd_moments(args) -> int:
 def cmd_herglotz_verify(args) -> int:
     B = _load_series(args)
     H = cayley(B.truncate(max(B.deg, args.N)), "schur_to_herglotz")
-    mu = clark_moments(B, args.N)
+    # at deg(B) <= N both truncations are B.truncate(N): one Cayley transform
+    mu = herglotz_moments(H) if B.deg <= args.N else clark_moments(B, args.N)
     points = _load_points(args)
     worst = 0.0
     per_point = []
@@ -250,8 +257,8 @@ def cmd_gns(args) -> int:
                "eigenvalues": [float(v) for v in model.eigenvalues],
                "interior_isometry_defect": interior_isometry_defect(model)}
     if args.full:
-        results["moment_matrix"] = mat_to_json(moment_matrix(mu, args.N))
-        results["pi"] = [mat_to_json(P) for P in model.pi]
+        results["moment_matrix"] = moment_matrix(mu, args.N)
+        results["pi"] = model.pi
     rows = [{"index": i, "eigenvalue": float(v)}
             for i, v in enumerate(model.eigenvalues)]
     _emit(_report(args, results), args, rows)
@@ -289,7 +296,7 @@ def cmd_ce_test(args) -> int:
 def cmd_gleason_gap(args) -> int:
     B = _load_series(args)
     res = extremality_gap(B, args.N, tol=args.tol, rank_tol=args.rank_tol)
-    results = {"gap": mat_to_json(res["gap"]), "ladder": res["ladder"],
+    results = {"gap": res["gap"], "ladder": res["ladder"],
                "extremal": res["extremal"],
                "trend_decreasing": res["trend_decreasing"]}
     rows = [{"N": r["N"], "gap_norm": r["gap_norm"]} for r in res["ladder"]]
@@ -303,7 +310,7 @@ def cmd_realize(args) -> int:
     margin = args.N - series_degree(B)
     diff = transfer_series(U, margin).array - B.truncate(margin).array
     err = max(float(np.linalg.norm(m)) for m in diff)
-    results = {"colligation": U.to_json(), "roundtrip_error": err,
+    results = {"colligation": U.fields(), "roundtrip_error": err,
                "contraction_defect": U.meta["contraction_defect"],
                "coisometry_defect": U.meta["coisometry_defect"],
                "state_dim": U.state_dim}
@@ -321,7 +328,7 @@ def cmd_transfer_eval(args) -> int:
     args.d = U.d
     points = _load_points(args)
     vals = [{"point": _point_json(Z),
-             "value": mat_to_json(transfer_eval(U, Z))} for Z in points]
+             "value": transfer_eval(U, Z)} for Z in points]
     _emit(_report(args, {"values": vals}), args)
     return 0
 
@@ -330,11 +337,11 @@ def cmd_complete_column(args) -> int:
     A = _load_series(args)
     res = complete_column(A, args.N, tol=args.tol, rank_tol=args.rank_tol)
     defect = column_schur_defect(A, res["a"], min(args.N, 6))
-    results = {"a": res["a"].to_json(), "a0": mat_to_json(res["a0"]),
+    results = {"a": res["a"].to_json(), "a0": res["a0"],
                "isometry_defect": res["isometry_defect"],
                "membership_residual": res["membership_residual"],
                "column_gram_defect": defect,
-               "colligation": res["U"].to_json()}
+               "colligation": res["U"].fields()}
     _emit(_report(args, results), args)
     return 0
 

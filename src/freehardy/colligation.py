@@ -78,12 +78,17 @@ class Colligation:
         U = self.block_matrix()
         return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1]), 2))
 
-    def to_json(self) -> dict:
+    def fields(self) -> dict:
+        """The fields of the file format, matrices as complex arrays."""
         return {"d": self.d, "state_dim": self.state_dim,
                 "in_dim": self.in_dim, "out_dim": self.out_dim,
-                "A": [mat_to_json(a) for a in self.A],
-                "B": [mat_to_json(b) for b in self.B],
-                "C": mat_to_json(self.C), "D": mat_to_json(self.D)}
+                "A": list(self.A), "B": list(self.B), "C": self.C, "D": self.D}
+
+    def to_json(self) -> dict:
+        """fields() with each matrix as nested [re, im] lists."""
+        return {k: [mat_to_json(m) for m in v] if isinstance(v, list)
+                else mat_to_json(v) if isinstance(v, np.ndarray) else v
+                for k, v in self.fields().items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Colligation":

@@ -94,7 +94,12 @@ def grade_offsets(d: int, N: int) -> list[int]:
     """Position of the first word of each grade 0..N+1 in the graded
     basis of words of length <= N; the last entry is the basis size."""
     _check_cap(d, N)
-    return [word_count(d, g - 1) for g in range(N + 2)]
+    return list(_grade_offsets(d, N))
+
+
+@lru_cache(maxsize=None)
+def _grade_offsets(d: int, N: int) -> tuple[int, ...]:
+    return tuple(word_count(d, g - 1) for g in range(N + 2))
 
 
 def shift_indices(d: int, N: int, w: tuple[int, ...],

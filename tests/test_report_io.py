@@ -1,7 +1,8 @@
 """Report writing and input-file decoding at the CLI boundary.
 
 Reports must keep the bytes of json.dumps(report, sort_keys=True,
-indent=2); malformed series, point and colligation files must end in exit
+indent=2), with each complex array in a report written as its mat_to_json
+lists; malformed series, point and colligation files must end in exit
 1 with a message, never a traceback.
 """
 
@@ -20,8 +21,19 @@ from freehardy.parser import parse
 from freehardy.series import mat_to_json
 
 
+def as_lists(x):
+    """x with every ndarray replaced by its mat_to_json lists."""
+    if isinstance(x, np.ndarray):
+        return mat_to_json(x)
+    if isinstance(x, dict):
+        return {k: as_lists(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(as_lists, x))
+    return x
+
+
 def reference(x) -> str:
-    return json.dumps(x, sort_keys=True, indent=2)
+    return json.dumps(as_lists(x), sort_keys=True, indent=2)
 
 
 # -- the writer ---------------------------------------------------------------
@@ -30,7 +42,7 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 TEXT = st.one_of(st.text(max_size=8),
                  st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f",
                                   "é", " ", "\U0001f600", ""]))
-# leaves json.dumps writes but the fast path must refuse: not a float
+# leaves json.dumps writes that are not floats
 NOT_FLOAT = {"int": st.integers(-9, 9), "bool": st.booleans(),
              "float64": FLOATS.map(np.float64)}
 
@@ -38,8 +50,8 @@ NOT_FLOAT = {"int": st.integers(-9, 9), "bool": st.booleans(),
 @st.composite
 def pair_matrices(draw):
     """Lists in the mat_to_json layout, most of them exact, the rest with
-    one defect the fast path must refuse: a leaf that is not a float, a
-    ragged row, a pair of the wrong length or a tuple."""
+    one defect: a leaf that is not a float, a ragged row, a pair of the
+    wrong length or a tuple."""
     rows, width = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     m = [[[draw(FLOATS), draw(FLOATS)] for _ in range(width)]
          for _ in range(rows)]
@@ -85,24 +97,53 @@ def test_writer_examples(x):
     assert cli._dumps(x) == reference(x)
 
 
-def test_fast_path_takes_the_complex_matrix_layout():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    m[0, 0] = complex(np.nan, np.inf)
-    rows = mat_to_json(m)
-    assert cli._pair_matrix(rows, 2) is not None
-    assert cli._dumps({"m": rows}) == reference({"m": rows})
-    rows[1][2][0] = 1  # an int leaf sends the matrix down the generic path
-    assert cli._pair_matrix(rows, 2) is None
-    assert cli._dumps({"m": rows}) == reference({"m": rows})
+ENTRIES = st.one_of(FLOATS, st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+     -2.5e-310, 2.2250738585072014e-308]))
+
+
+@st.composite
+def complex_arrays(draw):
+    """2-D complex arrays of every shape 0..4 x 0..4, mostly exact zeros:
+    built complex or cast from float, contiguous, transposed or sliced."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    view = draw(st.sampled_from(["plain", "float", "transposed", "sliced"]))
+    shape = {"transposed": (cols, rows), "sliced": (2 * rows, cols + 1)}.get(
+        view, (rows, cols))
+    parts = [np.array(draw(st.lists(st.one_of(st.just(0.0), ENTRIES),
+                                    min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1])),
+                      dtype=float).reshape(shape) for _ in range(2)]
+    m = parts[0].astype(complex)
+    if view != "float":
+        m.imag = parts[1]
+    return m.T if view == "transposed" else m[::2, 1:] if view == "sliced" else m
+
+
+@st.composite
+def nested_arrays(draw):
+    """A complex array nested 0..3 deep in lists and dicts, beside other
+    values."""
+    x = draw(complex_arrays())
+    for _ in range(draw(st.integers(0, 3))):
+        other = draw(st.one_of(complex_arrays(), FLOATS, TEXT))
+        x = draw(st.sampled_from([[x], [other, x], {"m": x, "k": other}]))
+    return x
+
+
+@settings(max_examples=300)
+@given(nested_arrays())
+def test_array_writer_matches_json_dumps_of_its_lists(x):
+    assert cli._dumps(x) == reference(x)
 
 
 @pytest.mark.parametrize("x", [np.bool_(True), np.int64(3), [np.int64(1)],
                                [[[np.bool_(False), 1.0]]], {"a": {1}},
-                               {(1, 2): 0.0}])
+                               {(1, 2): 0.0}, np.zeros((2, 2)),
+                               np.ones((2, 2), dtype=int)])
 def test_writer_rejects_what_json_rejects(x):
     with pytest.raises(TypeError):
-        reference(x)
+        json.dumps(x)
     with pytest.raises(TypeError):
         cli._dumps(x)
 
@@ -112,6 +153,19 @@ def colligation_file(tmp_path):
     U = canonical_colligation(parse("0.5*z1+0.3*z2*z1", 2, 2), 4)
     path = tmp_path / "colligation.json"
     path.write_text(json.dumps(U.to_json()))
+    return str(path)
+
+
+@pytest.fixture
+def matrix_symbol_file(tmp_path):
+    """B = A1 z1 + A2 z2 with 2 x 2 coefficients, a non-extreme column."""
+    data = {"d": 2, "deg": 1, "p": 2, "q": 2,
+            "terms": [{"word": [1], "re": [[0.3, 0.1], [0.0, -0.2]],
+                       "im": [[0.0, 0.2], [0.1, 0.0]]},
+                      {"word": [2], "re": [[0.1, 0.0], [-0.25, 0.3]],
+                       "im": [[-0.1, 0.0], [0.0, 0.15]]}]}
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -137,10 +191,15 @@ SYMBOL = ["--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2", "--N", "4"]
     ["complete-column"] + SYMBOL,
     ["complete-column", "--expr", "z1", "--d", "1", "--deg", "1"],
     ["kernel-gram"] + SYMBOL + ["--num-points", "4"],
+    ["realize", "--input", "MATRIX_SYMBOL", "--d", "2", "--N", "5"],
+    ["complete-column", "--input", "MATRIX_SYMBOL", "--d", "2", "--N", "5"],
 ], ids=lambda argv: "-".join(a for a in argv[:1] + argv[-1:]))
 def test_every_command_writes_json_dumps_bytes(capsys, monkeypatch,
-                                               colligation_file, argv):
-    argv = [colligation_file if a == "COLLIGATION" else a for a in argv]
+                                               colligation_file,
+                                               matrix_symbol_file, argv):
+    files = {"COLLIGATION": colligation_file,
+             "MATRIX_SYMBOL": matrix_symbol_file}
+    argv = [files.get(a, a) for a in argv]
     built = []
     emit = cli._emit
 
