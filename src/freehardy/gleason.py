@@ -26,7 +26,7 @@ from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
                      dagger_series, letter_series, multiplier_matrix,
-                     multiply, range_basis, schur_norm_estimate,
+                     range_basis, schur_norm_estimate,
                      series_degree, strip_letter, szego_coords)
 from .words import word_count
 
@@ -331,14 +331,13 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     n_pin = 4
     pins = nilpotent_pins(B.d, word_count(B.d, n_pin - 1) + 2,
                           np.random.default_rng(seed), n=n_pin, scale=0.85)
+    # a unit coefficient direction per pin, from a stream of its own
+    hrng = np.random.default_rng([seed, 1])
+    for pin in pins:
+        h = hrng.standard_normal(Bsq.p) + 1j * hrng.standard_normal(Bsq.p)
+        pin.h = h / np.linalg.norm(h)
     spec = KernelSpec(KernelKind.DBR_LEFT, Bsq, deg=2 * N)
-    lam = 0.0
-    for j in range(Bsq.q):
-        h = np.zeros((Bsq.q, 1), dtype=complex)
-        h[j, 0] = 1.0
-        f = multiply(Bsq, constant_series(Bsq.d, Bsq.deg, h))
-        r = membership_norm(spec, f, pins)["lambda"]
-        lam = max(lam, r)
+    lam = membership_norm(spec, Bsq, pins)["lambda"]
     by_membership = not math.isfinite(lam)
 
     if B.p == B.q and gns is not None:

@@ -12,6 +12,13 @@ where Gt is the transpose series of the right multiplier symbol G,
 K_amp is the Szego sum over ampliated points Z_k (x) I, and H is the
 Cayley transform of the Schur symbol B.  Positivity of the dBR kernels
 over all pins certifies Schur class membership up to truncation.
+
+Kernels are computed on stacks of blocks, never at a dense direct sum:
+points (the pins of a Gram, one per side for kernel_eval) are stacked as
+(d, k, n, n), padded with zeros to one level, which is exact since kernels
+respect direct sums.  Letters act on the one dense Szego sum by batched
+block products, each series is evaluated once per block, and a Gram is
+contracted with y (x) h before any (k n p)^2 kernel matrix is formed.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .series import (FreeSeries, MatrixPoint, cayley, dagger_series,
-                     direct_sum, evaluate)
+from .series import (FreeSeries, MatrixPoint, _kron_sum, cayley,
+                     dagger_series, series_degree, word_powers)
 
 
 class KernelKind(Enum):
@@ -66,88 +73,136 @@ class Pinning:
             self.h = np.asarray(self.h, dtype=complex).reshape(-1)
 
 
-def szego_eval(Z: MatrixPoint, W: MatrixPoint, P: np.ndarray, deg: int) -> np.ndarray:
-    """Truncated Szego sum, via the fixed point map S -> P + sum Z_k S W_k*.
+def _rows(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Z X for a stack Z of k blocks: Z_i on row block i."""
+    return (Z @ X.reshape(len(Z), Z.shape[2], -1)).reshape(-1, X.shape[1])
+
+
+def _cols(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X W* for a stack W of l blocks: W_j* on column block j."""
+    out = np.empty((len(X), *W.shape[:2]), dtype=complex)
+    np.matmul(X.reshape(len(X), len(W), -1).transpose(1, 0, 2),
+              W.conj().swapaxes(1, 2), out=out.transpose(1, 0, 2))
+    return out.reshape(len(X), -1)
+
+
+def _szego(Z: np.ndarray, W: np.ndarray, P: np.ndarray, deg: int) -> np.ndarray:
+    """Truncated Szego sum sum_{|a| <= deg} Z^a P (W^a)* of block stacks,
+    via the fixed point map S -> P + sum_k Z_k S W_k*.
 
     Exact when either point is jointly nilpotent of order <= deg.  The map
     is deterministic, so the loop stops at the first iterate that repeats
     its predecessor bit for bit: every later iterate would repeat it too.
     """
-    P = np.asarray(P, dtype=complex)
-    if P.shape != (Z.n, W.n):
-        raise ValueError(f"P must be {Z.n} x {W.n}, got {P.shape}")
-    if Z.d != W.d:
-        raise ValueError("points live over different alphabets")
     S = P
     for _ in range(deg):
-        prev, S = S, P + sum(Zk @ S @ Wk.conj().T
-                             for Zk, Wk in zip(Z.mats, W.mats))
+        prev, S = S, P + sum(_cols(_rows(Zk, S), Wk) for Zk, Wk in zip(Z, W))
         if S.tobytes() == prev.tobytes():
             break
     return S
 
 
-def _ampliate(Z: MatrixPoint, p: int) -> MatrixPoint:
-    if p == 1:
-        return Z
-    return MatrixPoint(Z.d, Z.n * p,
-                       [np.kron(m, np.eye(p)) for m in Z.mats])
+def _values(F: FreeSeries, Z: np.ndarray) -> np.ndarray:
+    """F at each block of a stack, as (k, n p, n q)."""
+    F = F.truncate(series_degree(F))
+    return _kron_sum(word_powers(Z, F.deg), F.array)
+
+
+def _adjoint(F: FreeSeries, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F(Z_i)* X_i for each block, as (k, n, q, r), X of shape (k, n, p, r)."""
+    k, n, p, r = X.shape
+    Fx = _values(F, Z).conj().swapaxes(1, 2) @ X.reshape(k, n * p, r)
+    return Fx.reshape(k, n, -1, r)
+
+
+def _pair(a: np.ndarray, S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The blocks a_i* (S_ij (x) I_t) b_j, as (k, l, r, s), for a of shape
+    (k, n, t, r), b of shape (l, m, t, s) and S of shape (k n, l m)."""
+    (k, n, t, r), (l, m, _, s) = a.shape, b.shape
+    Sb = S.reshape(k * n, l, m).transpose(1, 0, 2) @ b.reshape(l, m, -1)
+    return np.einsum("ixtr,jixts->ijrs", a.conj(), Sb.reshape(l, k, n, t, s))
+
+
+def _kernel(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, P: np.ndarray,
+            X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The blocks X_i* K(Z_i, W_j)[P_ij] Y_j, as (k, l, r, s), for stacks
+    Z (d, k, n, n) and W (d, l, m, m), P of shape (k n, l m) with blocks
+    P_ij, and X, Y of shapes (k, n, p, r) and (l, m, p, s)."""
+    S = _szego(Z, W, P, spec.deg)
+    G, B = _pair(X, S, Y), spec.B
+    if spec.kind is KernelKind.SZEGO:
+        return G
+    if spec.kind is KernelKind.DBR_LEFT:
+        return G - _pair(_adjoint(B, Z, X), S, _adjoint(B, W, Y))
+    if spec.kind is KernelKind.DBR_RIGHT:
+        Bd, (k, n, p, r), (l, m, _, s) = dagger_series(B), X.shape, Y.shape
+        Gz, Gw = (_values(Bd, V).reshape(V.shape[1], -1, V.shape[2], B.q)
+                  for V in (Z, W))
+        Q = sum(_cols(_rows(Gz[..., c], P), Gw[..., c]) for c in range(B.q))
+        # with rows (i, x, t) taken as (t, i, x), and columns likewise, the
+        # ampliated sum is the Szego sum at the blocks repeated p times
+        Q = Q.reshape(k, n, p, l, m, p).transpose(2, 0, 1, 5, 3, 4)
+        T = _szego(np.tile(Z, (1, p, 1, 1)), np.tile(W, (1, p, 1, 1)),
+                   Q.reshape(p * k * n, p * l * m), spec.deg)
+        Xt, Yt = (V.transpose(2, 0, 1, 3)[:, :, :, None] for V in (X, Y))
+        amp = _pair(Xt.reshape(p * k, n, 1, r), T, Yt.reshape(p * l, m, 1, s))
+        return G - amp.reshape(p, k, p, l, r, s).sum((0, 2))
+    if spec.kind is KernelKind.HERGLOTZ:
+        H = cayley(B, "schur_to_herglotz")
+        return 0.5 * (_pair(_adjoint(H, Z, X), S, Y) + _pair(X, S, _adjoint(H, W, Y)))
+    raise ValueError(f"unknown kernel kind {spec.kind}")
+
+
+def _one_block(Z: MatrixPoint, W: MatrixPoint, P: np.ndarray):
+    """Z and W as stacks of one block, and P, once checked to pair them."""
+    P = np.asarray(P, dtype=complex)
+    if P.shape != (Z.n, W.n):
+        raise ValueError(f"P must be {Z.n} x {W.n}, got {P.shape}")
+    if Z.d != W.d:
+        raise ValueError("points live over different alphabets")
+    return np.array(Z.mats)[:, None], np.array(W.mats)[:, None], P
+
+
+def szego_eval(Z: MatrixPoint, W: MatrixPoint, P: np.ndarray, deg: int) -> np.ndarray:
+    """Truncated Szego sum sum_{|a| <= deg} Z^a P (W^a)*, one block a side."""
+    return _szego(*_one_block(Z, W, P), deg)
 
 
 def kernel_eval(spec: KernelSpec, Z: MatrixPoint, W: MatrixPoint,
                 P: np.ndarray) -> np.ndarray:
-    """Kernel value as an (n p) x (m p) matrix, p = coefficient dimension."""
-    S = szego_eval(Z, W, P, spec.deg)
-    if spec.kind is KernelKind.SZEGO:
-        return S
-    B = spec.B
-    if spec.kind is KernelKind.DBR_LEFT:
-        AZ = evaluate(B, Z)
-        AW = evaluate(B, W)
-        return np.kron(S, np.eye(B.p)) - AZ @ np.kron(S, np.eye(B.q)) @ AW.conj().T
-    if spec.kind is KernelKind.DBR_RIGHT:
-        Bd = dagger_series(B)
-        GZ = evaluate(Bd, Z)
-        GW = evaluate(Bd, W)
-        inner = GZ @ np.kron(P, np.eye(B.q)) @ GW.conj().T
-        amp = szego_eval(_ampliate(Z, B.p), _ampliate(W, B.p), inner, spec.deg)
-        return np.kron(S, np.eye(B.p)) - amp
-    if spec.kind is KernelKind.HERGLOTZ:
-        H = cayley(B, "schur_to_herglotz")
-        HZ = evaluate(H, Z)
-        HW = evaluate(H, W)
-        amp_p = np.kron(S, np.eye(B.p))
-        return 0.5 * (HZ @ amp_p + amp_p @ HW.conj().T)
-    raise ValueError(f"unknown kernel kind {spec.kind}")
+    """Kernel value as an (n p) x (m p) matrix, p = coefficient dimension:
+    kernel_gram's routine at one block a side, read through identities."""
+    p = spec.coeff_dim()
+    X, Y = (np.eye(V.n * p).reshape(1, V.n, p, -1) for V in (Z, W))
+    return _kernel(spec, *_one_block(Z, W, P), X, Y)[0, 0]
 
 
-def _amplified_ys(pins: list[Pinning], p: int) -> np.ndarray:
-    """Matrix whose column i is pin i's y (x) h, placed in block i of the
-    direct sum of the pins' spaces; h defaults to ones / sqrt(p)."""
-    Y = np.zeros((sum(pin.Z.n for pin in pins) * p, len(pins)), dtype=complex)
-    lo = 0
+def _stack_pins(pins: list[Pinning], p: int):
+    """The pins' points as one (d, k, n, n) block stack, v as (k, n) and
+    y (x) h as (k, n, p, 1), padded with zeros to the largest level n; h
+    is ones / sqrt(p) by default, and is ignored at p = 1."""
+    if len({pin.Z.d for pin in pins}) != 1:
+        raise ValueError("pins live over different alphabets")
+    k, n = len(pins), max(pin.Z.n for pin in pins)
+    Z = np.zeros((pins[0].Z.d, k, n, n), dtype=complex)
+    y, v = np.zeros((2, k, n), dtype=complex)
     for i, pin in enumerate(pins):
-        h = pin.h if pin.h is not None and p > 1 else np.ones(p) / math.sqrt(p)
-        if len(h) != p:
-            raise ValueError(f"coefficient vector h must have length {p}")
-        Y[lo:lo + pin.Z.n * p, i] = np.kron(pin.y, h)
-        lo += pin.Z.n * p
-    return Y
+        Z[:, i, :pin.Z.n, :pin.Z.n] = pin.Z.mats
+        y[i, :pin.Z.n], v[i, :pin.Z.n] = pin.y, pin.v
+    h = [pin.h if pin.h is not None and p > 1 else np.ones(p) / math.sqrt(p)
+         for pin in pins]
+    if any(len(x) != p for x in h):
+        raise ValueError(f"coefficient vector h must have length {p}")
+    return Z, v, (y[:, :, None] * np.array(h)[:, None, :])[..., None]
 
 
 def kernel_gram(spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
-    """Gram matrix G_ij = y_i* K(Z_i, Z_j)[v_i v_j*] y_j over the pins.
-
-    Kernels respect direct sums, so K is evaluated once at
-    Z = Z_1 (+) ... (+) Z_k with P = u u*, u = (v_1; ...; v_k); block
-    (i, j) of that value is the kernel at the pair (Z_i, Z_j).
-    """
-    p = spec.coeff_dim()
-    u = np.concatenate([pin.v for pin in pins])
-    Z = direct_sum([pin.Z for pin in pins])
-    K = kernel_eval(spec, Z, Z, np.outer(u, u.conj()))
-    Y = _amplified_ys(pins, p)
-    G = Y.conj().T @ K @ Y
+    """Gram matrix G_ij = (y_i (x) h_i)* K(Z_i, Z_j)[v_i v_j*] (y_j (x) h_j)
+    over the pins, h as in _stack_pins, from their blocks at P = u u*, u
+    the stacked v: DbrLeft, for instance, is (Y* S Y) o (H H*) - sum_r
+    a_r* S a_r, with a_i = A(Z_i)* (y_i (x) h_i) as an n x q matrix."""
+    Z, v, yh = _stack_pins(pins, spec.coeff_dim())
+    G = _kernel(spec, Z, Z, np.outer(v, v.conj()), yh, yh)[:, :, 0, 0]
     return 0.5 * (G + G.conj().T)
 
 
@@ -168,23 +223,22 @@ def gram_psd_check(spec: KernelSpec, pins: list[Pinning],
             "gram": G}
 
 
-def _rank_one_gram(f: FreeSeries, spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
-    """Gram of the rank-one kernel f(Z)(P (x) I) f(W)* over the pins.
-
-    Built from evaluate so membership tests inherit the evaluator's
-    conventions.  Entry (i, j) is u_i* u_j where u = (v (x) I)* f(Z)* y_amp.
-    """
-    p = spec.coeff_dim()
-    if f.p != p:
+def _rank_one_vectors(f: FreeSeries, spec: KernelSpec,
+                      pins: list[Pinning]) -> np.ndarray:
+    """Row i is u_i = (v_i (x) I)* f(Z_i)* (y_i (x) h_i), from one
+    evaluation of f per pin: the Gram u_i* u_j is that of the kernel
+    f(Z)(P (x) I) f(W)*, and column c of u gives that of f's column c."""
+    if f.p != spec.coeff_dim():
         raise ValueError(f"series output dimension {f.p} does not match "
-                         f"kernel coefficient dimension {p}")
-    Z = direct_sum([pin.Z for pin in pins])
-    u = np.concatenate([pin.v for pin in pins])
-    # f is evaluated once, at the direct sum; column k of f(Z)* Y lives
-    # in block k, where u holds v_k
-    W = evaluate(f, Z).conj().T @ _amplified_ys(pins, p)
-    U = np.einsum("r,rqk->qk", u.conj(), W.reshape(Z.n, f.q, len(pins)))
-    G = U.conj().T @ U
+                         f"kernel coefficient dimension {spec.coeff_dim()}")
+    Z, v, yh = _stack_pins(pins, f.p)
+    return np.einsum("is,isc->ic", v.conj(), _adjoint(f, Z, yh)[..., 0])
+
+
+def _rank_one_gram(f: FreeSeries, spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
+    """Gram of the kernel f(Z)(P (x) I) f(W)* over the pins."""
+    U = _rank_one_vectors(f, spec, pins)
+    G = U.conj() @ U.T
     return 0.5 * (G + G.conj().T)
 
 
@@ -193,20 +247,24 @@ MEMBERSHIP_CAP = 1e3
 
 def membership_norm(spec: KernelSpec, f: FreeSeries, pins: list[Pinning],
                     tol: float = 1e-8) -> dict:
-    """Smallest lambda with lambda^2 Gram_K - Gram_f psd (up to tol), by
-    bisection: a lower bound for the RKHS norm of f witnessed by the pins.
+    """Smallest lambda with lambda^2 Gram_K - Gram_c psd (up to tol) for
+    every column c of a p x r series f, Gram_c the rank-one Gram of that
+    column, by bisection: the largest of the columns' lower bounds for
+    their RKHS norms witnessed by the pins, from one kernel Gram and one
+    evaluation of f per pin.  At r = 1 it is the bound for f.
 
     Returns math.inf when no lambda below the cap certifies; with
-    refining pin families this is evidence (not proof) that f lies
+    refining pin families this is evidence (not proof) that a column lies
     outside the space.
     """
     GK = kernel_gram(spec, pins)
-    Gf = _rank_one_gram(f, spec, pins)
-    scale = max(1.0, float(np.linalg.norm(GK, 2)), float(np.linalg.norm(Gf, 2)))
+    Gfs = [np.outer(u.conj(), u) for u in _rank_one_vectors(f, spec, pins).T]
+    Gfs = [(0.5 * (G + G.conj().T), max(1.0, float(np.linalg.norm(GK, 2)),
+                                         float(np.linalg.norm(G, 2)))) for G in Gfs]
 
     def ok(lam: float) -> bool:
-        M = lam * lam * GK - Gf
-        return bool(np.linalg.eigvalsh(M)[0] >= -tol * scale)
+        return all(np.linalg.eigvalsh(lam * lam * GK - Gf)[0] >= -tol * scale
+                   for Gf, scale in Gfs)
 
     if ok(0.0):
         return {"lambda": 0.0}

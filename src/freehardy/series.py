@@ -346,17 +346,21 @@ def cayley(F: FreeSeries, direction: str) -> FreeSeries:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def word_powers(Z: MatrixPoint, deg: int) -> np.ndarray:
-    """Array of Z^alpha for every word of length <= deg, graded-lex order."""
-    off = grade_offsets(Z.d, deg)
-    d, n, row = Z.d, Z.n, np.hstack(Z.mats)
-    out = np.zeros((off[-1], n, n), dtype=complex)
-    out[0] = np.eye(n)
-    for g in range(deg):  # child w.k of w sits at row (w, k) of grade g + 1
+def word_powers(Z, deg: int) -> np.ndarray:
+    """Array of Z^alpha for every word of length <= deg, graded-lex order:
+    (words, n, n) at a MatrixPoint, (k, words, n, n) at a stack (d, k, n, n)."""
+    if isinstance(Z, MatrixPoint):
+        return word_powers(np.array(Z.mats)[:, None], deg)[0]
+    d, k, n, _ = Z.shape
+    off = grade_offsets(d, deg)
+    row = Z.transpose(1, 2, 0, 3).reshape(k, n, d * n)
+    out = np.zeros((k, off[-1], n, n), dtype=complex)
+    out[:, 0] = np.eye(n)
+    for g in range(deg):  # child w.j of w sits at row (w, j) of grade g + 1
         L = off[g + 1] - off[g]
-        x = out[off[g]:off[g + 1]].reshape(L * n, n) @ row
-        out[off[g + 1]:off[g + 2]].reshape(L, d, n, n)[...] = \
-            x.reshape(L, n, d, n).transpose(0, 2, 1, 3)
+        x = out[:, off[g]:off[g + 1]].reshape(k, L * n, n) @ row
+        out[:, off[g + 1]:off[g + 2]].reshape(k, L, d, n, n)[...] = \
+            x.reshape(k, L, n, d, n).transpose(0, 1, 3, 2, 4)
     return out
 
 
@@ -384,11 +388,12 @@ def evaluate(F: FreeSeries, Z: MatrixPoint) -> np.ndarray:
 
 
 def _kron_sum(pows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_w pows[w] (x) coeffs[w]: one matmul over the words w into
-    entries ((i, j), (a, b)), transposed to the layout ((i, a), (j, b))."""
-    (w, n, _), (_, p, q) = pows.shape, coeffs.shape
-    x = pows.reshape(w, n * n).T @ coeffs.reshape(w, p * q)
-    return x.reshape(n, n, p, q).transpose(0, 2, 1, 3).reshape(n * p, n * q)
+    """sum_w pows[..., w, :, :] (x) coeffs[w] for the word powers of one
+    point or of a stack of blocks: one matmul over the words into entries
+    ((i, j), (a, b)), transposed to the layout ((i, a), (j, b))."""
+    (*k, w, n, _), (_, p, q) = pows.shape, coeffs.shape
+    x = pows.reshape(-1, w, n * n).swapaxes(1, 2) @ coeffs.reshape(w, p * q)
+    return x.reshape(*k, n, n, p, q).swapaxes(-3, -2).reshape(*k, n * p, n * q)
 
 
 # ---------------------------------------------------------------------------

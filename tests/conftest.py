@@ -3,8 +3,10 @@ import pytest
 from hypothesis import settings
 
 from freehardy.fock import Side
-from freehardy.series import (FreeSeries, MatrixPoint, letter_series,
-                              multiplier_matrix, normalize_schur)
+from freehardy.kernels import KernelKind
+from freehardy.series import (FreeSeries, MatrixPoint, cayley, dagger_series,
+                              evaluate, letter_series, multiplier_matrix,
+                              normalize_schur)
 from freehardy.words import enumerate_tuples, index_map, reversal, word_count
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -71,6 +73,49 @@ def unit_vector(d, N, word):
     e = np.zeros(word_count(d, N))
     e[index_map(d, N)[tuple(word)]] = 1.0
     return e
+
+
+def szego_oracle(Z, W, P, deg):
+    """sum_{|a| <= deg} Z^a P (W^a)*: deg steps of S -> P + sum Z_k S W_k*."""
+    S = np.asarray(P, dtype=complex)
+    for _ in range(deg):
+        S = P + sum(Zk @ S @ Wk.conj().T for Zk, Wk in zip(Z.mats, W.mats))
+    return S
+
+
+def kernel_oracle(spec, Z, W, P):
+    """The kernel value at one pair of points by its defining formula
+    (kernels module docstring), from evaluate and Kronecker products."""
+    S = szego_oracle(Z, W, P, spec.deg)
+    if spec.kind is KernelKind.SZEGO:
+        return S
+    B = spec.B
+    amp = np.kron(S, np.eye(B.p))
+    if spec.kind is KernelKind.DBR_LEFT:
+        return amp - evaluate(B, Z) @ np.kron(S, np.eye(B.q)) @ evaluate(B, W).conj().T
+    if spec.kind is KernelKind.HERGLOTZ:
+        H = cayley(B, "schur_to_herglotz")
+        return 0.5 * (evaluate(H, Z) @ amp + amp @ evaluate(H, W).conj().T)
+    G = dagger_series(B)
+    inner = evaluate(G, Z) @ np.kron(P, np.eye(B.q)) @ evaluate(G, W).conj().T
+    Zp, Wp = (MatrixPoint(V.d, V.n * B.p, [np.kron(m, np.eye(B.p)) for m in V.mats])
+              for V in (Z, W))
+    return amp - szego_oracle(Zp, Wp, inner, spec.deg)
+
+
+def pin_vector(pin, p):
+    """y (x) h, h defaulting to ones / sqrt(p) and unused at p = 1."""
+    h = pin.h if pin.h is not None else np.ones(p) / np.sqrt(p)
+    return pin.y if p == 1 else np.kron(pin.y, h)
+
+
+def gram_oracle(spec, pins):
+    """The pin Gram, one kernel_oracle value per pair of pins."""
+    p = 1 if spec.kind is KernelKind.SZEGO else spec.B.p
+    G = np.array([[np.vdot(pin_vector(a, p),
+                           kernel_oracle(spec, a.Z, b.Z, np.outer(a.v, b.v.conj()))
+                           @ pin_vector(b, p)) for b in pins] for a in pins])
+    return 0.5 * (G + G.conj().T)
 
 
 @pytest.fixture

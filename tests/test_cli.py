@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freehardy.cli import main
+from freehardy.cli import _KINDS, main
+from freehardy.kernels import KernelSpec, nilpotent_pins
 from freehardy.series import FreeSeries, series_degree
 from freehardy.words import enumerate_tuples
+
+from conftest import gram_oracle
 
 
 def run(capsys, argv):
@@ -251,6 +254,31 @@ def test_kernel_gram_exit_codes(capsys):
                                   "--d", "1", "--deg", "1", "--N", "12",
                                   "--num-points", "4"])
     assert code == 2 and not rep["results"]["certified"]
+
+
+@pytest.mark.parametrize("kind", ["szego", "dbr-left", "dbr-right", "herglotz"])
+def test_kernel_gram_kinds_on_matrix_symbol(capsys, tmp_path, kind):
+    # B = A1 z1 + A2 z2 with 2 x 2 coefficients and [A1; A2] of norm 0.8:
+    # every kernel is positive, and the printed spectrum is that of the
+    # Gram of the defining formula at the command's pins
+    G = np.random.default_rng(5).standard_normal((4, 4))
+    M = G[:, :2] + 1j * G[:, 2:]
+    M *= 0.8 / np.linalg.norm(M, 2)
+    terms = [{"word": [k + 1], "re": M[2 * k:2 * k + 2].real.tolist(),
+              "im": M[2 * k:2 * k + 2].imag.tolist()} for k in range(2)]
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps({"d": 2, "deg": 1, "p": 2, "q": 2,
+                                "terms": terms}))
+    code, rep = run_json(capsys, ["kernel-gram", "--input", str(path), "--d",
+                                  "2", "--N", "6", "--kind", kind,
+                                  "--num-points", "6", "--seed", "4"])
+    assert code == 0 and rep["results"]["certified"]
+    B = FreeSeries.from_json(json.loads(path.read_text()))
+    spec = KernelSpec(_KINDS[kind], None if kind == "szego" else B, deg=6)
+    pins = nilpotent_pins(2, 6, np.random.default_rng(4))
+    want = np.linalg.eigvalsh(gram_oracle(spec, pins))
+    got = np.array(rep["results"]["eigenvalues"])
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_parse_error_exit_one(capsys):

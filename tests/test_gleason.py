@@ -13,7 +13,7 @@ from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                szego_distance, vacuum_kernel)
 from freehardy.fock import Side
 from freehardy.parser import parse
-from freehardy.series import (MatrixPoint, evaluate, letter_series,
+from freehardy.series import (FreeSeries, MatrixPoint, evaluate, letter_series,
                               multiplier_matrix, multiply)
 from freehardy.words import enumerate_tuples, word_count
 
@@ -159,6 +159,24 @@ def test_ce_test_builds_shared_objects_once(monkeypatch):
     out = ce_test(parse("0.6*z1 + 0.5*z2*z2", 2, 2), 5)
     assert out["by_cuntz"] is not None
     assert calls == {"schur_norm_estimate": 1, "clark_moments": 1}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_ce_test_membership_sees_every_coefficient_direction(seed):
+    # B = A1 z1 + A2 z2 with [A1; A2] a 4 x 2 isometry is column-extreme; a
+    # pin Gram that sees one coefficient direction only certifies a finite
+    # lambda for it, so membership disagreed with the verdict
+    G = np.random.default_rng(seed).standard_normal((4, 4))
+    M = np.linalg.qr(G[:, :2] + 1j * G[:, 2:])[0]
+    B = FreeSeries.from_terms(2, 1, 2, 2, {(1,): M[:2], (2,): M[2:]})
+    out = ce_test(B, 5, seed=seed)
+    assert out["verdict"] == "CE"
+    assert out["by_membership"] == {"lambda": math.inf, "extremal": True}
+    assert out["flags"] == []
+    # and a strict contraction keeps a finite bound
+    out = ce_test(B * 0.7, 5, seed=seed)
+    assert out["verdict"] == "not-CE" and out["flags"] == []
+    assert 0 < out["by_membership"]["lambda"] < math.inf
 
 
 def test_schur_check_uses_caller_tolerance():

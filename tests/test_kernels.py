@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from freehardy import kernels, series
 from freehardy.clark import clark_moments
 from freehardy.kernels import (KernelKind, KernelSpec, Pinning,
                                _rank_one_gram, coefficient_kernel,
@@ -16,7 +18,8 @@ from freehardy.series import (MatrixPoint, cayley,
                               szego_coords)
 from freehardy.words import enumerate_tuples, index_map
 
-from conftest import (ball_point, nilpotent_point, random_schur,
+from conftest import (ball_point, gram_oracle, kernel_oracle,
+                      nilpotent_point, pin_vector, random_schur,
                       random_series, unit_vector)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -193,42 +196,89 @@ def _mixed_pins(rng, p):
     return pins
 
 
-def _amplified(pin, p):
-    h = pin.h if pin.h is not None else np.ones(p) / math.sqrt(p)
-    return pin.y if p == 1 else np.kron(pin.y, h)
+# A pin family: alphabet size d, pin levels 1..4 with h drawn or left to
+# its default, the index of the one pin at a ball point (where the Szego
+# sums do not terminate), and the seed of everything else.
+FAMILIES = st.tuples(st.integers(1, 3),
+                     st.lists(st.tuples(st.integers(1, 4), st.booleans()),
+                              min_size=2, max_size=5),
+                     st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+
+
+def _family(family, p):
+    """The generator and pins of a FAMILIES draw."""
+    d, levels, ball, seed = family
+    rng = np.random.default_rng(seed)
+    pins = []
+    for k, (n, drawn) in enumerate(levels):
+        Z = ball_point(rng, d, n) if k == ball % len(levels) else nilpotent_point(rng, d, n)
+        h = rng.standard_normal(p) + 1j * rng.standard_normal(p) if drawn else None
+        pins.append(Pinning(Z, *(rng.standard_normal((2, n))
+                                 + 1j * rng.standard_normal((2, n))), h))
+    return rng, pins
+
+
+def _close(G, ref):
+    return np.max(np.abs(G - ref)) <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
 
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("kind", list(KernelKind))
-def test_gram_matches_pairwise_definition(rng, kind, p):
-    # one evaluation at the direct sum of the pins equals one kernel_eval
-    # per pin pair
-    B = random_schur(rng, 2, 2, p, p)
+@settings(max_examples=15)
+@given(family=FAMILIES)
+def test_gram_matches_pairwise_definition(kind, p, family):
+    # the Gram from the pins' blocks equals the defining formula per pin
+    # pair, and so does kernel_eval at one pair
+    rng, pins = _family(family, p)
+    B = random_schur(rng, family[0], 2, p, p)
     spec = KernelSpec(kind, None if kind is KernelKind.SZEGO else B, deg=6)
-    pins = _mixed_pins(rng, p)
-    q = spec.coeff_dim()
-    ref = np.array([[np.vdot(_amplified(a, q),
-                             kernel_eval(spec, a.Z, b.Z, np.outer(a.v, b.v.conj()))
-                             @ _amplified(b, q))
-                     for b in pins] for a in pins])
-    ref = 0.5 * (ref + ref.conj().T)
-    G = kernel_gram(spec, pins)
-    assert np.max(np.abs(G - ref)) <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+    assert _close(kernel_gram(spec, pins), gram_oracle(spec, pins))
+    a, b = pins[0], pins[-1]
+    P = np.outer(a.v, b.v.conj())
+    assert _close(kernel_eval(spec, a.Z, b.Z, P), kernel_oracle(spec, a.Z, b.Z, P))
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_rank_one_gram_matches_per_pin_definition(rng, p):
-    spec = KernelSpec(KernelKind.DBR_LEFT, random_schur(rng, 2, 2, p, p), deg=6)
-    f = random_series(rng, 2, 3, p=p, q=2)
-    pins = _mixed_pins(rng, p)
+@settings(max_examples=30)
+@given(family=FAMILIES, r=st.integers(1, 2))
+def test_rank_one_gram_matches_per_pin_definition(p, family, r):
+    rng, pins = _family(family, p)
+    d = family[0]
+    spec = KernelSpec(KernelKind.DBR_LEFT, random_schur(rng, d, 2, p, p), deg=6)
+    f = random_series(rng, d, 3, p=p, q=r)
     vecs = []
     for pin in pins:
-        w = evaluate(f, pin.Z).conj().T @ _amplified(pin, p)
+        w = evaluate(f, pin.Z).conj().T @ pin_vector(pin, p)
         vecs.append(w.reshape(pin.Z.n, f.q).T @ pin.v.conj())
     ref = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    ref = 0.5 * (ref + ref.conj().T)
-    G = _rank_one_gram(f, spec, pins)
-    assert np.max(np.abs(G - ref)) <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+    assert _close(_rank_one_gram(f, spec, pins), 0.5 * (ref + ref.conj().T))
+
+
+def test_grams_form_no_direct_sum_and_no_kron(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel Gram formed a dense direct sum or a Kronecker product")
+
+    B = random_schur(rng, 2, 2, 2, 2)
+    pins = _mixed_pins(rng, 2)
+    f = random_series(rng, 2, 2, p=2, q=2)
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(series, "direct_sum", refuse)
+    monkeypatch.setattr(kernels, "direct_sum", refuse, raising=False)
+    for kind in KernelKind:
+        kernel_gram(KernelSpec(kind, None if kind is KernelKind.SZEGO else B, deg=6), pins)
+    membership_norm(KernelSpec(KernelKind.DBR_LEFT, B, deg=6), f, pins)
+
+
+def test_membership_takes_the_largest_column_bound(rng):
+    B = random_schur(rng, 2, 2, 2, 2)
+    spec = KernelSpec(KernelKind.DBR_LEFT, B, deg=6)
+    pins = nilpotent_pins(2, 12, rng)
+    f = random_series(rng, 2, 2, p=2, q=3, scale=0.3)
+    lams = [membership_norm(spec, series.FreeSeries(2, 2, f.array[:, :, c:c + 1]),
+                            pins)["lambda"] for c in range(3)]
+    assert 0 < max(lams) < math.inf
+    assert math.isclose(membership_norm(spec, f, pins)["lambda"], max(lams),
+                        rel_tol=1e-7)
 
 
 def test_gram_rejects_pins_over_different_alphabets(rng):
