@@ -30,8 +30,8 @@ from .gleason import (CeObstructionError, DbrModel, NotSchurError, a_empty_sq,
                       clark_intertwining_residual, dbr_model, exactgs_residual,
                       extremality_gap, gleason_maps, gleason_vector,
                       kernel_identity_residual, l_invariance_test,
-                      shift_compressions, square_completion, support,
-                      szego_distance, vacuum_kernel)
+                      shift_compressions, square_completion, szego_distance,
+                      vacuum_kernel)
 from .colligation import (Colligation, canonical_colligation,
                           column_schur_defect, complete_column, transfer_eval,
                           transfer_series)

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import (FreeSeries, MatrixPoint, _kron_sum, cayley, range_basis,
+from .series import (FreeSeries, MatrixPoint, cayley, evaluate, range_basis,
                      szego_coords, word_powers)
-from .words import enumerate_tuples, reversal, shift_indices, word_count
+from .words import (enumerate_tuples, grade_offsets, reversal, shift_indices,
+                    word_count)
 
 
 class InvalidMomentsError(ValueError):
@@ -84,23 +85,21 @@ def herglotz_moments(H: FreeSeries) -> MomentFunctional:
 def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint) -> np.ndarray:
     """Reconstruct the Herglotz series value at a strict ball point:
 
-        H(Z) = i I (x) Im H_0 - I (x) mu(1) + 2 sum_a Z^a (x) mu(L^{a+})*
+        H(Z) = i I (x) Im H_0 - I (x) mu(1) + 2 sum_a Z^a (x) mu(L^{a+})*,
 
-    Exact (as a truncated sum) at jointly nilpotent points.
+    the value of the series with coefficients 2 mu(L^{a+})* and constant
+    2 mu(1)* - mu(1) + i Im H_0.  Exact (as a truncated sum) at points
+    jointly nilpotent of order <= mu.deg, which are accepted at any row
+    norm: their word powers vanish on the top grade.
     """
-    deg, n, p = mu.deg, Z.n, mu.p
-    pows = word_powers(Z, deg)
-    top = word_count(Z.d, deg) - word_count(Z.d, deg - 1) if deg else 0
-    nilpotent = deg > 0 and not np.any(pows[-top:])
-    if Z.row_norm() >= 1.0 and not nilpotent:
+    if Z.row_norm() >= 1.0 and np.any(
+            word_powers(Z, mu.deg)[grade_offsets(Z.d, mu.deg)[-2]:]):
         raise ValueError("point must be in the open ball or jointly nilpotent")
-    out = np.zeros((n * p, n * p), dtype=complex)
+    H = 2.0 * mu.array[reversal(mu.d, mu.deg)].conj().transpose(0, 2, 1)
+    H[0] -= mu.array[0]
     if mu.im_h0 is not None:
-        out += 1j * np.kron(np.eye(n), mu.im_h0)
-    out -= np.kron(np.eye(n), mu.array[0])
-    moms = mu.array[reversal(Z.d, deg)].conj().transpose(0, 2, 1)
-    out += 2.0 * _kron_sum(pows, moms)
-    return out
+        H[0] += 1j * mu.im_h0
+    return evaluate(FreeSeries(mu.d, mu.deg, H), Z)
 
 
 def moment_matrix(mu: MomentFunctional, N: int) -> np.ndarray:

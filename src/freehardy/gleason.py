@@ -177,11 +177,6 @@ def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
             "trend_decreasing": bool(trend), "model": models[0]}
 
 
-def support(A: FreeSeries, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of span{ran A_a* : all coefficients}."""
-    return range_basis(A.array.conj().transpose(2, 0, 1).reshape(A.q, -1), tol)
-
-
 def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
                rank_tol: float = 1e-10) -> dict:
     """The Hermitian matrix a0^2 = I - A(0)*A(0) - <Gleason Gram>, clipped

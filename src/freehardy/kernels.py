@@ -29,8 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .series import (FreeSeries, MatrixPoint, _kron_sum, cayley,
-                     dagger_series, series_degree, word_powers)
+from .series import FreeSeries, MatrixPoint, cayley, dagger_series, evaluate
 
 
 class KernelKind(Enum):
@@ -94,24 +93,18 @@ def _szego(Z: np.ndarray, W: np.ndarray, P: np.ndarray, deg: int) -> np.ndarray:
     is deterministic, so the loop stops at the first iterate that repeats
     its predecessor bit for bit: every later iterate would repeat it too.
     """
-    S = P
+    S = P = np.ascontiguousarray(P)  # contiguous, so that .view reads its bits
     for _ in range(deg):
         prev, S = S, P + sum(_cols(_rows(Zk, S), Wk) for Zk, Wk in zip(Z, W))
-        if S.tobytes() == prev.tobytes():
+        if np.array_equal(S.view(np.uint64), prev.view(np.uint64)):
             break
     return S
-
-
-def _values(F: FreeSeries, Z: np.ndarray) -> np.ndarray:
-    """F at each block of a stack, as (k, n p, n q)."""
-    F = F.truncate(series_degree(F))
-    return _kron_sum(word_powers(Z, F.deg), F.array)
 
 
 def _adjoint(F: FreeSeries, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     """F(Z_i)* X_i for each block, as (k, n, q, r), X of shape (k, n, p, r)."""
     k, n, p, r = X.shape
-    Fx = _values(F, Z).conj().swapaxes(1, 2) @ X.reshape(k, n * p, r)
+    Fx = evaluate(F, Z).conj().swapaxes(1, 2) @ X.reshape(k, n * p, r)
     return Fx.reshape(k, n, -1, r)
 
 
@@ -136,7 +129,7 @@ def _kernel(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, P: np.ndarray,
         return G - _pair(_adjoint(B, Z, X), S, _adjoint(B, W, Y))
     if spec.kind is KernelKind.DBR_RIGHT:
         Bd, (k, n, p, r), (l, m, _, s) = dagger_series(B), X.shape, Y.shape
-        Gz, Gw = (_values(Bd, V).reshape(V.shape[1], -1, V.shape[2], B.q)
+        Gz, Gw = (evaluate(Bd, V).reshape(V.shape[1], -1, V.shape[2], B.q)
                   for V in (Z, W))
         Q = sum(_cols(_rows(Gz[..., c], P), Gw[..., c]) for c in range(B.q))
         # with rows (i, x, t) taken as (t, i, x), and columns likewise, the

@@ -8,8 +8,10 @@ Evaluation at a d-tuple of n x n matrices Z follows the convention
 
     F(Z) = sum_alpha Z^alpha (x) F_alpha,   Z^alpha = Z_{i1} ... Z_{i|alpha|},
 
-with the matrix level as the outer Kronecker factor.  Products clip to the
-smaller carried degree; overflow coefficients are dropped, never wrapped.
+with the matrix level as the outer Kronecker factor.  evaluate takes a
+point or a stack of blocks alike, and sums over the words in one matrix
+product with the word powers.  Products clip to the smaller carried
+degree; overflow coefficients are dropped, never wrapped.
 
 In this layout, grade g of a product is a sum over s of row-major outer
 products of grade s of one factor with grade g - s of the other: one
@@ -172,12 +174,6 @@ class MatrixPoint:
 
     def row_norm(self) -> float:
         return float(np.linalg.norm(np.hstack(self.mats), 2))
-
-    def word_product(self, word) -> np.ndarray:
-        out = np.eye(self.n, dtype=complex)
-        for k in word:
-            out = out @ self.mats[k - 1]
-        return out
 
 
 def direct_sum(points: list[MatrixPoint]) -> MatrixPoint:
@@ -372,27 +368,18 @@ def szego_coords(Z: MatrixPoint, y, v, deg: int) -> np.ndarray:
     return (word_powers(Z, deg) @ v).conj() @ y
 
 
-def evaluate(F: FreeSeries, Z: MatrixPoint) -> np.ndarray:
-    """F(Z) = sum Z^alpha (x) F_alpha, an (n p) x (n q) matrix: a sum of
-    Kronecker products over at most 32 nonzero coefficients; above that,
-    one matrix product of the word powers of Z with the coefficients."""
-    if F.d != Z.d:
+def evaluate(F: FreeSeries, Z) -> np.ndarray:
+    """F(Z) = sum Z^alpha (x) F_alpha: an (n p) x (n q) matrix at a
+    MatrixPoint, and (k, n p, n q) at a stack (d, k, n, n) of blocks.  The
+    word powers of Z up to the degree of F's nonzero part, then one matmul
+    over the words into entries ((i, j), (a, b)), transposed to the layout
+    ((i, a), (j, b))."""
+    if F.d != (Z.d if isinstance(Z, MatrixPoint) else len(Z)):
         raise ValueError("alphabet mismatch between series and point")
-    n = Z.n
-    if np.count_nonzero(F.array.any(axis=(1, 2))) <= 32:
-        out = np.zeros((n * F.p, n * F.q), dtype=complex)
-        for w, m in F.terms():
-            out += np.kron(Z.word_product(w), m)
-        return out
-    return _kron_sum(word_powers(Z, F.deg), F.array)
-
-
-def _kron_sum(pows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_w pows[..., w, :, :] (x) coeffs[w] for the word powers of one
-    point or of a stack of blocks: one matmul over the words into entries
-    ((i, j), (a, b)), transposed to the layout ((i, a), (j, b))."""
-    (*k, w, n, _), (_, p, q) = pows.shape, coeffs.shape
-    x = pows.reshape(-1, w, n * n).swapaxes(1, 2) @ coeffs.reshape(w, p * q)
+    F = F.truncate(series_degree(F))
+    pows, (w, p, q) = word_powers(Z, F.deg), F.array.shape
+    *k, _, n, _ = pows.shape
+    x = pows.reshape(-1, w, n * n).swapaxes(1, 2) @ F.array.reshape(w, p * q)
     return x.reshape(*k, n, n, p, q).swapaxes(-3, -2).reshape(*k, n * p, n * q)
 
 

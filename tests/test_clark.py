@@ -75,6 +75,22 @@ def test_herglotz_from_moments_matches_direct(rng):
                        atol=1e-12)
 
 
+def test_herglotz_from_moments_domain_check(rng):
+    # outside the ball a point is accepted only when its word powers vanish
+    # on the top grade of the window; one entry below the diagonal breaks
+    # the nilpotency of a strictly upper triangular point
+    B = parse("0.4*z1 + 0.3*z2*z1", 2, 8)
+    mu = clark_moments(B, 8)
+    Z = nilpotent_point(rng, 2, 3, scale=1.5)
+    assert Z.row_norm() >= 1.0
+    err = herglotz_from_moments(mu, Z) - evaluate(cayley(B, "schur_to_herglotz"), Z)
+    assert np.abs(err).max() <= 1e-12
+    mats = [m.copy() for m in Z.mats]
+    mats[0][2, 0] = 0.5
+    with pytest.raises(ValueError, match="jointly nilpotent"):
+        herglotz_from_moments(mu, MatrixPoint(2, 3, mats))
+
+
 def test_herglotz_from_moments_rejects_boundary(rng):
     mu = clark_moments(parse("0", 1, 4), 4)
     Z = MatrixPoint(1, 1, [np.array([[1.0]], dtype=complex)])

@@ -9,7 +9,7 @@ from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                exactgs_residual, extremality_gap,
                                gleason_maps, gleason_vector,
                                kernel_identity_residual, l_invariance_test,
-                               shift_compressions, square_completion, support,
+                               shift_compressions, square_completion,
                                szego_distance, vacuum_kernel)
 from freehardy.fock import Side
 from freehardy.parser import parse
@@ -228,14 +228,6 @@ def test_l_invariance_inner():
     out = l_invariance_test(parse("z1", 1, 4), 8)
     assert not out["invariant"]
     assert out["rho"] == math.inf or out["rho"] >= 1.0 - 1e-8
-
-
-def test_support_column():
-    A = parse("[[0.5],[0.0]] + [[0.0],[0.5]]*z1", 1, 2, (2, 1))
-    S = support(A)
-    assert S.shape == (1, 1)
-    A0 = parse("0", 1, 2)
-    assert support(A0).shape[1] == 0
 
 
 def test_exactgs_zero_symbol():

@@ -76,6 +76,17 @@ def test_szego_ball_point_runs_full_length(rng, deg):
     assert szego_eval(Z, Z, P, deg).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("deg", [1, 8])
+def test_szego_transposed_pairing_matrix(rng, deg):
+    # P a transposed view, not C-contiguous: the stop rule reads the bits
+    # of the caller's P as the first iterate
+    Z, W = nilpotent_point(rng, 2, 4), ball_point(rng, 2, 3)
+    R = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    assert not R.T.flags.c_contiguous
+    want = _szego_full_length(Z, W, R.T, deg)
+    assert szego_eval(Z, W, R.T, deg).tobytes() == want.tobytes()
+
+
 def test_szego_nilpotent_exact():
     Z = MatrixPoint(2, 2, [0.9 * E12, np.zeros((2, 2))])
     val = szego_eval(Z, Z, np.eye(2), 5)

@@ -394,21 +394,6 @@ def test_storage_matches_word_dict_oracle(data):
     _agrees(dagger_series(F), {w[::-1]: m for w, m in terms.items()})
 
 
-@pytest.mark.parametrize("count", [20, 63])
-def test_evaluate_paths_match_kron_sum(rng, count):
-    # 20 nonzero words take the Kronecker path, all 63 words of length <= 5
-    # the word-power matrix product
-    words = enumerate_tuples(2, 5)
-    terms = {words[i]: rng.standard_normal((2, 3))
-             + 1j * rng.standard_normal((2, 3))
-             for i in rng.choice(len(words), count, replace=False)}
-    F = FreeSeries.from_terms(2, 5, 2, 3, terms)
-    Z = direct_sum([ball_point(rng, 2, 2), ball_point(rng, 2, 1)])
-    want = sum(np.kron(reduce(np.matmul, [Z.mats[k - 1] for k in w],
-                              np.eye(Z.n)), m) for w, m in terms.items())
-    assert np.abs(evaluate(F, Z) - want).max() < 1e-12
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_evaluate_multiplicative_property(seed):
@@ -470,6 +455,11 @@ def _terms(F):
 
 def _abs_point(Z):
     return MatrixPoint(Z.d, Z.n, [np.abs(m) for m in Z.mats])
+
+
+def _word_product(Z, w):
+    """Z^w = Z_{w_1} ... Z_{w_k}, one matrix product per letter."""
+    return reduce(np.matmul, [Z.mats[k - 1] for k in w], np.eye(Z.n))
 
 
 @settings(max_examples=80)
@@ -544,32 +534,41 @@ def test_word_powers_match_word_products(data):
     pows = word_powers(Z, deg)
     assert pows.shape == (word_count(d, deg), n, n)
     for w, got in zip(enumerate_tuples(d, deg), pows):
-        err = np.abs(got - Z.word_product(w))
-        assert np.all(err <= REL * _abs_point(Z).word_product(w)), w
+        err = np.abs(got - _word_product(Z, w))
+        assert np.all(err <= REL * _word_product(_abs_point(Z), w)), w
 
 
 def _kron_reference(terms, Z):
     """sum over the terms of Z^w (x) F_w, and the same sum of magnitudes."""
     absZ = _abs_point(Z)
-    want = sum(np.kron(Z.word_product(w), m) for w, m in terms.items())
-    mag = sum(np.kron(absZ.word_product(w), abs(m)) for w, m in terms.items())
+    want = sum(np.kron(_word_product(Z, w), m) for w, m in terms.items())
+    mag = sum(np.kron(_word_product(absZ, w), abs(m)) for w, m in terms.items())
     return want, mag
 
 
-@settings(max_examples=30)
+@settings(max_examples=40)
 @given(st.data())
-def test_evaluate_dense_branch_matches_kron_sum(data):
-    # more than 32 nonzero coefficients: d = 2 from degree 5, d = 3 from 4
-    d = data.draw(st.integers(2, 3))
-    deg = data.draw(st.integers(7 - d, 6))
-    p, q, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+def test_evaluate_matches_word_reference(data):
+    # sparse and dense series (up to 364 nonzero words), at points and at a
+    # stack of blocks of mixed levels zero-padded to one level, where the
+    # leading n_i p x n_i q corner of block i is the value at its point
+    d, deg = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 5))
+    p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    terms = _word_dict(rng, d, deg, p, q, True)
-    assert len(terms) > 32
+    terms = _word_dict(rng, d, deg, p, q, data.draw(st.booleans()))
     F = FreeSeries.from_terms(d, deg, p, q, terms)
-    Z = ball_point(rng, d, n, radius=0.9)
-    want, mag = _kron_reference(terms, Z)
-    assert np.all(np.abs(evaluate(F, Z) - want) <= REL * mag)
+    points = [ball_point(rng, d, data.draw(st.integers(1, 3)), radius=0.9)
+              for _ in range(data.draw(st.integers(1, 3)))]
+    m = max(Z.n for Z in points)
+    stack = np.zeros((d, len(points), m, m), dtype=complex)
+    for i, Z in enumerate(points):
+        stack[:, i, :Z.n, :Z.n] = Z.mats
+    values = evaluate(F, stack)
+    assert values.shape == (len(points), m * p, m * q)
+    for Z, V in zip(points, values):
+        want, mag = _kron_reference(terms, Z)
+        assert np.all(np.abs(evaluate(F, Z) - want) <= REL * mag)
+        assert np.all(np.abs(V[:Z.n * p, :Z.n * q] - want) <= REL * mag)
 
 
 @settings(max_examples=30)
