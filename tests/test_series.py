@@ -394,6 +394,21 @@ def test_storage_matches_word_dict_oracle(data):
     _agrees(dagger_series(F), {w[::-1]: m for w, m in terms.items()})
 
 
+@pytest.mark.parametrize("count", [20, 63])
+def test_evaluate_paths_match_kron_sum(rng, count):
+    # a sparse series (20 of the 63 words of length <= 5) and a full one,
+    # at a direct sum of points of levels 2 and 1
+    words = enumerate_tuples(2, 5)
+    terms = {words[i]: rng.standard_normal((2, 3))
+             + 1j * rng.standard_normal((2, 3))
+             for i in rng.choice(len(words), count, replace=False)}
+    F = FreeSeries.from_terms(2, 5, 2, 3, terms)
+    Z = direct_sum([ball_point(rng, 2, 2), ball_point(rng, 2, 1)])
+    want = sum(np.kron(reduce(np.matmul, [Z.mats[k - 1] for k in w],
+                              np.eye(Z.n)), m) for w, m in terms.items())
+    assert np.abs(evaluate(F, Z) - want).max() < 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_evaluate_multiplicative_property(seed):
@@ -544,6 +559,22 @@ def _kron_reference(terms, Z):
     want = sum(np.kron(_word_product(Z, w), m) for w, m in terms.items())
     mag = sum(np.kron(_word_product(absZ, w), abs(m)) for w, m in terms.items())
     return want, mag
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_evaluate_dense_branch_matches_kron_sum(data):
+    # more than 32 nonzero coefficients: d = 2 from degree 5, d = 3 from 4
+    d = data.draw(st.integers(2, 3))
+    deg = data.draw(st.integers(7 - d, 6))
+    p, q, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    terms = _word_dict(rng, d, deg, p, q, True)
+    assert len(terms) > 32
+    F = FreeSeries.from_terms(d, deg, p, q, terms)
+    Z = ball_point(rng, d, n, radius=0.9)
+    want, mag = _kron_reference(terms, Z)
+    assert np.all(np.abs(evaluate(F, Z) - want) <= REL * mag)
 
 
 @settings(max_examples=40)
