@@ -19,6 +19,10 @@ points (the pins of a Gram, one per side for kernel_eval) are stacked as
 respect direct sums.  Letters act on the one dense Szego sum by batched
 block products, each series is evaluated once per block, and a Gram is
 contracted with y (x) h before any (k n p)^2 kernel matrix is formed.
+
+Each Gram is certified from one eigendecomposition G = Q diag(mu) Q*: a
+membership step lambda^2 G - w w* >= -tau is the Schur complement test
+D = lambda^2 mu + tau > 0 and sum |Q* w|^2 / D <= 1, k scalars per step.
 """
 
 from __future__ import annotations
@@ -182,11 +186,17 @@ def _stack_pins(pins: list[Pinning], p: int):
     for i, pin in enumerate(pins):
         Z[:, i, :pin.Z.n, :pin.Z.n] = pin.Z.mats
         y[i, :pin.Z.n], v[i, :pin.Z.n] = pin.y, pin.v
-    h = [pin.h if pin.h is not None and p > 1 else np.ones(p) / math.sqrt(p)
-         for pin in pins]
+    one = np.ones(p) / math.sqrt(p)
+    h = [pin.h if pin.h is not None and p > 1 else one for pin in pins]
     if any(len(x) != p for x in h):
         raise ValueError(f"coefficient vector h must have length {p}")
     return Z, v, (y[:, :, None] * np.array(h)[:, None, :])[..., None]
+
+
+def _gram(spec: KernelSpec, Z: np.ndarray, v: np.ndarray, yh: np.ndarray):
+    """kernel_gram of the pins stacked by _stack_pins."""
+    G = _kernel(spec, Z, Z, np.outer(v, v.conj()), yh, yh)[:, :, 0, 0]
+    return 0.5 * (G + G.conj().T)
 
 
 def kernel_gram(spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
@@ -194,43 +204,39 @@ def kernel_gram(spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
     over the pins, h as in _stack_pins, from their blocks at P = u u*, u
     the stacked v: DbrLeft, for instance, is (Y* S Y) o (H H*) - sum_r
     a_r* S a_r, with a_i = A(Z_i)* (y_i (x) h_i) as an n x q matrix."""
-    Z, v, yh = _stack_pins(pins, spec.coeff_dim())
-    G = _kernel(spec, Z, Z, np.outer(v, v.conj()), yh, yh)[:, :, 0, 0]
-    return 0.5 * (G + G.conj().T)
+    return _gram(spec, *_stack_pins(pins, spec.coeff_dim()))
 
 
 def gram_psd_check(spec: KernelSpec, pins: list[Pinning],
                    tol: float = 1e-8) -> dict:
-    """Certify positive semidefiniteness of the pin Gram matrix.
-
-    The tolerance is relative: certified means
-    min_eig >= -tol * max(1, ||G||).
+    """Certify positive semidefiniteness of the pin Gram matrix from its
+    spectrum, returned ascending as "eigenvalues".  The tolerance is
+    relative: min_eig >= -tol * max(1, ||G||), ||G|| = max |eigenvalue|.
     """
     if not pins:
         raise ValueError("need at least one pin")
     G = kernel_gram(spec, pins)
     eigs = np.linalg.eigvalsh(G)
-    scale = max(1.0, float(np.linalg.norm(G, 2)))
+    scale = max(1.0, -eigs[0], eigs[-1])
     return {"min_eig": float(eigs[0]),
             "certified": bool(eigs[0] >= -tol * scale),
-            "gram": G}
+            "gram": G, "eigenvalues": eigs}
 
 
-def _rank_one_vectors(f: FreeSeries, spec: KernelSpec,
-                      pins: list[Pinning]) -> np.ndarray:
-    """Row i is u_i = (v_i (x) I)* f(Z_i)* (y_i (x) h_i), from one
-    evaluation of f per pin: the Gram u_i* u_j is that of the kernel
-    f(Z)(P (x) I) f(W)*, and column c of u gives that of f's column c."""
-    if f.p != spec.coeff_dim():
+def _rank_one_vectors(f: FreeSeries, Z: np.ndarray, v: np.ndarray,
+                      yh: np.ndarray) -> np.ndarray:
+    """Row i is u_i = (v_i (x) I)* f(Z_i)* (y_i (x) h_i), pins stacked by
+    _stack_pins: the Gram u_i* u_j is that of the kernel f(Z)(P (x) I)
+    f(W)*, and column c of u gives that of f's column c."""
+    if f.p != yh.shape[2]:
         raise ValueError(f"series output dimension {f.p} does not match "
-                         f"kernel coefficient dimension {spec.coeff_dim()}")
-    Z, v, yh = _stack_pins(pins, f.p)
+                         f"kernel coefficient dimension {yh.shape[2]}")
     return np.einsum("is,isc->ic", v.conj(), _adjoint(f, Z, yh)[..., 0])
 
 
 def _rank_one_gram(f: FreeSeries, spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
     """Gram of the kernel f(Z)(P (x) I) f(W)* over the pins."""
-    U = _rank_one_vectors(f, spec, pins)
+    U = _rank_one_vectors(f, *_stack_pins(pins, spec.coeff_dim()))
     G = U.conj() @ U.T
     return 0.5 * (G + G.conj().T)
 
@@ -246,18 +252,24 @@ def membership_norm(spec: KernelSpec, f: FreeSeries, pins: list[Pinning],
     their RKHS norms witnessed by the pins, from one kernel Gram and one
     evaluation of f per pin.  At r = 1 it is the bound for f.
 
+    With Gram_c = w_c w_c*, Gram_K = Q diag(mu) Q* factored once, a_c =
+    |Q* w_c|^2 and tau_c = tol * max(1, max |mu|, ||w_c||^2), the test
+    eigvalsh(lambda^2 Gram_K - Gram_c)[0] >= -tau_c is the Schur complement
+    test D = lambda^2 mu + tau_c > 0 and sum a_c / D <= 1, for all columns.
+
     Returns math.inf when no lambda below the cap certifies; with
     refining pin families this is evidence (not proof) that a column lies
     outside the space.
     """
-    GK = kernel_gram(spec, pins)
-    Gfs = [np.outer(u.conj(), u) for u in _rank_one_vectors(f, spec, pins).T]
-    Gfs = [(0.5 * (G + G.conj().T), max(1.0, float(np.linalg.norm(GK, 2)),
-                                         float(np.linalg.norm(G, 2)))) for G in Gfs]
+    pinstack = _stack_pins(pins, spec.coeff_dim())
+    mu, Q = np.linalg.eigh(_gram(spec, *pinstack))
+    # w_c is the conjugate of column c of u, so |Q* w_c| = |Q^T u_c|
+    a = np.abs(Q.T @ _rank_one_vectors(f, *pinstack)) ** 2
+    tau = tol * np.maximum(max(1.0, -mu[0], mu[-1]), a.sum(0))
 
     def ok(lam: float) -> bool:
-        return all(np.linalg.eigvalsh(lam * lam * GK - Gf)[0] >= -tol * scale
-                   for Gf, scale in Gfs)
+        D = lam * lam * mu[:, None] + tau
+        return bool(np.all(D > 0) and np.all((a / D).sum(0) <= 1))
 
     if ok(0.0):
         return {"lambda": 0.0}
@@ -331,16 +343,14 @@ def nilpotent_pins(d: int, count: int, rng: np.random.Generator,
                    n: int = 3, scale: float = 0.8) -> list[Pinning]:
     """Random jointly nilpotent pins (strictly upper triangular tuples):
     truncated kernel sums are exact at these points, so positivity
-    failures are genuine rather than truncation artifacts."""
-    pins = []
-    for _ in range(count):
-        mats = [np.triu(rng.standard_normal((n, n))
-                        + 1j * rng.standard_normal((n, n)), 1) for _ in range(d)]
-        Z = MatrixPoint(d, n, mats)
-        rn = Z.row_norm()
-        if rn > 0:
-            Z = MatrixPoint(d, n, [m * (scale / rn) for m in Z.mats])
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        pins.append(Pinning(Z, y, v))
-    return pins
+    failures are genuine rather than truncation artifacts.  One draw serves
+    all pins, each reading re and im of its matrices, then of y and v."""
+    g = rng.standard_normal((count, 2 * d * n * n + 4 * n))
+    mats = g[:, :2 * d * n * n].reshape(count, d, 2, n, n)
+    mats = np.triu(mats[:, :, 0] + 1j * mats[:, :, 1], 1)
+    yv = g[:, 2 * d * n * n:].reshape(count, 2, 2, n)
+    yv = yv[:, :, 0] + 1j * yv[:, :, 1]
+    rn = np.linalg.norm(mats.swapaxes(1, 2).reshape(count, n, d * n), 2, axis=(1, 2))
+    mats *= np.divide(scale, rn, out=np.ones(count), where=rn > 0)[:, None, None, None]
+    return [Pinning(MatrixPoint(d, n, list(Z)), y, v)
+            for Z, (y, v) in zip(mats, yv)]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from freehardy.fock import Side
-from freehardy.kernels import KernelKind
+from freehardy.kernels import MEMBERSHIP_CAP, KernelKind, kernel_gram
 from freehardy.series import (FreeSeries, MatrixPoint, cayley, dagger_series,
                               evaluate, letter_series, multiplier_matrix,
                               normalize_schur)
@@ -116,6 +116,36 @@ def gram_oracle(spec, pins):
                            kernel_oracle(spec, a.Z, b.Z, np.outer(a.v, b.v.conj()))
                            @ pin_vector(b, p)) for b in pins] for a in pins])
     return 0.5 * (G + G.conj().T)
+
+
+def rank_one_oracle(f, pins):
+    """Row i is (v_i (x) I)* f(Z_i)* (y_i (x) h_i), pin by pin."""
+    return np.array([(evaluate(f, pin.Z).conj().T @ pin_vector(pin, f.p))
+                     .reshape(pin.Z.n, f.q).T @ pin.v.conj() for pin in pins])
+
+
+def membership_oracle(spec, f, pins, tol=1e-8):
+    """membership_norm by its defining test: bisect for the smallest lambda
+    with eigvalsh(lambda^2 Gram_K - Gram_c)[0] >= -tol * scale for every
+    column c, scale = max(1, ||Gram_K||, ||Gram_c||) in 2-norms."""
+    GK = kernel_gram(spec, pins)
+    Gfs = [np.outer(u.conj(), u) for u in rank_one_oracle(f, pins).T]
+    Gfs = [(0.5 * (G + G.conj().T), max(1.0, float(np.linalg.norm(GK, 2)),
+                                         float(np.linalg.norm(G, 2)))) for G in Gfs]
+
+    def ok(lam):
+        return all(np.linalg.eigvalsh(lam * lam * GK - Gf)[0] >= -tol * scale
+                   for Gf, scale in Gfs)
+
+    if ok(0.0):
+        return 0.0
+    if not ok(MEMBERSHIP_CAP):
+        return np.inf
+    lo, hi = 0.0, MEMBERSHIP_CAP
+    while hi - lo > tol * max(1.0, lo):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
 
 
 @pytest.fixture

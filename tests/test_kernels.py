@@ -19,8 +19,8 @@ from freehardy.series import (MatrixPoint, cayley,
 from freehardy.words import enumerate_tuples, index_map
 
 from conftest import (ball_point, gram_oracle, kernel_oracle,
-                      nilpotent_point, pin_vector, random_schur,
-                      random_series, unit_vector)
+                      membership_oracle, nilpotent_point, random_schur,
+                      random_series, rank_one_oracle, unit_vector)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -257,11 +257,8 @@ def test_rank_one_gram_matches_per_pin_definition(p, family, r):
     d = family[0]
     spec = KernelSpec(KernelKind.DBR_LEFT, random_schur(rng, d, 2, p, p), deg=6)
     f = random_series(rng, d, 3, p=p, q=r)
-    vecs = []
-    for pin in pins:
-        w = evaluate(f, pin.Z).conj().T @ pin_vector(pin, p)
-        vecs.append(w.reshape(pin.Z.n, f.q).T @ pin.v.conj())
-    ref = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
+    U = rank_one_oracle(f, pins)
+    ref = U.conj() @ U.T
     assert _close(_rank_one_gram(f, spec, pins), 0.5 * (ref + ref.conj().T))
 
 
@@ -304,7 +301,8 @@ def test_membership_zero_function(rng):
     spec = KernelSpec(KernelKind.SZEGO, deg=6)
     f = parse("0", 2, 4)
     pins = nilpotent_pins(2, 6, rng)
-    assert membership_norm(spec, f, pins)["lambda"] == 0.0
+    lam = membership_norm(spec, f, pins)["lambda"]
+    assert lam == 0.0 == membership_oracle(spec, f, pins)
 
 
 def test_membership_constant_in_szego(rng):
@@ -319,7 +317,84 @@ def test_membership_inner_symbol_outside_model(rng):
     b = parse("z1", 1, 8)
     spec = KernelSpec(KernelKind.DBR_LEFT, b, deg=16)
     pins = nilpotent_pins(1, 8, rng, n=4)
-    assert math.isinf(membership_norm(spec, b, pins)["lambda"])
+    lam = membership_norm(spec, b, pins)["lambda"]
+    assert math.isinf(lam) and lam == membership_oracle(spec, b, pins)
+
+
+def _unit_pins(rng, d, count, n, p):
+    """nilpotent_pins with a random unit direction h on every other pin."""
+    pins = nilpotent_pins(d, count, rng, n=n)
+    for pin in pins[::2]:
+        h = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        pin.h = h / np.linalg.norm(h)
+    return pins
+
+
+@settings(max_examples=60)
+@given(d=st.integers(1, 3), p=st.integers(1, 2), r=st.integers(1, 2),
+       count=st.integers(2, 12), n=st.integers(2, 4),
+       kind=st.sampled_from(list(KernelKind)),
+       f_kind=st.sampled_from(["zero", "range", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_membership_matches_eigvalsh_bisection(d, p, r, count, n, kind, f_kind, seed):
+    # the one-eigendecomposition test decides each bisection step as a
+    # fresh eigvalsh of lambda^2 Gram_K - Gram_c does
+    p = 1 if kind is KernelKind.SZEGO else p
+    rng = np.random.default_rng(seed)
+    B = random_schur(rng, d, 2, p, p)
+    spec = KernelSpec(kind, None if kind is KernelKind.SZEGO else B, deg=6)
+    pins = _unit_pins(rng, d, count, n, p)
+    if f_kind == "range":
+        H = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
+        f = multiply(B, constant_series(d, 2, H))
+    else:
+        f = random_series(rng, d, 2, p=p, q=r, scale=float(f_kind == "random"))
+    lam = membership_norm(spec, f, pins)["lambda"]
+    assert math.isclose(lam, membership_oracle(spec, f, pins), rel_tol=1e-7)
+    assert (lam == 0.0) == (f_kind == "zero")
+
+
+def test_membership_isometry_outside_model(rng):
+    # the columns of an inner 2 x 2 symbol lie outside H(B): no finite bound
+    M, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    B = series.FreeSeries.from_terms(2, 1, 2, 2, {(1,): M[:2], (2,): M[2:]})
+    spec = KernelSpec(KernelKind.DBR_LEFT, B, deg=8)
+    pins = _unit_pins(rng, 2, 17, 4, 2)
+    lam = membership_norm(spec, B, pins)["lambda"]
+    assert math.isinf(lam) and lam == membership_oracle(spec, B, pins)
+
+
+def test_membership_factors_the_gram_once(monkeypatch, rng):
+    # one eigh of the kernel Gram; no eigvalsh per bisection step and no
+    # SVD for a 2-norm (np.linalg.norm reaches svd inside numpy.linalg)
+    B = random_schur(rng, 2, 2, 2, 2)
+    f = multiply(B, constant_series(2, 2, np.eye(2)))
+    spec, pins = KernelSpec(KernelKind.DBR_LEFT, B, deg=6), _unit_pins(rng, 2, 12, 3, 2)
+    calls = []
+    for mod in (np.linalg, np.linalg._linalg):
+        for name in ("eigh", "eigvalsh", "svd"):
+            def spy(*args, _name=name, _fn=getattr(mod, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, spy)
+    assert 0 < membership_norm(spec, f, pins)["lambda"] < math.inf
+    assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize("d, count, n", [(1, 6, 4), (2, 17, 4), (3, 42, 4),
+                                         (2, 10, 3), (2, 3, 1), (2, 0, 3)])
+def test_nilpotent_pins_match_per_pin_draws(d, count, n):
+    # one draw for all pins reads the stream as a loop over the pins does,
+    # and leaves the generator where the loop leaves it
+    gen, rng = np.random.default_rng(7), np.random.default_rng(7)
+    pins = nilpotent_pins(d, count, gen, n=n)
+    assert len(pins) == count
+    for pin in pins:
+        Z = nilpotent_point(rng, d, n)
+        y, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in "yv")
+        for got, want in zip(pin.Z.mats + [pin.y, pin.v], Z.mats + [y, v]):
+            assert got.tobytes() == want.tobytes()
+    assert gen.bit_generator.state == rng.bit_generator.state
 
 
 def test_coefficient_kernel_szego():
