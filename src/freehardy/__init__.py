@@ -16,10 +16,9 @@ from .series import (FreeSeries, MatrixPoint, cayley, constant_series,
                      normalize_schur, schur_norm_estimate, series_degree,
                      word_powers)
 from .parser import ParseError, parse
-from .kernels import (KernelKind, KernelSpec, Pinning, coefficient_kernel,
-                      gram_psd_check, herglotz_coefficient, kernel_eval,
-                      kernel_gram, membership_norm, nilpotent_pins,
-                      szego_eval)
+from .kernels import (KernelKind, KernelSpec, Pinning, gram_psd_check,
+                      kernel_eval, kernel_gram, membership_norm,
+                      nilpotent_pins, szego_eval)
 from .clark import (GnsModel, InvalidMomentsError, MomentFunctional,
                     cauchy_transform_matrix, clark_moments, cuntz_check,
                     gns_build, gns_kernel_coords, herglotz_from_moments,

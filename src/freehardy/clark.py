@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import (FreeSeries, MatrixPoint, cayley, evaluate, range_basis,
-                     szego_coords, word_powers)
+from .series import (FreeSeries, MatrixPoint, cayley, evaluate, factor_psd,
+                     range_basis, szego_coords, word_powers)
 from .words import (enumerate_tuples, grade_offsets, reversal, shift_indices,
                     word_count)
 
@@ -144,7 +144,6 @@ class GnsModel:
     T: np.ndarray
     Tplus: np.ndarray
     pi: list[np.ndarray]
-    embedding: np.ndarray
     eigenvalues: np.ndarray = field(repr=False, default=None)
 
 
@@ -157,18 +156,11 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
     """
     if N < 1:
         raise ValueError("GNS build needs N >= 1: pi_k is read off grades below N")
-    M = moment_matrix(mu, N)
-    evals, vecs = np.linalg.eigh(M)
-    scale = max(float(evals[-1]), 0.0)
-    cut = rank_tol * max(scale, 1e-300)
+    W, Wplus, evals, cut = factor_psd(moment_matrix(mu, N), rank_tol)
     if evals[0] < -cut:
         raise InvalidMomentsError(
             f"moment matrix eigenvalue {evals[0]:.3e} below tolerance")
-    keep = evals > cut
-    lam = evals[keep]
-    V = vecs[:, keep]
-    T = (np.sqrt(lam)[:, None] * V.conj().T)
-    Tplus = V / np.sqrt(lam)[None, :]
+    T, Tplus = W.conj().T, Wplus.conj().T
     p = mu.p
     # words below the top grade come first in the graded order
     T_int = T[:, :word_count(mu.d, N - 1) * p]
@@ -183,7 +175,7 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
         S = T_words[:, rows, :].reshape(T.shape[0], -1)
         pi.append(S @ T_int_pinv)
     return GnsModel(mu.d, N, p, int(T.shape[0]), T, Tplus, pi,
-                    embedding=T[:, 0:p], eigenvalues=evals)
+                    eigenvalues=evals)
 
 
 def _interior_basis(model: GnsModel) -> np.ndarray:

@@ -228,8 +228,9 @@ def cmd_moments(args) -> int:
 def cmd_herglotz_verify(args) -> int:
     B = _load_series(args)
     H = cayley(B.truncate(max(B.deg, args.N)), "schur_to_herglotz")
-    # at deg(B) <= N both truncations are B.truncate(N): one Cayley transform
-    mu = herglotz_moments(H) if B.deg <= args.N else clark_moments(B, args.N)
+    # a product's degree-N part reads its factors to degree N only, so the
+    # moments of H to N are those of the Cayley transform of B to N
+    mu = herglotz_moments(H.truncate(args.N))
     points = _load_points(args)
     worst = 0.0
     per_point = []

@@ -67,17 +67,6 @@ class Colligation:
                 "coisometry_defect": float(np.abs(s ** 2 - 1).max(
                     initial=float(len(U) > len(s))))}
 
-    def contraction_defect(self) -> float:
-        """max(0, ||U|| - 1): zero iff the block matrix is a contraction."""
-        return self.defects()["contraction_defect"]
-
-    def coisometry_defect(self) -> float:
-        return self.defects()["coisometry_defect"]
-
-    def isometry_defect(self) -> float:
-        U = self.block_matrix()
-        return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1]), 2))
-
     def fields(self) -> dict:
         """The fields of the file format, matrices as complex arrays."""
         return {"d": self.d, "state_dim": self.state_dim,

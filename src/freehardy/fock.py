@@ -3,9 +3,11 @@
 F2(d, N) is the span of basis vectors e_alpha over words of length <= N,
 identified with free polynomials of degree <= N.  Under that
 identification the left creation operator L_k is left multiplication by
-the letter Z_k, so every creation operator and every multiplier is
-``series.multiplier_matrix(F, side, N)`` for a series F, with the
-nilpotent truncation: words past grade N are dropped.
+the letter Z_k.  A multiplier by a series F is the matrix
+``series.multiplier_matrix(F, side, N)``, with the nilpotent truncation:
+words past grade N are dropped.  A creation operator is applied without
+a matrix, as the index pairs ``words.shift_indices(d, N, (k,), left)``
+that move the position of b to that of k.b (left) or b.k (right).
 """
 
 from enum import Enum

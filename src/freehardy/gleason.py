@@ -2,7 +2,8 @@
 
 The model space of a Schur-class series B is carried numerically by the
 Hermitian matrix D = I - T T* on truncated Fock coordinates, T the
-right multiplier matrix of B.  Its eigen-factorization provides rank
+right multiplier matrix of B.  Its rank factorization D ~ W W*
+(series.factor_psd, as for the Clark moment matrix) provides rank
 coordinates in which the model inner product is Euclidean; all Gleason
 and extremality quantities below are computed there.
 
@@ -25,10 +26,10 @@ from .clark import (GnsModel, InvalidMomentsError, clark_moments, cuntz_check,
 from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
-                     dagger_series, letter_series, multiplier_matrix,
+                     dagger_series, factor_psd, multiplier_matrix,
                      range_basis, schur_norm_estimate,
                      series_degree, strip_letter, szego_coords)
-from .words import word_count
+from .words import shift_indices, word_count
 
 
 class NotSchurError(ValueError):
@@ -92,8 +93,9 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
     """dbr_model at N, N - 1, ..., for up to `rungs` truncations that keep
     an interior, all from one Schur check and one D.  In graded order the
     interior entries of D do not depend on N, so D at a lower truncation
-    is a leading principal block of D at N; and the norm estimate is
-    nondecreasing in N, so the check at N covers the lower rungs."""
+    is a leading principal block of D at N, and each rung's W and W+ are
+    factor_psd of its block; the norm estimate is nondecreasing in N, so
+    the check at N covers the lower rungs."""
     degB = series_degree(B)
     B = B.truncate(degB)
     # the norm of the right multiplier that D factors
@@ -111,12 +113,7 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
     models = []
     for k in range(min(rungs, M)):
         m = word_count(B.d, M - k) * B.p
-        evals, vecs = np.linalg.eigh(D[:m, :m])
-        scale = max(float(np.abs(evals).max()), 1e-300)
-        keep = evals > rank_tol * scale
-        lam, V = evals[keep], vecs[:, keep]
-        W = V * np.sqrt(lam)[None, :]
-        Wplus = (V / np.sqrt(lam)[None, :]).conj().T
+        W, Wplus, evals, _ = factor_psd(D[:m, :m], rank_tol)
         models.append(DbrModel(B, N - k, M - k, int(W.shape[1]), W, Wplus,
                                evals))
     return models
@@ -136,12 +133,16 @@ def gleason_maps(model: DbrModel) -> list[np.ndarray]:
 
 
 def shift_compressions(model: DbrModel) -> list[np.ndarray]:
-    """X_j: compression of the backward shift L_j* to the model space."""
-    out = []
-    for k in range(1, model.B.d + 1):
-        Lk = multiplier_matrix(letter_series(model.B.d, 1, k, model.p),
-                               Side.LEFT, model.M)
-        out.append(model.Wplus @ Lk.conj().T @ model.W)
+    """X_j: compression of the backward shift L_j* to the model space,
+    W+ L_j* W.  L_j sends e_b to e_{j.b}, so W+ L_j* is W+ with column b
+    moved to column j.b and zeros elsewhere: a scatter, not a product."""
+    B, out = model.B, []
+    Wplus = model.Wplus.reshape(model.rank, -1, model.p)
+    for k in range(1, B.d + 1):
+        rows, cols = shift_indices(B.d, model.M, (k,), left=True)
+        WL = np.zeros_like(Wplus)
+        WL[:, rows] = Wplus[:, cols]
+        out.append(WL.reshape(model.rank, -1) @ model.W)
     return out
 
 

@@ -234,13 +234,6 @@ def _rank_one_vectors(f: FreeSeries, Z: np.ndarray, v: np.ndarray,
     return np.einsum("is,isc->ic", v.conj(), _adjoint(f, Z, yh)[..., 0])
 
 
-def _rank_one_gram(f: FreeSeries, spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
-    """Gram of the kernel f(Z)(P (x) I) f(W)* over the pins."""
-    U = _rank_one_vectors(f, *_stack_pins(pins, spec.coeff_dim()))
-    G = U.conj() @ U.T
-    return 0.5 * (G + G.conj().T)
-
-
 MEMBERSHIP_CAP = 1e3
 
 
@@ -283,60 +276,6 @@ def membership_norm(spec: KernelSpec, f: FreeSeries, pins: list[Pinning],
         else:
             lo = mid
     return {"lambda": hi}
-
-
-def coefficient_kernel(spec: KernelSpec, alpha, beta) -> np.ndarray:
-    """The (alpha, beta) coefficient K_{a,b} of the kernel's double power
-    series K(Z,W)[P] = sum K_{a,b} Z^a P (W*)^{b+}."""
-    a, b = tuple(alpha), tuple(beta)
-    if len(a) > spec.deg or len(b) > spec.deg:
-        raise ValueError("word length exceeds kernel degree")
-    if spec.kind is KernelKind.SZEGO:
-        return np.array([[1.0 + 0j]]) if a == b else np.array([[0.0 + 0j]])
-    B = spec.B
-    if spec.kind is KernelKind.DBR_LEFT:
-        out = np.eye(B.p, dtype=complex) if a == b else np.zeros((B.p, B.p), complex)
-        # subtract over common-suffix factorizations a = g.m, b = dl.m
-        for cut in range(min(len(a), len(b)) + 1):
-            if cut and a[len(a) - cut:] != b[len(b) - cut:]:
-                break
-            g, dl = a[:len(a) - cut], b[:len(b) - cut]
-            out = out - B.coeff(g) @ B.coeff(dl).conj().T
-        return out
-    if spec.kind is KernelKind.DBR_RIGHT:
-        out = np.eye(B.p, dtype=complex) if a == b else np.zeros((B.p, B.p), complex)
-        for cut in range(min(len(a), len(b)) + 1):
-            if a[:cut] != b[:cut]:
-                break
-            g, dl = a[cut:], b[cut:]
-            out = out - B.coeff(g[::-1]) @ B.coeff(dl[::-1]).conj().T
-        return out
-    if spec.kind is KernelKind.HERGLOTZ:
-        H = cayley(B, "schur_to_herglotz")
-        return herglotz_coefficient(H, a, b)
-    raise ValueError(f"unknown kernel kind {spec.kind}")
-
-
-def herglotz_coefficient(H: FreeSeries, a: tuple, b: tuple) -> np.ndarray:
-    """Closed-form left Herglotz coefficient kernel from the Cayley
-    transform coefficients:
-
-        K_{a,b} = (1/2) H_{(b+ \\ a+)+}^*  if a+ is a strict prefix of b+
-                  (1/2) H_{(a+ \\ b+)+}    if b+ is a strict prefix of a+
-                  Re H_0                   if a = b
-                  0                        otherwise
-    """
-    if a == b:
-        H0 = H.coeff(())
-        return 0.5 * (H0 + H0.conj().T)
-    ad, bd = a[::-1], b[::-1]
-    if bd[:len(ad)] == ad:
-        quot = bd[len(ad):]
-        return 0.5 * H.coeff(quot[::-1]).conj().T
-    if ad[:len(bd)] == bd:
-        quot = ad[len(bd):]
-        return 0.5 * H.coeff(quot[::-1])
-    return np.zeros((H.p, H.p), dtype=complex)
 
 
 def nilpotent_pins(d: int, count: int, rng: np.random.Generator,

@@ -176,21 +176,6 @@ class MatrixPoint:
         return float(np.linalg.norm(np.hstack(self.mats), 2))
 
 
-def direct_sum(points: list[MatrixPoint]) -> MatrixPoint:
-    """The block-diagonal point Z_1 (+) ... (+) Z_k.  NC functions and
-    kernels respect direct sums: their value here holds the value at each
-    Z_i as a diagonal block."""
-    if len({Z.d for Z in points}) != 1:
-        raise ValueError("direct sum needs points over one alphabet")
-    n = sum(Z.n for Z in points)
-    mats = np.zeros((points[0].d, n, n), dtype=complex)
-    lo = 0
-    for Z in points:
-        mats[:, lo:lo + Z.n, lo:lo + Z.n] = Z.mats
-        lo += Z.n
-    return MatrixPoint(points[0].d, n, list(mats))
-
-
 def mat_to_json(m) -> list:
     """A complex matrix as nested rows of [re, im] pairs, the layout of
     report, point and colligation files."""
@@ -538,6 +523,19 @@ def range_basis(A: np.ndarray, rtol: float) -> np.ndarray:
     singular values exceed rtol times the largest."""
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     return U[:, s > rtol * max(float(s[0]) if len(s) else 0.0, 1e-300)]
+
+
+def factor_psd(G: np.ndarray, rank_tol: float):
+    """W, W+, the ascending spectrum of the Hermitian G and the cut, from
+    one eigh: the eigenvectors V whose eigenvalues lambda exceed cut =
+    rank_tol * max |eigenvalue| give W = V sqrt(lambda), with G ~ W W*,
+    and its left inverse W+ = (V / sqrt(lambda))*.  Eigenvalues below
+    -cut are the caller's to refuse."""
+    evals, vecs = np.linalg.eigh(G)
+    cut = rank_tol * max(float(np.abs(evals).max()), 1e-300)
+    keep = evals > cut
+    lam, V = np.sqrt(evals[keep]), vecs[:, keep]
+    return V * lam[None, :], (V / lam[None, :]).conj().T, evals, cut
 
 
 def normalize_schur(F: FreeSeries, N: int, target: float = 0.9) -> FreeSeries:

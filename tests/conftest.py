@@ -28,6 +28,19 @@ def random_schur(rng, d, deg, p=1, q=1, target=0.9, N=None):
     return normalize_schur(F, N if N is not None else deg + 2, target=target)
 
 
+def direct_sum(points):
+    """The block-diagonal point Z_1 (+) ... (+) Z_k.  NC functions and
+    kernels respect direct sums: their value here holds the value at each
+    Z_i as a diagonal block."""
+    n = sum(Z.n for Z in points)
+    mats = np.zeros((points[0].d, n, n), dtype=complex)
+    lo = 0
+    for Z in points:
+        mats[:, lo:lo + Z.n, lo:lo + Z.n] = Z.mats
+        lo += Z.n
+    return MatrixPoint(points[0].d, n, list(mats))
+
+
 def nilpotent_point(rng, d, n, scale=0.8):
     mats = [np.triu(rng.standard_normal((n, n))
                     + 1j * rng.standard_normal((n, n)), 1) for _ in range(d)]
@@ -101,6 +114,53 @@ def kernel_oracle(spec, Z, W, P):
     Zp, Wp = (MatrixPoint(V.d, V.n * B.p, [np.kron(m, np.eye(B.p)) for m in V.mats])
               for V in (Z, W))
     return amp - szego_oracle(Zp, Wp, inner, spec.deg)
+
+
+def coefficient_kernel(spec, alpha, beta):
+    """The (alpha, beta) coefficient K_{a,b} of the kernel's double power
+    series K(Z,W)[P] = sum K_{a,b} Z^a P (W*)^{b+}."""
+    a, b = tuple(alpha), tuple(beta)
+    if len(a) > spec.deg or len(b) > spec.deg:
+        raise ValueError("word length exceeds kernel degree")
+    if spec.kind is KernelKind.SZEGO:
+        return np.array([[1.0 + 0j]]) if a == b else np.array([[0.0 + 0j]])
+    B = spec.B
+    if spec.kind is KernelKind.HERGLOTZ:
+        return herglotz_coefficient(cayley(B, "schur_to_herglotz"), a, b)
+    out = np.eye(B.p, dtype=complex) if a == b else np.zeros((B.p, B.p), complex)
+    for cut in range(min(len(a), len(b)) + 1):
+        if spec.kind is KernelKind.DBR_LEFT:
+            # common-suffix factorizations a = g.m, b = dl.m
+            if cut and a[len(a) - cut:] != b[len(b) - cut:]:
+                break
+            g, dl = a[:len(a) - cut], b[:len(b) - cut]
+        else:
+            # common-prefix factorizations, read on reversed words
+            if a[:cut] != b[:cut]:
+                break
+            g, dl = a[cut:][::-1], b[cut:][::-1]
+        out = out - B.coeff(g) @ B.coeff(dl).conj().T
+    return out
+
+
+def herglotz_coefficient(H, a, b):
+    """Closed-form left Herglotz coefficient kernel from the Cayley
+    transform coefficients:
+
+        K_{a,b} = (1/2) H_{(b+ \\ a+)+}^*  if a+ is a strict prefix of b+
+                  (1/2) H_{(a+ \\ b+)+}    if b+ is a strict prefix of a+
+                  Re H_0                   if a = b
+                  0                        otherwise
+    """
+    if a == b:
+        H0 = H.coeff(())
+        return 0.5 * (H0 + H0.conj().T)
+    ad, bd = a[::-1], b[::-1]
+    if bd[:len(ad)] == ad:
+        return 0.5 * H.coeff(bd[len(ad):][::-1]).conj().T
+    if ad[:len(bd)] == bd:
+        return 0.5 * H.coeff(ad[len(bd):][::-1])
+    return np.zeros((H.p, H.p), dtype=complex)
 
 
 def pin_vector(pin, p):

@@ -9,12 +9,12 @@ from freehardy.clark import (InvalidMomentsError, MomentFunctional,
                              herglotz_from_moments, interior_isometry_defect,
                              moment_matrix, vb_adjoint_defect, vb_build)
 from freehardy.fock import Side
-from freehardy.kernels import herglotz_coefficient
 from freehardy.parser import parse
 from freehardy.series import MatrixPoint, evaluate, cayley
 from freehardy.words import enumerate_tuples, index_map
 
-from conftest import ball_point, creation, nilpotent_point
+from conftest import (ball_point, creation, herglotz_coefficient,
+                      nilpotent_point)
 
 
 def test_clark_moments_vacuum_state():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                ce_test, clark_gleason_residual,
@@ -17,7 +18,7 @@ from freehardy.series import (FreeSeries, MatrixPoint, evaluate, letter_series,
                               multiplier_matrix, multiply)
 from freehardy.words import enumerate_tuples, word_count
 
-from conftest import nilpotent_point, random_schur
+from conftest import creation_oracle, nilpotent_point, random_schur
 
 SQRT_HALF = 0.7071067811865476
 
@@ -315,6 +316,23 @@ def test_shift_compressions_annihilate_constants():
     for Xj in shift_compressions(model):
         # backward shift kills constants: X_j* K_0 = 0 up to truncation
         assert np.linalg.norm(Xj @ K0) < 1e-10
+
+
+@settings(max_examples=30)
+@given(d=st.integers(1, 3), p=st.integers(1, 2), deg=st.integers(1, 2),
+       m=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=1, p=2, deg=1, m=150, seed=0)
+def test_shift_compressions_match_creation_matrices(d, p, deg, m, seed):
+    # the scatter of W+ equals the product with the dense creation matrix
+    # (L_k (x) I_p)*, read left to right, bit for bit up to signs of zeros.
+    # Past a few hundred rank coordinates BLAS splits the inner dimension,
+    # so the large example tells this apart from W+[:, b] @ W[k.b]
+    N = deg + m
+    B = random_schur(np.random.default_rng(seed), d, deg, p, p, target=0.6, N=N)
+    model = dbr_model(B, N)
+    for k, Xk in enumerate(shift_compressions(model), start=1):
+        Lk = np.kron(creation_oracle(Side.LEFT, k, d, model.M), np.eye(p))
+        assert np.array_equal(Xk, model.Wplus @ Lk.conj().T @ model.W)
 
 
 def test_gleason_maps_norm_bound():

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freehardy import kernels, series
+from freehardy import series
 from freehardy.clark import clark_moments
 from freehardy.kernels import (KernelKind, KernelSpec, Pinning,
-                               _rank_one_gram, coefficient_kernel,
-                               gram_psd_check, herglotz_coefficient,
-                               kernel_eval, kernel_gram, membership_norm,
-                               nilpotent_pins, szego_eval)
+                               _rank_one_vectors, _stack_pins,
+                               gram_psd_check, kernel_eval, kernel_gram,
+                               membership_norm, nilpotent_pins, szego_eval)
 from freehardy.parser import parse
 from freehardy.series import (MatrixPoint, cayley,
-                              constant_series, direct_sum, evaluate,
+                              constant_series, evaluate,
                               invert_series, letter_series, multiply,
                               szego_coords)
 from freehardy.words import enumerate_tuples, index_map
 
-from conftest import (ball_point, gram_oracle, kernel_oracle,
+from conftest import (ball_point, coefficient_kernel, direct_sum,
+                      gram_oracle, herglotz_coefficient, kernel_oracle,
                       membership_oracle, nilpotent_point, random_schur,
                       random_series, rank_one_oracle, unit_vector)
 
@@ -258,8 +258,8 @@ def test_rank_one_gram_matches_per_pin_definition(p, family, r):
     spec = KernelSpec(KernelKind.DBR_LEFT, random_schur(rng, d, 2, p, p), deg=6)
     f = random_series(rng, d, 3, p=p, q=r)
     U = rank_one_oracle(f, pins)
-    ref = U.conj() @ U.T
-    assert _close(_rank_one_gram(f, spec, pins), 0.5 * (ref + ref.conj().T))
+    got = _rank_one_vectors(f, *_stack_pins(pins, spec.coeff_dim()))
+    assert _close(got.conj() @ got.T, U.conj() @ U.T)
 
 
 def test_grams_form_no_direct_sum_and_no_kron(monkeypatch, rng):
@@ -270,8 +270,6 @@ def test_grams_form_no_direct_sum_and_no_kron(monkeypatch, rng):
     pins = _mixed_pins(rng, 2)
     f = random_series(rng, 2, 2, p=2, q=2)
     monkeypatch.setattr(np, "kron", refuse)
-    monkeypatch.setattr(series, "direct_sum", refuse)
-    monkeypatch.setattr(kernels, "direct_sum", refuse, raising=False)
     for kind in KernelKind:
         kernel_gram(KernelSpec(kind, None if kind is KernelKind.SZEGO else B, deg=6), pins)
     membership_norm(KernelSpec(KernelKind.DBR_LEFT, B, deg=6), f, pins)
@@ -293,8 +291,6 @@ def test_gram_rejects_pins_over_different_alphabets(rng):
     pins = nilpotent_pins(2, 2, rng) + nilpotent_pins(1, 1, rng)
     with pytest.raises(ValueError):
         kernel_gram(KernelSpec(KernelKind.SZEGO, deg=4), pins)
-    with pytest.raises(ValueError):
-        direct_sum([pin.Z for pin in pins])
 
 
 def test_membership_zero_function(rng):

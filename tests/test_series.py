@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from freehardy.fock import Side
 from freehardy.series import (FreeSeries, MatrixPoint, cayley,
-                              constant_series, dagger_series, direct_sum,
-                              evaluate, identity_series, invert_series,
+                              constant_series, dagger_series, evaluate,
+                              factor_psd, identity_series, invert_series,
                               letter_series, multiplier_matrix, multiply,
                               normalize_schur, schur_norm_estimate,
                               word_powers)
@@ -16,8 +16,8 @@ from freehardy import series
 from freehardy.clark import MomentFunctional, herglotz_from_moments
 from freehardy.words import enumerate_tuples, word_count
 
-from conftest import (ball_point, creation_oracle, random_series,
-                      random_schur, transpose_unitary)
+from conftest import (ball_point, creation_oracle, direct_sum,
+                      random_series, random_schur, transpose_unitary)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -620,3 +620,16 @@ def test_herglotz_from_moments_matches_defining_sum(data):
     mag = 2 * mag + np.kron(np.eye(n), abs(im) + abs(moms[()]))
     got = herglotz_from_moments(mu, Z)
     assert np.all(np.abs(got - want) <= REL * mag)
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (6, 3), (12, 12), (20, 7)])
+def test_factor_psd_reproduces_a_rank_deficient_psd_matrix(rng, n, rank):
+    # G = A A* of rank r, scaled up so that the cut is relative
+    A = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    G = 1e3 * (A @ A.conj().T)
+    W, Wplus, evals, cut = factor_psd(G, 1e-10)
+    assert W.shape == (n, rank) and Wplus.shape == (rank, n)
+    assert np.all(np.diff(evals) >= 0)
+    assert cut == 1e-10 * np.abs(evals).max()
+    assert np.abs(W @ W.conj().T - G).max() <= 1e-12 * np.abs(G).max()
+    assert np.abs(Wplus @ W - np.eye(rank)).max() <= 1e-12
