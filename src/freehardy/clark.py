@@ -105,26 +105,25 @@ def herglotz_from_moments(mu: MomentFunctional, Z: MatrixPoint) -> np.ndarray:
 def moment_matrix(mu: MomentFunctional, N: int) -> np.ndarray:
     """Matrix M with blocks M[a, b] = mu((L^a)* L^b) over words |.| <= N.
 
-    Entries mu((L^a)* L^b) involve degree up to 2N, so a window
-    mu.deg >= 2N is required even though for a semi-Dirichlet functional
-    only prefix quotients of length <= N survive:
+    For a semi-Dirichlet functional only prefix quotients survive, so M
+    reads moments of words of length <= N only; mu.deg >= N is required:
 
         M[a, b] = mu(L^{a\\b})        if a is a prefix of b
                   mu(L^{b\\a})*       if b is a prefix of a
                   0                   otherwise
     """
-    if mu.deg < 2 * N:
-        raise ValueError(f"moment window {mu.deg} too short for N = {N}; "
-                         f"need degree >= {2 * N}")
-    words = enumerate_tuples(mu.d, N)
-    n, p = len(words), mu.p
+    if mu.deg < N:
+        raise ValueError(f"moment window {mu.deg} too short for N = {N}")
+    off = grade_offsets(mu.d, N)
+    n, p = off[-1], mu.p
     M = np.zeros((n, p, n, p), dtype=complex)
-    for quot, blk in zip(words, mu.array):
-        # b = a.quot: rows index b, cols index a
-        b, a = shift_indices(mu.d, N, quot, left=False)
-        M[a, :, b, :] = blk
-        if quot:
-            M[b, :, a, :] = blk.conj().T
+    for t in range(N + 1):
+        # b = a.quot, at a.1^t plus the rank of quot: rows index b, cols a
+        b, a = shift_indices(mu.d, N, (1,) * t, left=False)
+        b, a = b[:, None] + np.arange(mu.d ** t), a[:, None]
+        M[a, :, b, :] = mu.array[off[t]:off[t + 1]]
+        if t:
+            M[b, :, a, :] = M[a, :, b, :].conj().swapaxes(2, 3)
     return M.reshape(n * p, n * p)
 
 
@@ -134,7 +133,8 @@ class GnsModel:
     left regular representation to the closed range of the moment form.
 
     T maps word coordinates to rank coordinates; columns of Tplus lift
-    back.  pi holds the images of the left creation operators.
+    back.  pi holds the images of the left creation operators, interior
+    an orthonormal basis of the image of the words of length <= N - 1.
     """
 
     d: int
@@ -144,6 +144,7 @@ class GnsModel:
     T: np.ndarray
     Tplus: np.ndarray
     pi: list[np.ndarray]
+    interior: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False, default=None)
 
 
@@ -152,7 +153,8 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
 
     Raises InvalidMomentsError when the moment matrix has an eigenvalue
     below -rank_tol * ||M||; eigenvalues within that band are treated as
-    zero and quotiented out.
+    zero and quotiented out.  One SVD of the interior columns T_int of T
+    serves pi and interior, which is range_basis(T_int, 1e-12).
     """
     if N < 1:
         raise ValueError("GNS build needs N >= 1: pi_k is read off grades below N")
@@ -163,8 +165,7 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
     T, Tplus = W.conj().T, Wplus.conj().T
     p = mu.p
     # words below the top grade come first in the graded order
-    T_int = T[:, :word_count(mu.d, N - 1) * p]
-    T_int_pinv = np.linalg.pinv(T_int, rcond=rank_tol)
+    T_int_pinv, U, s = _pinv(T[:, :word_count(mu.d, N - 1) * p], rank_tol)
     # pi_k acts on GNS classes by letter prepending: pi_k [f] = [L_k f].
     # The window only determines this on classes of words below the top
     # grade; least squares extends by 0 on any orthogonal complement.
@@ -175,19 +176,22 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
         S = T_words[:, rows, :].reshape(T.shape[0], -1)
         pi.append(S @ T_int_pinv)
     return GnsModel(mu.d, N, p, int(T.shape[0]), T, Tplus, pi,
-                    eigenvalues=evals)
+                    U[:, s > 1e-12 * max(s.max(initial=0.0), 1e-300)], evals)
 
 
-def _interior_basis(model: GnsModel) -> np.ndarray:
-    cols = word_count(model.d, model.N - 1) * model.p
-    return range_basis(model.T[:, :cols], 1e-12)
+def _pinv(A: np.ndarray, rcond: float):
+    """np.linalg.pinv(A, rcond), with the U and s of its one SVD."""
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s),
+                      where=s > rcond * s.max(initial=0.0))
+    return Vh.conj().T @ (s_inv[:, None] * U.conj().T), U, s
 
 
 def interior_isometry_defect(model: GnsModel) -> float:
     """Worst deviation of Pi_k* Pi_j from delta_kj I on the span of the
     classes of words of length <= N - 1; zero means the GNS row is a row
     isometry there."""
-    Q = _interior_basis(model)
+    Q = model.interior
     worst = 0.0
     eye = np.eye(Q.shape[1])
     for k, Pk in enumerate(model.pi):
@@ -205,7 +209,7 @@ def cuntz_check(model: GnsModel) -> dict:
     Measures || Q* (I - sum_k pi_k pi_k*) Q || where Q spans the image
     of words of length <= N - 1.  A Cuntz (quotient) row gives 0.
     """
-    Q = _interior_basis(model)
+    Q = model.interior
     D = np.eye(model.rank, dtype=complex)
     for P in model.pi:
         D = D - P @ P.conj().T
@@ -245,7 +249,7 @@ def vb_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> dict:
     gns = gns_build(mu, N, rank_tol=rank_tol)
     C = cauchy_transform_matrix(mu, "left", N)
     S = C @ gns.Tplus
-    Spinv = np.linalg.pinv(S, rcond=rank_tol)
+    Spinv = _pinv(S, rank_tol)[0]
     V = [S @ pk @ Spinv for pk in gns.pi]
     return {"V": V, "carrier": S, "transform": C,
             "range_basis": range_basis(C[:, mu.p:], 1e-10), "gns": gns}

@@ -60,17 +60,12 @@ def _load_series(args) -> FreeSeries:
 
 def _random_points(d: int, count: int, seed: int, n: int = 2,
                    radius: float = 0.4) -> list[MatrixPoint]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                for _ in range(d)]
-        Z = MatrixPoint(d, n, mats)
-        rn = Z.row_norm()
-        if rn > 0:
-            Z = MatrixPoint(d, n, [m * (radius / rn) for m in Z.mats])
-        out.append(Z)
-    return out
+    # one draw, in the order of a loop over points, letters, re then im
+    g = np.random.default_rng(seed).standard_normal((count, d, 2, n, n))
+    mats = g[:, :, 0] + 1j * g[:, :, 1]
+    rn = np.linalg.norm(mats.swapaxes(1, 2).reshape(count, n, d * n), 2, axis=(1, 2))
+    mats *= np.divide(radius, rn, out=np.ones(count), where=rn > 0)[:, None, None, None]
+    return [MatrixPoint(d, n, list(Z)) for Z in mats]
 
 
 def _load_points(args) -> list[MatrixPoint]:
@@ -232,14 +227,9 @@ def cmd_herglotz_verify(args) -> int:
     # moments of H to N are those of the Cayley transform of B to N
     mu = herglotz_moments(H.truncate(args.N))
     points = _load_points(args)
-    worst = 0.0
-    per_point = []
-    for Z in points:
-        lhs = herglotz_from_moments(mu, Z)
-        rhs = evaluate(H, Z)
-        r = float(np.linalg.norm(lhs - rhs, 2))
-        per_point.append(r)
-        worst = max(worst, r)
+    per_point = [float(np.linalg.norm(herglotz_from_moments(mu, Z)
+                                      - evaluate(H, Z), 2)) for Z in points]
+    worst = max([0.0, *per_point])
     ok = worst <= args.tol
     _emit(_report(args, {"max_residual": worst, "residuals": per_point,
                          "within_tol": bool(ok), "tol": args.tol}), args)
@@ -248,7 +238,7 @@ def cmd_herglotz_verify(args) -> int:
 
 def _gns_from_args(args):
     B = _load_series(args)
-    mu = clark_moments(B, 2 * args.N)
+    mu = clark_moments(B, args.N)
     return gns_build(mu, args.N, rank_tol=args.rank_tol), mu
 
 
@@ -278,14 +268,12 @@ def cmd_ce_test(args) -> int:
     B = _load_series(args)
     res = ce_test(B, args.N, tol=args.tol, rank_tol=args.rank_tol,
                   seed=args.seed)
+    lam = res["by_membership"]["lambda"]
     results = {"verdict": res["verdict"], "flags": res["flags"],
                "gleason": res["by_gleason"],
                "szego": res["by_szego"],
-               "membership": {"lambda": (None if res["by_membership"]["lambda"]
-                                         == float("inf")
-                                         else res["by_membership"]["lambda"]),
-                              "certified_bound": bool(
-                                  res["by_membership"]["lambda"] != float("inf")),
+               "membership": {"lambda": None if lam == float("inf") else lam,
+                              "certified_bound": bool(lam != float("inf")),
                               "extremal": res["by_membership"]["extremal"]},
                "cuntz": res["by_cuntz"]}
     rows = [{"N": r["N"], "gap_norm": r["gap_norm"]}
@@ -325,7 +313,10 @@ def cmd_transfer_eval(args) -> int:
     if args.input is None:
         raise ValueError("transfer-eval needs --input with a colligation file")
     with open(args.input) as fh:
-        U = Colligation.from_json(json.load(fh))
+        data = json.load(fh)
+    if isinstance(data, dict) and "results" in data:  # a realize report
+        data = json_field(data["results"], "colligation", dict)
+    U = Colligation.from_json(data)
     args.d = U.d
     points = _load_points(args)
     vals = [{"point": _point_json(Z),

@@ -27,7 +27,7 @@ from .fock import Side
 from .gleason import (CeObstructionError, a_empty_sq, dbr_model,
                       gleason_maps, shift_compressions, vacuum_kernel)
 from .series import (FreeSeries, MatrixPoint, dagger_series, json_field,
-                     mat_from_json, mat_to_json, multiplier_matrix,
+                     mat_from_json, mat_to_json, schur_norm_estimate,
                      series_degree)
 
 
@@ -143,7 +143,7 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
     """
     A = A.truncate(series_degree(A))
     gap = a_empty_sq(A, N, tol=tol, rank_tol=rank_tol)
-    if float(np.linalg.norm(gap["a0_sq"], 2)) <= tol:
+    if max(float(gap["eigenvalues"][-1]), 0.0) <= tol:
         raise CeObstructionError(
             "extremality gap vanishes; no nonzero completion exists")
     a0, model = gap["a0"], gap["model"]
@@ -168,14 +168,14 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
 
 
 def column_schur_defect(A: FreeSeries, a: FreeSeries, N: int) -> float:
-    """Most negative eigenvalue (as a magnitude) of I - M*M for the
-    stacked column [A; a] on words of length <= N; zero certifies the
-    completion is Schur."""
+    """max(0, -lambda_min(I - T*T)) = max(0, ||T||^2 - 1), T the right
+    multiplier of the stacked column [A; a] on words of length <= N; zero
+    certifies the completion is Schur.  ||T|| is the Schur norm estimate
+    of the transpose, so no T*T is formed."""
     if (A.d, A.q) != (a.d, a.q):
         raise ValueError("column blocks must share alphabet and input space")
     deg = min(max(A.deg, a.deg), N)
     col = FreeSeries(A.d, deg, np.concatenate(
         [A.truncate(deg).array, a.truncate(deg).array], axis=1))
-    T = multiplier_matrix(col, Side.RIGHT, N)
-    G = np.eye(T.shape[1], dtype=complex) - T.conj().T @ T
-    return max(0.0, -float(np.linalg.eigvalsh(G)[0]))
+    est = schur_norm_estimate(dagger_series(col), N)
+    return max(0.0, est * est - 1.0)

@@ -181,7 +181,8 @@ def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
 def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
                rank_tol: float = 1e-10) -> dict:
     """The Hermitian matrix a0^2 = I - A(0)*A(0) - <Gleason Gram>, clipped
-    to PSD, and its PSD square root a0, cross-validated against
+    to PSD, its PSD square root a0 and its ascending "eigenvalues", from
+    one eigh of the gap; a0 is cross-validated against
     (I + Ahat*Ahat)^{-1} when membership of A.h in the model certifies the
     graph realization of Ahat.  The model dbr_model(A, N,
     rank_tol=rank_tol, tol=tol) is returned with them."""
@@ -191,7 +192,6 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
         raise ValueError(
             f"extremality gap indefinite ({evals[0]:.3e}); truncation too coarse")
     clipped = (vecs * np.clip(evals, 0.0, None)[None, :]) @ vecs.conj().T
-    evals, vecs = np.linalg.eigh(clipped)
     a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
     E = A.truncate(model.M).array.reshape(-1, A.q)
     memb = max(model.membership(E[:, j])["residual"] for j in range(A.q))
@@ -199,7 +199,7 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     if memb <= tol:
         C = model.Wplus @ E
         dual = np.linalg.inv(np.eye(A.q) + C.conj().T @ C)
-    return {"a0_sq": clipped, "a0": a0, "dual": dual,
+    return {"a0_sq": clipped, "a0": a0, "eigenvalues": evals, "dual": dual,
             "membership_residual": memb, "model": model}
 
 
@@ -280,7 +280,7 @@ def szego_distance(B: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     over basis vectors h.  Zero characterizes the Szego extremal
     property."""
     Bsq = square_completion(B)
-    gns = gns_build(clark_moments(Bsq, 2 * N), N, rank_tol=rank_tol)
+    gns = gns_build(clark_moments(Bsq, N), N, rank_tol=rank_tol)
     return _szego(gns, Bsq.coeff(()))
 
 
@@ -314,7 +314,7 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     flags, gns = [], None
     dist = by_szego = cuntz_defect = by_cuntz = None
     try:
-        gns = gns_build(clark_moments(Bsq, 2 * n_gns), n_gns, rank_tol=rank_tol)
+        gns = gns_build(clark_moments(Bsq, n_gns), n_gns, rank_tol=rank_tol)
     except InvalidMomentsError as exc:
         flags.append(f"szego and cuntz criteria undecided: {exc}")
     else:
@@ -361,7 +361,7 @@ def _weighted_transform(B: FreeSeries, N: int, rank_tol: float):
     Cauchy transform matrix from GNS rank coordinates to model rank
     coordinates."""
     model = dbr_model(B, N, rank_tol=rank_tol)
-    mu = clark_moments(B, 2 * N)
+    mu = clark_moments(B, N)
     gns = gns_build(mu, N, rank_tol=rank_tol)
     one = constant_series(B.d, B.deg, np.eye(B.p))
     T_im = multiplier_matrix(one - B, Side.RIGHT, N)

@@ -6,8 +6,9 @@ from freehardy.fock import Side
 from freehardy.kernels import MEMBERSHIP_CAP, KernelKind, kernel_gram
 from freehardy.series import (FreeSeries, MatrixPoint, cayley, dagger_series,
                               evaluate, letter_series, multiplier_matrix,
-                              normalize_schur)
-from freehardy.words import enumerate_tuples, index_map, reversal, word_count
+                              normalize_schur, range_basis)
+from freehardy.words import (enumerate_tuples, index_map, reversal,
+                             shift_indices, word_count)
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a loaded machine neither fails them on time nor changes what they try.
@@ -206,6 +207,59 @@ def membership_oracle(spec, f, pins, tol=1e-8):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if ok(mid) else (mid, hi)
     return hi
+
+
+def moment_matrix_oracle(mu, N):
+    """moment_matrix one quotient word at a time: the moment of quot goes
+    to every block (a, a.quot) and its adjoint to (a.quot, a)."""
+    words = enumerate_tuples(mu.d, N)
+    n, p = len(words), mu.p
+    M = np.zeros((n, p, n, p), dtype=complex)
+    for quot, blk in zip(words, mu.array):
+        b, a = shift_indices(mu.d, N, quot, left=False)
+        M[a, :, b, :] = blk
+        if quot:
+            M[b, :, a, :] = blk.conj().T
+    return M.reshape(n * p, n * p)
+
+
+def gns_oracle(model, rank_tol):
+    """The GNS row pi and the interior basis of a GnsModel from its T, by
+    np.linalg.pinv(T_int, rcond=rank_tol) and range_basis(T_int, 1e-12)
+    of the interior columns T_int (words of length <= N - 1)."""
+    T_int = model.T[:, :word_count(model.d, model.N - 1) * model.p]
+    T_words = model.T.reshape(model.rank, -1, model.p)
+    pinv = np.linalg.pinv(T_int, rcond=rank_tol)
+    pi = [T_words[:, shift_indices(model.d, model.N, (k,), left=True)[0]]
+          .reshape(model.rank, -1) @ pinv for k in range(1, model.d + 1)]
+    return pi, range_basis(T_int, 1e-12)
+
+
+def column_schur_oracle(A, a, N):
+    """-lambda_min(I - T*T) from a dense eigvalsh (0 if positive), and
+    ||T||, for T the right multiplier of the stacked column [A; a] on
+    words of length <= N."""
+    deg = min(max(A.deg, a.deg), N)
+    col = FreeSeries(A.d, deg, np.concatenate(
+        [A.truncate(deg).array, a.truncate(deg).array], axis=1))
+    T = multiplier_matrix(col, Side.RIGHT, N)
+    G = np.eye(T.shape[1], dtype=complex) - T.conj().T @ T
+    return (max(0.0, -float(np.linalg.eigvalsh(G)[0])),
+            float(np.linalg.norm(T, 2)))
+
+
+def spy_linalg(monkeypatch, names):
+    """Record (name, shape of the first argument, keyword arguments) of
+    every call to the named numpy.linalg routines, the calls numpy makes
+    inside numpy.linalg too (np.linalg.norm(x, 2) reaches svd there)."""
+    calls = []
+    for mod in (np.linalg, np.linalg._linalg):
+        for name in names:
+            def spy(*args, _name=name, _fn=getattr(mod, name), **kwargs):
+                calls.append((_name, np.shape(args[0]), kwargs))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, spy)
+    return calls
 
 
 @pytest.fixture

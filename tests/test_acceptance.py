@@ -96,6 +96,18 @@ def test_criterion_03_moment_positivity(moments12):
            f"100 moment matrices, worst relative negative eig {worst:.2e}")
 
 
+def test_moment_window_to_degree_n_matches_2n(fixtures, moments12):
+    # a moment matrix on words of length <= N reads moments to degree N;
+    # clark_moments to N gives them bit for bit as clark_moments to 2N
+    # does, so every builder asks for degree N
+    for B, mu12 in zip(fixtures, moments12):
+        for N in range(1, 7):
+            mu = clark_moments(B, N)
+            mu2 = mu12 if N == 6 else clark_moments(B, 2 * N)
+            assert mu.array.tobytes() == mu2.array[:len(mu.array)].tobytes()
+            assert mu.im_h0.tobytes() == mu2.im_h0.tobytes()
+
+
 def test_criterion_04_gns_interior_isometry():
     cases = [("0", 1, 6), ("z1", 1, 6), ("0.5*z1", 1, 6), ("0.9*z1", 1, 6),
              ("z1", 2, 4), ("0.8*z1*z2", 2, 4)]

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from freehardy.clark import (InvalidMomentsError, MomentFunctional,
                              cauchy_transform_matrix, clark_moments,
@@ -10,11 +11,12 @@ from freehardy.clark import (InvalidMomentsError, MomentFunctional,
                              moment_matrix, vb_adjoint_defect, vb_build)
 from freehardy.fock import Side
 from freehardy.parser import parse
-from freehardy.series import MatrixPoint, evaluate, cayley
-from freehardy.words import enumerate_tuples, index_map
+from freehardy.series import FreeSeries, MatrixPoint, evaluate, cayley
+from freehardy.words import enumerate_tuples, index_map, word_count
 
-from conftest import (ball_point, creation, herglotz_coefficient,
-                      nilpotent_point)
+from conftest import (ball_point, creation, gns_oracle, herglotz_coefficient,
+                      moment_matrix_oracle, nilpotent_point, random_schur,
+                      spy_linalg)
 
 
 def test_clark_moments_vacuum_state():
@@ -110,9 +112,52 @@ def test_moment_matrix_inner_all_ones():
 
 
 def test_moment_matrix_window_too_short():
-    mu = clark_moments(parse("0.5*z1", 1, 5), 5)
+    # the matrix on words of length <= 3 reads moments to degree 3
+    mu = clark_moments(parse("0.5*z1", 1, 5), 2)
     with pytest.raises(ValueError):
         moment_matrix(mu, 3)
+
+
+@given(d=st.integers(1, 3), p=st.integers(1, 2), N=st.integers(0, 5),
+       extra=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+@example(d=3, p=2, N=5, extra=1, seed=0)
+def test_moment_matrix_matches_per_word_oracle(d, p, N, extra, seed):
+    # one scatter per grade writes the bits of one scatter per word, from a
+    # window of degree N or above
+    g = np.random.default_rng(seed).standard_normal(
+        (2, word_count(d, N + extra), p, p))
+    mu = MomentFunctional(d, N + extra, g[0] + 1j * g[1])
+    assert moment_matrix(mu, N).tobytes() == moment_matrix_oracle(mu, N).tobytes()
+
+
+@pytest.mark.parametrize("d, p, N", [(1, 1, 6), (1, 2, 5), (2, 1, 4),
+                                     (2, 2, 3), (3, 1, 3), (3, 2, 2)])
+def test_gns_build_matches_pinv_and_range_basis(d, p, N):
+    # pi and interior from one SVD equal pinv and range_basis of T_int bit
+    # for bit, on random symbols and on CE symbols with a singular M
+    rng = np.random.default_rng(100 * d + 10 * p + N)
+    symbols = [random_schur(rng, d, 2, p, p, N=N + 2) for _ in range(3)]
+    symbols += [FreeSeries.from_terms(d, 2, p, p, {w: np.eye(p)})
+                for w in ((1,), (d, 1))]
+    for B in symbols:
+        mu = clark_moments(B, N)
+        for rank_tol in (1e-10, 1e-6):
+            model = gns_build(mu, N, rank_tol=rank_tol)
+            pi, interior = gns_oracle(model, rank_tol)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(model.pi, pi))
+            assert model.interior.tobytes() == interior.tobytes()
+
+
+def test_gns_and_cuntz_factor_t_int_once(monkeypatch):
+    # one SVD of the interior columns of T, no pseudo-inverse; the 2-norm
+    # in cuntz_check is an SVD without vectors of a smaller matrix
+    calls = spy_linalg(monkeypatch, ("svd", "pinv"))
+    B = parse("0.5*z1+0.3*z2*z1", 2, 2)
+    model = gns_build(clark_moments(B, 8), 4)
+    cuntz_check(model)
+    factored = [(name, shape) for name, shape, kw in calls
+                if kw.get("compute_uv", True)]
+    assert factored == [("svd", (model.rank, word_count(2, 3)))]
 
 
 def test_moment_matrix_incomparable_words_vanish():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freehardy.cli import _KINDS, main
+from freehardy.cli import _KINDS, _random_points, main
 from freehardy.kernels import KernelSpec, nilpotent_pins
 from freehardy.series import FreeSeries, series_degree
 from freehardy.words import enumerate_tuples
 
-from conftest import gram_oracle
+from conftest import ball_point, gram_oracle
 
 
 def run(capsys, argv):
@@ -202,6 +202,44 @@ def test_realize_and_transfer_eval(capsys, tmp_path):
                                   "--num-points", "2"])
     assert code == 0
     assert len(rep["results"]["values"]) == 2
+
+
+def test_transfer_eval_reads_a_realize_report(capsys, tmp_path):
+    # the report file as realize writes it, and the bare colligation in it,
+    # give the same values
+    report, bare = tmp_path / "report.json", tmp_path / "colligation.json"
+    assert main(["realize", "--expr", "0.8*z1*z2", "--d", "2", "--deg", "2",
+                 "--N", "8", "--out", str(report)]) == 0
+    bare.write_text(json.dumps(json.loads(report.read_text())
+                               ["results"]["colligation"]))
+    values = []
+    for path in (report, bare):
+        code, rep = run_json(capsys, ["transfer-eval", "--input", str(path),
+                                      "--num-points", "3"])
+        assert code == 0
+        values.append(rep["results"]["values"])
+    assert len(values[0]) == 3 and values[0] == values[1]
+    # a report without a colligation is refused with a message
+    report.write_text(json.dumps({"schema": "freehardy-report/1",
+                                  "results": {"rank": 1}}))
+    assert main(["transfer-eval", "--input", str(report)]) == 1
+    assert "field 'colligation'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_random_points_match_per_point_draws(d):
+    # one draw for all points reads the stream as a loop over the points
+    # does, so eval, herglotz-verify and transfer-eval keep their points
+    for seed in (0, 1, 7):
+        for count in range(10):
+            rng = np.random.default_rng(seed)
+            want = [ball_point(rng, d, 2) for _ in range(count)]
+            got = _random_points(d, count, seed)
+            assert len(got) == count
+            for Z, W in zip(got, want):
+                assert (Z.d, Z.n) == (d, 2)
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(Z.mats, W.mats))
 
 
 def test_complete_column_success(capsys):

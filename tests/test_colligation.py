@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from freehardy import colligation, gleason
+from freehardy import colligation, gleason, series
 from freehardy.colligation import (Colligation, canonical_colligation,
                                    column_schur_defect, complete_column,
                                    transfer_eval, transfer_series)
@@ -14,7 +15,8 @@ from freehardy.series import (FreeSeries, MatrixPoint, dagger_series, evaluate,
                               letter_series, multiplier_matrix, series_degree)
 from freehardy.words import enumerate_tuples, index_map, reversal, word_count
 
-from conftest import nilpotent_point, random_schur
+from conftest import (column_schur_oracle, nilpotent_point, random_schur,
+                      random_series, spy_linalg)
 
 
 def shift_colligation():
@@ -241,6 +243,52 @@ def test_column_schur_defect_detects_violation():
     b = parse("z1", 1, 4)
     assert column_schur_defect(b, b, 6) > 0.5
     assert column_schur_defect(b, parse("0", 1, 4), 6) == 0.0
+
+
+@given(d=st.integers(1, 3), p=st.integers(1, 2), q=st.integers(1, 2),
+       N=st.integers(1, 7), scale=st.floats(0.1, 1.5),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=2, p=2, q=1, N=6, scale=1.5, seed=0)  # matrix-free, not Schur
+@example(d=3, p=1, q=2, N=4, scale=1.5, seed=0)  # matrix-free, not Schur
+@example(d=2, p=1, q=1, N=6, scale=0.5, seed=0)  # matrix-free, Schur
+def test_column_schur_defect_matches_dense_eigenvalue(d, p, q, N, scale, seed):
+    # max(0, ||T||^2 - 1) from the norm estimate against the dense
+    # -lambda_min(I - T*T), on Schur and non-Schur columns, on both sides of
+    # the size at which the estimate runs matrix-free
+    N = min(N, {1: 7, 2: 6, 3: 4}[d])
+    rng = np.random.default_rng(seed)
+    A = random_series(rng, d, 2, p, q, scale=scale / (2 * d + 1))
+    a = random_series(rng, d, 1, 1, q, scale=scale / (d + 1))
+    want, norm = column_schur_oracle(A, a, N)
+    assert abs(column_schur_defect(A, a, N) - want) <= 1e-14 * max(1.0, norm ** 2)
+
+
+def test_column_schur_defect_forms_no_multiplier(monkeypatch):
+    # at word_count(2, 7) = 255 words and a 2 x 1 column the norm estimate
+    # runs matrix-free: no multiplier matrix, no eigvalsh of I - T*T
+    A, a = parse("0.6*z1+0.3*z2*z1", 2, 2), parse("0.7-0.2*z2", 2, 2)
+    want, norm = column_schur_oracle(A, a, 7)
+    built = []
+
+    def counted(*args, _fn=series.multiplier_matrix):
+        built.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(series, "multiplier_matrix", counted)
+    monkeypatch.setattr(colligation, "multiplier_matrix", counted, raising=False)
+    calls = spy_linalg(monkeypatch, ("eigvalsh", "eigh"))
+    got = column_schur_defect(A, a, 7)
+    assert not built and not calls
+    assert want > 0.0 and abs(got - want) <= 1e-14 * max(1.0, norm ** 2)
+
+
+def test_complete_column_reads_the_gap_spectrum(monkeypatch, rng):
+    # the obstruction test reads the top eigenvalue of the gap that
+    # a_empty_sq factors: no 2-norm of the 2 x 2 a0^2
+    A = random_schur(rng, 2, 1, 2, 2, target=0.8, N=6)
+    calls = spy_linalg(monkeypatch, ("norm",))
+    out = complete_column(A, 6)
+    assert out["a0"].shape == (2, 2)
+    assert calls and (2, 2) not in [shape for _, shape, _ in calls]
 
 
 def test_complete_column_factors_one_rung(monkeypatch):

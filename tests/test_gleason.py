@@ -18,7 +18,8 @@ from freehardy.series import (FreeSeries, MatrixPoint, evaluate, letter_series,
                               multiplier_matrix, multiply)
 from freehardy.words import enumerate_tuples, word_count
 
-from conftest import creation_oracle, nilpotent_point, random_schur
+from conftest import (creation_oracle, nilpotent_point, random_schur,
+                      spy_linalg)
 
 SQRT_HALF = 0.7071067811865476
 
@@ -202,6 +203,21 @@ def test_a_empty_sq_both_routes():
 def test_a_empty_sq_zero_symbol():
     out = a_empty_sq(parse("0", 1, 2), 6)
     assert abs(out["a0_sq"][0, 0] - 1.0) < 1e-12
+
+
+def test_a_empty_sq_factors_the_gap_once(monkeypatch, rng):
+    # one eigh of the model's D and one of the 2 x 2 gap, whose spectrum
+    # is returned and gives a0^2 and a0
+    A = random_schur(rng, 2, 2, 2, 2, target=0.8, N=6)
+    calls = spy_linalg(monkeypatch, ("eigh", "eigvalsh"))
+    out = a_empty_sq(A, 6)
+    m = word_count(2, 6 - 2) * 2
+    assert [(name, shape) for name, shape, _ in calls] == [
+        ("eigh", (m, m)), ("eigh", (2, 2))]
+    lam = out["eigenvalues"]
+    assert lam[0] <= lam[1] and lam[0] > 0.0
+    assert np.allclose(out["a0"] @ out["a0"], out["a0_sq"], atol=1e-14)
+    assert abs(np.linalg.norm(out["a0_sq"], 2) - lam[-1]) <= 1e-15
 
 
 def test_a_empty_sq_passes_on_its_model():
