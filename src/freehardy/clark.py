@@ -197,9 +197,9 @@ def interior_isometry_defect(model: GnsModel) -> float:
     for k, Pk in enumerate(model.pi):
         for j, Pj in enumerate(model.pi):
             G = Q.conj().T @ Pk.conj().T @ Pj @ Q
-            if k == j:
-                G = G - eye
-            worst = max(worst, float(np.linalg.norm(G, 2)))
+            # the 2-norm of a Hermitian matrix is its largest |eigenvalue|
+            worst = max(worst, float(np.abs(np.linalg.eigvalsh(G - eye)).max(
+                initial=0.0)) if k == j else float(np.linalg.norm(G, 2)))
     return worst
 
 
@@ -213,7 +213,8 @@ def cuntz_check(model: GnsModel) -> dict:
     D = np.eye(model.rank, dtype=complex)
     for P in model.pi:
         D = D - P @ P.conj().T
-    defect = float(np.linalg.norm(Q.conj().T @ D @ Q, 2))
+    defect = float(np.abs(np.linalg.eigvalsh(Q.conj().T @ D @ Q)).max(
+        initial=0.0))
     return {"defect": defect, "rank": model.rank}
 
 

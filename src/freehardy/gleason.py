@@ -29,7 +29,7 @@ from .series import (FreeSeries, MatrixPoint, constant_series,
                      dagger_series, factor_psd, multiplier_matrix,
                      range_basis, schur_norm_estimate,
                      series_degree, strip_letter, szego_coords)
-from .words import shift_indices, word_count
+from .words import grade_offsets, shift_indices, word_count
 
 
 class NotSchurError(ValueError):
@@ -42,6 +42,8 @@ class CeObstructionError(RuntimeError):
 
 @dataclass
 class DbrModel:
+    """The model space of B on words of length <= M: W W* factors
+    D = I - T T* there (series.factor_psd, by the components of D)."""
     B: FreeSeries
     N: int
     M: int               # interior truncation: words of length <= M carried
@@ -72,17 +74,12 @@ class DbrModel:
 
 def dbr_model(B: FreeSeries, N: int, rank_tol: float = 1e-10,
               side: Side = Side.RIGHT, tol: float = 1e-8) -> DbrModel:
-    """Model space of a Schur series on words of length <= N - deg(B).
+    """Model space of a Schur series on words of length <= M = N - deg(B).
     Side.LEFT gives the right-side model of dagger_series(B): word
     reversal is a unitary that fixes the vacuum and swaps left and right
-    letter shifts.
-
-    D = I - T_M T_M* is formed on the interior grades only, with T_M the
-    right multiplier of B at M.  A right multiplier only lengthens words,
-    so this is the interior block of I - T T* at the full truncation N;
-    the top deg(B) grades would only carry truncation artifacts of the
-    multiplier action.
-    """
+    letter shifts.  D = I - T T* is built on words of length <= M from the
+    terms of B (_defect); a right multiplier only lengthens words, so this
+    is the interior block of I - T T* at the full truncation N."""
     if side is Side.LEFT:
         B = dagger_series(B)
     return _models(B, N, 1, rank_tol, tol)[0]
@@ -94,8 +91,9 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
     an interior, all from one Schur check and one D.  In graded order the
     interior entries of D do not depend on N, so D at a lower truncation
     is a leading principal block of D at N, and each rung's W and W+ are
-    factor_psd of its block; the norm estimate is nondecreasing in N, so
-    the check at N covers the lower rungs."""
+    factor_psd of its block, which splits by the block's components; the
+    norm estimate is nondecreasing in N, so the check at N covers the
+    lower rungs."""
     degB = series_degree(B)
     B = B.truncate(degB)
     # the norm of the right multiplier that D factors
@@ -107,9 +105,7 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
         raise ValueError(f"truncation {N} too small for degree {degB}")
     # a right multiplier only lengthens words, so terms longer than M and
     # grades above M never reach the interior block of I - T T*
-    T = multiplier_matrix(B.truncate(min(degB, M)), Side.RIGHT, M)
-    D = np.eye(T.shape[0], dtype=complex) - T @ T.conj().T
-    del T
+    D = _defect(B.truncate(min(degB, M)), M)
     models = []
     for k in range(min(rungs, M)):
         m = word_count(B.d, M - k) * B.p
@@ -117,6 +113,29 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
         models.append(DbrModel(B, N - k, M - k, int(W.shape[1]), W, Wplus,
                                evals))
     return models
+
+
+def _defect(B: FreeSeries, M: int) -> np.ndarray:
+    """I - T T* on words of length <= M, T the right multiplier of B, from
+    B's terms: T T* holds B_w B_v* at (b.w, b.v) for all terms w, v and
+    words b with |b.w|, |b.v| <= M, and b.w sits at the shift_indices
+    row of b.1^|w| plus the rank of w in its grade."""
+    n, p, off = word_count(B.d, M), B.p, np.array(grade_offsets(B.d, M))
+    at = np.flatnonzero(B.array.any(axis=(1, 2)))
+    grade = np.searchsorted(off, at, side="right") - 1
+    one = shift_indices(B.d, M, (1,), left=False)[0]
+    base = np.tile(np.arange(n), (grade.max(initial=0) + 1, 1))
+    for g in range(1, len(base)):  # b.1^g from b.1^(g - 1), for short b
+        base[g, :off[M + 1 - g]] = one[base[g - 1, :off[M + 1 - g]]]
+    size = off[M + 1 - grade]  # the words b that w can follow
+    k, j, b = np.nonzero(np.arange(n) < np.minimum.outer(size, size)[..., None])
+    x, y = (base[grade[t], b] + at[t] - off[grade[t]] for t in (k, j))
+    vals = np.einsum("kpq,jrq->kjpr", B.array[at], B.array[at].conj())[k, j]
+    i = np.arange(p)
+    pos = (x * (p * n) + y)[:, None, None] * p + (i[:, None] * (n * p) + i)
+    D = np.eye(n * p, dtype=complex)
+    np.subtract.at(D.reshape(-1), pos.ravel(), vals.ravel())
+    return D
 
 
 def gleason_vector(B: FreeSeries) -> list[FreeSeries]:

@@ -526,16 +526,46 @@ def range_basis(A: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def factor_psd(G: np.ndarray, rank_tol: float):
-    """W, W+, the ascending spectrum of the Hermitian G and the cut, from
-    one eigh: the eigenvectors V whose eigenvalues lambda exceed cut =
-    rank_tol * max |eigenvalue| give W = V sqrt(lambda), with G ~ W W*,
-    and its left inverse W+ = (V / sqrt(lambda))*.  Eigenvalues below
-    -cut are the caller's to refuse."""
-    evals, vecs = np.linalg.eigh(G)
+    """W, W+, the ascending spectrum of the Hermitian G and the cut: the
+    eigenvectors V whose eigenvalues lambda exceed cut = rank_tol * max
+    |eigenvalue| give W = V sqrt(lambda), with G ~ W W*, and its left
+    inverse W+ = (V / sqrt(lambda))*.  Eigenvalues below -cut are the
+    caller's to refuse.  A connected G (by its exact nonzero pattern)
+    takes one eigh; otherwise eigh runs once per component size on the
+    stacked blocks, and W and W+ are written from the blocks."""
+    n = len(G)
+    nz = (G.view(np.float64) != 0).view(np.uint16) if np.iscomplexobj(G) else G
+    rows, cols = np.divmod(np.flatnonzero(nz != 0), n)  # faster than G != 0
+    new, label = np.arange(n), None
+    while not np.array_equal(new, label):  # the least vertex of each component
+        label, new = new, new.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+    if not label.any():
+        evals, vecs = np.linalg.eigh(G)
+        cut = rank_tol * max(float(np.abs(evals).max()), 1e-300)
+        lam, V = np.sqrt(evals[evals > cut]), vecs[:, evals > cut]
+        return V * lam[None, :], (V / lam[None, :]).conj().T, evals, cut
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))  # by component size, then component
+    idx = [order[size[order] == s].reshape(-1, s) for s in np.unique(size)]
+    eig = [np.linalg.eigh(G[i[:, :, None], i[:, None, :]]) for i in idx]
+    flat = np.concatenate([lam.ravel() for lam, _ in eig])
+    evals = np.sort(flat)
     cut = rank_tol * max(float(np.abs(evals).max()), 1e-300)
-    keep = evals > cut
-    lam, V = np.sqrt(evals[keep]), vecs[:, keep]
-    return V * lam[None, :], (V / lam[None, :]).conj().T, evals, cut
+    kept = int(np.count_nonzero(evals > cut))
+    col = np.empty(n, dtype=np.int64)  # the column of each eigenvalue
+    col[np.argsort(flat, kind="stable")] = np.arange(kept - n, kept)
+    W = np.zeros((n, kept), dtype=np.result_type(G, 1.0))
+    WplusT, at = np.zeros_like(W), 0
+    for i, (lam, vecs) in zip(idx, eig):
+        c, j = np.nonzero(lam > cut)
+        k = col[at + c * lam.shape[1] + j][:, None]
+        V, root = vecs[c, :, j], np.sqrt(lam[c, j])[:, None]
+        W[i[c], k] = V * root
+        WplusT[i[c], k] = (V / root).conj()
+        at += lam.size
+    return W, WplusT.T, evals, cut
 
 
 def normalize_schur(F: FreeSeries, N: int, target: float = 0.9) -> FreeSeries:

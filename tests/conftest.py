@@ -6,7 +6,7 @@ from freehardy.fock import Side
 from freehardy.kernels import MEMBERSHIP_CAP, KernelKind, kernel_gram
 from freehardy.series import (FreeSeries, MatrixPoint, cayley, dagger_series,
                               evaluate, letter_series, multiplier_matrix,
-                              normalize_schur, range_basis)
+                              normalize_schur, range_basis, series_degree)
 from freehardy.words import (enumerate_tuples, index_map, reversal,
                              shift_indices, word_count)
 
@@ -246,6 +246,22 @@ def column_schur_oracle(A, a, N):
     G = np.eye(T.shape[1], dtype=complex) - T.conj().T @ T
     return (max(0.0, -float(np.linalg.eigvalsh(G)[0])),
             float(np.linalg.norm(T, 2)))
+
+
+def defect_oracle(B, M):
+    """I - T T* on words of length <= M, T the dense right multiplier of
+    B's terms of length <= M."""
+    T = multiplier_matrix(B.truncate(min(series_degree(B), M)), Side.RIGHT, M)
+    return np.eye(T.shape[0]) - T @ T.conj().T
+
+
+def factor_psd_oracle(G, rank_tol):
+    """factor_psd by one eigh of the whole of G."""
+    evals, vecs = np.linalg.eigh(G)
+    cut = rank_tol * max(float(np.abs(evals).max()), 1e-300)
+    keep = evals > cut
+    lam, V = np.sqrt(evals[keep]), vecs[:, keep]
+    return V * lam[None, :], (V / lam[None, :]).conj().T, evals, cut
 
 
 def spy_linalg(monkeypatch, names):

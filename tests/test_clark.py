@@ -150,14 +150,38 @@ def test_gns_build_matches_pinv_and_range_basis(d, p, N):
 
 def test_gns_and_cuntz_factor_t_int_once(monkeypatch):
     # one SVD of the interior columns of T, no pseudo-inverse; the 2-norm
-    # in cuntz_check is an SVD without vectors of a smaller matrix
-    calls = spy_linalg(monkeypatch, ("svd", "pinv"))
+    # in cuntz_check is read from the spectrum of the Hermitian Q* D Q
+    calls = spy_linalg(monkeypatch, ("svd", "pinv", "eigvalsh"))
     B = parse("0.5*z1+0.3*z2*z1", 2, 2)
     model = gns_build(clark_moments(B, 8), 4)
-    cuntz_check(model)
     factored = [(name, shape) for name, shape, kw in calls
                 if kw.get("compute_uv", True)]
     assert factored == [("svd", (model.rank, word_count(2, 3)))]
+    calls.clear()
+    cuntz_check(model)
+    n_int = model.interior.shape[1]
+    assert [(name, shape) for name, shape, _ in calls] == [
+        ("eigvalsh", (n_int, n_int))]
+
+
+@pytest.mark.parametrize("expr,d", [("0.5*z1+0.3*z2*z1", 2), ("0.7*z1", 1),
+                                    ("0.4*z1+0.3*z2*z2", 2)])
+def test_gns_defects_read_hermitian_spectra(monkeypatch, expr, d):
+    # the Hermitian defects agree with their SVD 2-norms, and the isometry
+    # defect reads one spectrum per letter, an SVD per pair of letters
+    model = gns_build(clark_moments(parse(expr, d, 2), 4), 4)
+    Q = model.interior
+    D = np.eye(model.rank) - sum(P @ P.conj().T for P in model.pi)
+    assert abs(cuntz_check(model)["defect"]
+               - np.linalg.norm(Q.conj().T @ D @ Q, 2)) <= 1e-14
+    want = max(np.linalg.norm(Q.conj().T @ Pk.conj().T @ Pj @ Q
+                              - (k == j) * np.eye(Q.shape[1]), 2)
+               for k, Pk in enumerate(model.pi)
+               for j, Pj in enumerate(model.pi))
+    calls = spy_linalg(monkeypatch, ("eigvalsh", "svd"))
+    assert abs(interior_isometry_defect(model) - want) <= 1e-14
+    assert sorted(name for name, _, _ in calls) == (
+        ["eigvalsh"] * d + ["svd"] * (d * d - d))
 
 
 def test_moment_matrix_incomparable_words_vanish():

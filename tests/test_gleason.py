@@ -14,12 +14,13 @@ from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                szego_distance, vacuum_kernel)
 from freehardy.fock import Side
 from freehardy.parser import parse
-from freehardy.series import (FreeSeries, MatrixPoint, evaluate, letter_series,
-                              multiplier_matrix, multiply)
+from freehardy.series import (FreeSeries, MatrixPoint, dagger_series,
+                              evaluate, factor_psd, letter_series,
+                              multiplier_matrix, multiply, normalize_schur)
 from freehardy.words import enumerate_tuples, word_count
 
-from conftest import (creation_oracle, nilpotent_point, random_schur,
-                      spy_linalg)
+from conftest import (creation_oracle, defect_oracle, nilpotent_point,
+                      random_schur, random_series, spy_linalg)
 
 SQRT_HALF = 0.7071067811865476
 
@@ -127,6 +128,8 @@ def test_model_d_is_interior_block_of_full_truncation(monkeypatch, d, p,
 
 
 def test_models_build_no_multiplier_above_interior(monkeypatch):
+    # D is built from the terms of B: the model path forms no multiplier
+    # matrix at all, not even on the interior
     from freehardy import gleason
     asked = []
     multiplier = gleason.multiplier_matrix
@@ -139,10 +142,65 @@ def test_models_build_no_multiplier_above_interior(monkeypatch):
                             ("0.4*z1*z1*z1 + 0.3*z2", 2, 3, 4),
                             ("0.6*z1", 1, 1, 8)):
         B = parse(expr, d, deg)
-        asked.clear()
         extremality_gap(B, N)
         dbr_model(B, N, side=Side.LEFT)
-        assert asked and max(asked) <= N - deg
+        assert asked == []
+
+
+def _suffix_free(words):
+    """The words, shortest first, that no shorter kept word ends."""
+    kept = []
+    for w in sorted(set(words), key=len):
+        if not any(w[len(w) - len(v):] == v for v in kept):
+            kept.append(w)
+    return kept
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_models_d_matches_the_dense_defect(data):
+    # dense random symbols, and sparse ones on suffix-free words, whose D
+    # splits into blocks; the norm of the right multiplier is set to 0.9
+    from freehardy import gleason
+    d, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    M = data.draw(st.integers(1, 6 if d < 3 else 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):
+        F = random_series(rng, d, data.draw(st.integers(1, 2)), p, p)
+    else:
+        word = st.lists(st.integers(1, d), min_size=1, max_size=3).map(tuple)
+        words = _suffix_free(data.draw(st.lists(word, min_size=1, max_size=4)))
+        F = FreeSeries.from_terms(d, max(map(len, words)), p, p, {
+            w: rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+            for w in words})
+    N = M + F.deg
+    B = dagger_series(normalize_schur(dagger_series(F), N))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gleason, "factor_psd",
+                   lambda G, tol: seen.append(G) or factor_psd(G, tol))
+        gleason._models(B, N, 1, 1e-10, 1e-8)
+    want = defect_oracle(B, M)
+    scale = max(1.0, float(np.linalg.norm(np.eye(len(want)) - want, 2)))
+    assert seen[0].shape == want.shape
+    assert np.abs(seen[0] - want).max() <= 1e-14 * scale
+
+
+def test_sparse_symbol_factors_small_blocks(monkeypatch):
+    # D of 0.6 z1 - 0.5 z2 z2 links b.1 with b.22 only: every block of every
+    # rung is at most 2 x 2, and no multiplier matrix is formed
+    from freehardy import gleason, series
+    built = []
+    for mod in (gleason, series):
+        def spy(*args, _fn=mod.multiplier_matrix):
+            built.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(mod, "multiplier_matrix", spy)
+    calls = spy_linalg(monkeypatch, ("eigh",))
+    res = extremality_gap(parse("0.6*z1 - 0.5*z2*z2", 2, 2), 8)
+    assert [r["N"] for r in res["ladder"]] == [8, 7, 6]
+    assert calls and max(max(shape[-2:]) for _, shape, _ in calls) <= 4
+    assert built == []
 
 
 def test_ce_test_builds_shared_objects_once(monkeypatch):

@@ -17,7 +17,8 @@ from freehardy.clark import MomentFunctional, herglotz_from_moments
 from freehardy.words import enumerate_tuples, word_count
 
 from conftest import (ball_point, creation_oracle, direct_sum,
-                      random_series, random_schur, transpose_unitary)
+                      factor_psd_oracle, random_series, random_schur,
+                      spy_linalg, transpose_unitary)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -633,3 +634,58 @@ def test_factor_psd_reproduces_a_rank_deficient_psd_matrix(rng, n, rank):
     assert cut == 1e-10 * np.abs(evals).max()
     assert np.abs(W @ W.conj().T - G).max() <= 1e-12 * np.abs(G).max()
     assert np.abs(Wplus @ W - np.eye(rank)).max() <= 1e-12
+
+
+def _permuted_blocks(rng, blocks):
+    """P (G_1 (+) ... (+) G_k) P* for a random permutation P, and the
+    rank of each block.  A block (s, r, False) is A A*, A of size s x r;
+    (s, r, True) is the weighted Laplacian of a path on s vertices, rank
+    s - 1, whose component has diameter s - 1."""
+    n = sum(s for s, _, _ in blocks)
+    G = np.zeros((n, n), dtype=complex)
+    lo, ranks = 0, []
+    for s, r, path in blocks:
+        if path:
+            A = np.zeros((s, s - 1), dtype=complex)
+            A[np.arange(s - 1), np.arange(s - 1)] = rng.uniform(0.5, 2, s - 1)
+            A[np.arange(1, s), np.arange(s - 1)] = -np.exp(
+                2j * np.pi * rng.uniform(size=s - 1))
+        else:
+            A = rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r))
+        G[lo:lo + s, lo:lo + s] = A @ A.conj().T
+        ranks.append(min(A.shape))
+        lo += s
+    perm = rng.permutation(n)
+    return G[np.ix_(perm, perm)], ranks
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(st.integers(2, 6), st.integers(1, 6), st.booleans()),
+                min_size=2, max_size=12), st.integers(0, 2 ** 32 - 1))
+def test_factor_psd_splits_a_permuted_block_diagonal_matrix(blocks, seed):
+    # rank-deficient blocks, and paths whose labels take several steps to
+    # spread; one eigh per block size
+    blocks = [(s, min(r, s), path) for s, r, path in blocks]
+    G, ranks = _permuted_blocks(np.random.default_rng(seed), blocks)
+    sizes = [s for s, _, _ in blocks]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_linalg(mp, ("eigh",))
+        W, Wplus, evals, cut = factor_psd(G, 1e-10)
+    assert sorted(shape for _, shape, _ in calls) == sorted(
+        (sizes.count(s), s, s) for s in set(sizes))
+    scale = np.abs(G).max()
+    assert np.abs(W @ W.conj().T - G).max() <= 1e-12 * scale
+    assert np.abs(Wplus @ W - np.eye(W.shape[1])).max() <= 1e-12
+    assert np.abs(evals - np.linalg.eigvalsh(G)).max() <= 1e-12 * scale
+    assert W.shape[1] == sum(ranks) == factor_psd_oracle(G, 1e-10)[0].shape[1]
+    assert cut == 1e-10 * np.abs(evals).max()
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_factor_psd_of_a_connected_matrix_is_one_eigh(rng, n):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = A[:, :max(1, n // 2)] @ A[:, :max(1, n // 2)].conj().T
+    got, want = factor_psd(G, 1e-10), factor_psd_oracle(G, 1e-10)
+    for x, y in zip(got[:3], want[:3]):
+        assert x.tobytes() == y.tobytes() and x.strides == y.strides
+    assert got[3] == want[3]
