@@ -19,6 +19,7 @@ Schur.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,13 +60,16 @@ class Colligation:
         return np.vstack(rows)
 
     def defects(self) -> dict:
-        """max(0, ||U|| - 1) and ||U U* - I|| from one SVD: U U* has
+        """max(0, ||U|| - 1) and ||U U* - I|| from the squared singular
+        values s^2 of U, read as the eigenvalues of its smaller Gram (U*U
+        when U has at least as many rows as columns, else U U*): U U* has
         eigenvalues s^2, and zeros when U has more rows than columns."""
         U = self.block_matrix()
-        s = np.linalg.svd(U, compute_uv=False)
-        return {"contraction_defect": max(0.0, float(s[0]) - 1.0),
-                "coisometry_defect": float(np.abs(s ** 2 - 1).max(
-                    initial=float(len(U) > len(s))))}
+        s2 = np.maximum(np.linalg.eigvalsh(
+            U.conj().T @ U if U.shape[0] >= U.shape[1] else U @ U.conj().T), 0.0)
+        return {"contraction_defect": max(0.0, math.sqrt(s2[-1]) - 1.0),
+                "coisometry_defect": float(np.abs(s2 - 1).max(
+                    initial=float(U.shape[0] > len(s2))))}
 
     def fields(self) -> dict:
         """The fields of the file format, matrices as complex arrays."""
@@ -157,8 +161,8 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
     # Gleason structure identity
     aug = np.vstack([U.block_matrix(),
                      np.hstack([model.W[0:A.p, :], A.coeff(())])])
-    defect = float(np.linalg.norm(
-        aug.conj().T @ aug - np.eye(aug.shape[1]), 2))
+    defect = float(np.abs(np.linalg.eigvalsh(
+        aug.conj().T @ aug - np.eye(aug.shape[1]))).max())
     # transfer function of the bottom channel is the reversed-word
     # series of the completion
     a = dagger_series(transfer_series(U, model.M))

@@ -189,7 +189,7 @@ def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
     tol=tol), is returned with it."""
     models = _models(B, N, 3, rank_tol, tol)
     gaps = [_gap(model) for model in models]
-    ladder = [{"N": model.N, "gap_norm": float(np.linalg.norm(G, 2))}
+    ladder = [{"N": model.N, "gap_norm": float(np.abs(np.linalg.eigvalsh(G)).max())}
               for model, G in zip(models, gaps)]
     extremal = ladder[0]["gap_norm"] <= tol
     trend = len(ladder) >= 2 and ladder[0]["gap_norm"] < ladder[-1]["gap_norm"] - tol

@@ -16,9 +16,20 @@ over all pins certifies Schur class membership up to truncation.
 Kernels are computed on stacks of blocks, never at a dense direct sum:
 points (the pins of a Gram, one per side for kernel_eval) are stacked as
 (d, k, n, n), padded with zeros to one level, which is exact since kernels
-respect direct sums.  Letters act on the one dense Szego sum by batched
-block products, each series is evaluated once per block, and a Gram is
-contracted with y (x) h before any (k n p)^2 kernel matrix is formed.
+respect direct sums.  A Gram pairs P = u u*, u the stacked pin vectors,
+so its Szego sums take P as factors L R*: level g adds (Z^a L)(W^a R)*
+over the words a of length g in one matrix product, its factors are one
+batched product of the letters with level g - 1, columns that vanish on
+either side are dropped, and the sum stops at the first empty level,
+which at jointly nilpotent pins comes after at most the pin level.  A
+level whose next factors would be wider than min(k n, l m) hands its
+outer product to the fixed point S -> P + sum_k Z_k S W_k*, which sums
+the remaining levels and stops at the first iterate that repeats its
+predecessor bit for bit; a dense P (szego_eval, and the Szego sum of
+kernel_eval) enters that fixed point directly.  The inner sum of DbrRight
+always goes by factors, a dense P as (P, I).  Each series is evaluated once per block stack,
+so once in all for a Gram, and a Gram is contracted with y (x) h before
+any (k n p)^2 kernel matrix is formed.
 
 Each Gram is certified from one eigendecomposition G = Q diag(mu) Q*: a
 membership step lambda^2 G - w w* >= -tau is the Schur complement test
@@ -89,7 +100,7 @@ def _cols(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out.reshape(len(X), -1)
 
 
-def _szego(Z: np.ndarray, W: np.ndarray, P: np.ndarray, deg: int) -> np.ndarray:
+def _fixed_point(Z: np.ndarray, W: np.ndarray, P: np.ndarray, deg: int) -> np.ndarray:
     """Truncated Szego sum sum_{|a| <= deg} Z^a P (W^a)* of block stacks,
     via the fixed point map S -> P + sum_k Z_k S W_k*.
 
@@ -102,6 +113,47 @@ def _szego(Z: np.ndarray, W: np.ndarray, P: np.ndarray, deg: int) -> np.ndarray:
         prev, S = S, P + sum(_cols(_rows(Zk, S), Wk) for Zk, Wk in zip(Z, W))
         if np.array_equal(S.view(np.uint64), prev.view(np.uint64)):
             break
+    return S
+
+
+def _letters(Z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """[Z_1 F, ..., Z_d F] for a stack Z (d, k, n, n) and F of shape (k n, c),
+    from one batched product: columns (letter, column of F)."""
+    d, k, n, _ = Z.shape
+    return (Z @ F.reshape(k, n, -1)).transpose(1, 2, 0, 3).reshape(k * n, -1)
+
+
+def _szego(Z: np.ndarray, W: np.ndarray, P, deg: int) -> np.ndarray:
+    """Truncated Szego sum sum_{|a| <= deg} Z^a P (W^a)* of block stacks
+    Z (d, k, n, n) and W (d, l, m, m), for P of shape (k n, l m) or given
+    as factors (L, R) with P = L R*.
+
+    A dense P goes to the fixed point.  Factors are summed level by level,
+    as the module docstring says; columns that vanish on either side are
+    dropped, since their descendants vanish too.  Past min(k n, l m)
+    columns a factor holds more numbers than its outer product, so a
+    level whose successor would be wider passes its outer product to the
+    fixed point for the remaining levels.  With W is Z and R is L the two
+    sides are one, and are computed once.
+    """
+    if not isinstance(P, tuple):
+        return _fixed_point(Z, W, P, deg)
+    L, R = P
+    same, width = W is Z and R is L, min(len(L), len(R))
+    S = np.zeros((len(L), len(R)), dtype=complex)
+    for g in range(deg + 1):
+        keep = np.any(L, axis=0) if same else np.any(L, axis=0) & np.any(R, axis=0)
+        if not keep.any():
+            break
+        if not keep.all():
+            L = L[:, keep]
+            R = L if same else R[:, keep]
+        if g < deg and len(Z) * L.shape[1] > width:
+            return S + _fixed_point(Z, W, L @ R.conj().T, deg - g)
+        S += L @ R.conj().T
+        if g < deg:
+            L = _letters(Z, L)
+            R = L if same else _letters(W, R)
     return S
 
 
@@ -120,33 +172,48 @@ def _pair(a: np.ndarray, S: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ixtr,jixts->ijrs", a.conj(), Sb.reshape(l, k, n, t, s))
 
 
-def _kernel(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, P: np.ndarray,
+def _amplified(G: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """[G_1 F, ..., G_q F] for G of shape (k, n p, n, q), G_c acting on row
+    block i by G[i, :, :, c], and F of shape (k n, r): rows (i, x, t) taken
+    as (t, i, x), columns (c, column of F)."""
+    k, np_, n, q = G.shape
+    V = G.transpose(0, 3, 1, 2) @ F.reshape(k, 1, n, -1)
+    return V.reshape(k, q, n, np_ // n, -1).transpose(3, 0, 2, 1, 4).reshape(k * np_, -1)
+
+
+def _kernel(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, P,
             X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The blocks X_i* K(Z_i, W_j)[P_ij] Y_j, as (k, l, r, s), for stacks
     Z (d, k, n, n) and W (d, l, m, m), P of shape (k n, l m) with blocks
-    P_ij, and X, Y of shapes (k, n, p, r) and (l, m, p, s)."""
+    P_ij or its factors (L, R) as _szego takes them, and X, Y of shapes
+    (k, n, p, r) and (l, m, p, s).  A Gram (W is Z, Y is X) evaluates each
+    series once."""
     S = _szego(Z, W, P, spec.deg)
-    G, B = _pair(X, S, Y), spec.B
+    G, B, gram = _pair(X, S, Y), spec.B, W is Z and Y is X
     if spec.kind is KernelKind.SZEGO:
         return G
     if spec.kind is KernelKind.DBR_LEFT:
-        return G - _pair(_adjoint(B, Z, X), S, _adjoint(B, W, Y))
+        a = _adjoint(B, Z, X)
+        return G - _pair(a, S, a if gram else _adjoint(B, W, Y))
     if spec.kind is KernelKind.DBR_RIGHT:
         Bd, (k, n, p, r), (l, m, _, s) = dagger_series(B), X.shape, Y.shape
-        Gz, Gw = (evaluate(Bd, V).reshape(V.shape[1], -1, V.shape[2], B.q)
-                  for V in (Z, W))
-        Q = sum(_cols(_rows(Gz[..., c], P), Gw[..., c]) for c in range(B.q))
+        Gz, Zt = evaluate(Bd, Z).reshape(k, n * p, n, B.q), np.tile(Z, (1, p, 1, 1))
+        Gw, Wt = ((Gz, Zt) if W is Z else
+                  (evaluate(Bd, W).reshape(l, m * p, m, B.q), np.tile(W, (1, p, 1, 1))))
         # with rows (i, x, t) taken as (t, i, x), and columns likewise, the
-        # ampliated sum is the Szego sum at the blocks repeated p times
-        Q = Q.reshape(k, n, p, l, m, p).transpose(2, 0, 1, 5, 3, 4)
-        T = _szego(np.tile(Z, (1, p, 1, 1)), np.tile(W, (1, p, 1, 1)),
-                   Q.reshape(p * k * n, p * l * m), spec.deg)
+        # ampliated sum is the Szego sum at the blocks repeated p times; a
+        # dense P enters as the factors (P, I)
+        L, R = P if isinstance(P, tuple) else (P, np.eye(P.shape[1]))
+        Lt = _amplified(Gz, L)
+        Rt = Lt if W is Z and R is L else _amplified(Gw, R)
+        T = _szego(Zt, Wt, (Lt, Rt), spec.deg)
         Xt, Yt = (V.transpose(2, 0, 1, 3)[:, :, :, None] for V in (X, Y))
         amp = _pair(Xt.reshape(p * k, n, 1, r), T, Yt.reshape(p * l, m, 1, s))
         return G - amp.reshape(p, k, p, l, r, s).sum((0, 2))
     if spec.kind is KernelKind.HERGLOTZ:
         H = cayley(B, "schur_to_herglotz")
-        return 0.5 * (_pair(_adjoint(H, Z, X), S, Y) + _pair(X, S, _adjoint(H, W, Y)))
+        Hx = _adjoint(H, Z, X)
+        return 0.5 * (_pair(Hx, S, Y) + _pair(X, S, Hx if gram else _adjoint(H, W, Y)))
     raise ValueError(f"unknown kernel kind {spec.kind}")
 
 
@@ -195,7 +262,8 @@ def _stack_pins(pins: list[Pinning], p: int):
 
 def _gram(spec: KernelSpec, Z: np.ndarray, v: np.ndarray, yh: np.ndarray):
     """kernel_gram of the pins stacked by _stack_pins."""
-    G = _kernel(spec, Z, Z, np.outer(v, v.conj()), yh, yh)[:, :, 0, 0]
+    u = v.reshape(-1, 1)
+    G = _kernel(spec, Z, Z, (u, u), yh, yh)[:, :, 0, 0]
     return 0.5 * (G + G.conj().T)
 
 

@@ -291,6 +291,26 @@ def test_complete_column_reads_the_gap_spectrum(monkeypatch, rng):
     assert calls and (2, 2) not in [shape for _, shape, _ in calls]
 
 
+def test_model_path_takes_no_svd_of_a_hermitian_matrix(monkeypatch, rng):
+    # the gap ladder, the completion's isometry defect and the defects of
+    # the realization read the spectra of Hermitian matrices; at d = 1 the
+    # Schur check's norm is an SVD of the multiplier, which is not Hermitian
+    A = random_schur(rng, 1, 2, 2, 2, target=0.8, N=6)
+    hermitian, svds = [], []
+
+    def svd(a, *args, _fn=np.linalg._linalg.svd, **kwargs):
+        svds.append(a.shape)
+        hermitian.append(a.shape[0] == a.shape[1] and np.allclose(a, a.conj().T))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", svd)
+    assert len(gleason.extremality_gap(A, 6)["ladder"]) == 3
+    complete_column(A, 6)
+    canonical_colligation(A, 6)
+    assert svds and not any(hermitian)
+
+
 def test_complete_column_factors_one_rung(monkeypatch):
     # the completion reads the top rung only: one Gleason Gram for a0 and
     # one for the input maps
@@ -320,10 +340,11 @@ def _from_block(M, d, state):
     (2, 2, 1, 1),   # 5 x 3: U U* has two zero eigenvalues besides the s^2
     (3, 1, 2, 2),   # 5 x 3
 ])
-def test_defects_match_their_definitions(rng, d, state, n_in, n_out):
-    # both defects come from one SVD; a random block and a partial isometry
-    # (the singular values of a tall one all equal 1, so only the missing
-    # ones make U U* - I nonzero) against the norms that define them
+def test_defects_match_their_definitions(monkeypatch, rng, d, state, n_in, n_out):
+    # both defects come from one spectrum, that of the smaller Gram of U; a
+    # random block and a partial isometry (the singular values of a tall
+    # one all equal 1, so only the missing ones make U U* - I nonzero)
+    # against the norms that define them
     shape = (d * state + n_out, state + n_in)
     M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     Q = np.linalg.qr(M if shape[0] >= shape[1] else M.conj().T)[0]
@@ -331,7 +352,11 @@ def test_defects_match_their_definitions(rng, d, state, n_in, n_out):
         U = _from_block(block, d, state)
         want = (max(0.0, np.linalg.norm(block, 2) - 1.0),
                 np.linalg.norm(block @ block.conj().T - np.eye(shape[0]), 2))
-        got = U.defects()
+        with monkeypatch.context() as mp:
+            calls = spy_linalg(mp, ("svd", "eigvalsh", "eigh"))
+            got = U.defects()
+        assert [(name, dims) for name, dims, _ in calls] == [
+            ("eigvalsh", (min(shape),) * 2)]
         assert U.block_matrix().tobytes() == block.tobytes()
         scale = max(1.0, np.linalg.norm(block, 2) ** 2)
         assert abs(got["contraction_defect"] - want[0]) <= 1e-14 * scale

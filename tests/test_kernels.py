@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freehardy import series
+from freehardy import kernels, series
 from freehardy.clark import clark_moments
 from freehardy.kernels import (KernelKind, KernelSpec, Pinning,
                                _rank_one_vectors, _stack_pins,
@@ -20,7 +20,7 @@ from freehardy.words import enumerate_tuples, index_map
 from conftest import (ball_point, coefficient_kernel, direct_sum,
                       gram_oracle, herglotz_coefficient, kernel_oracle,
                       membership_oracle, nilpotent_point, random_schur,
-                      random_series, rank_one_oracle, unit_vector)
+                      random_series, rank_one_oracle, szego_oracle, unit_vector)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -43,13 +43,6 @@ def test_szego_at_origin(rng):
     assert np.array_equal(szego_eval(Z, W, P, 6), P)
 
 
-def _szego_full_length(Z, W, P, deg):
-    S = np.asarray(P, dtype=complex)
-    for _ in range(deg):
-        S = P + sum(Zk @ S @ Wk.conj().T for Zk, Wk in zip(Z.mats, W.mats))
-    return S
-
-
 @pytest.mark.parametrize("deg", [0, 1, 3, 8, 16])
 @pytest.mark.parametrize("d", [1, 2])
 def test_szego_stops_at_fixed_point_bitwise(d, deg):
@@ -62,7 +55,7 @@ def test_szego_stops_at_fixed_point_bitwise(d, deg):
     R = rng.standard_normal((15, 3)) + 1j * rng.standard_normal((15, 3))
     for Z1, W1, P in ((Z, Z, np.outer(u, u.conj())), (Z, W, np.outer(u, u)),
                       (Z, origin, R), (origin, origin, R[:3])):
-        want = _szego_full_length(Z1, W1, P, deg)
+        want = szego_oracle(Z1, W1, P, deg)
         assert szego_eval(Z1, W1, P, deg).tobytes() == want.tobytes()
 
 
@@ -72,7 +65,7 @@ def test_szego_ball_point_runs_full_length(rng, deg):
     # steps, so deg 5 ends before the fixed point and deg 40 after it
     Z = ball_point(rng, 2, 3)
     P = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    want = _szego_full_length(Z, Z, P, deg)
+    want = szego_oracle(Z, Z, P, deg)
     assert szego_eval(Z, Z, P, deg).tobytes() == want.tobytes()
 
 
@@ -83,7 +76,7 @@ def test_szego_transposed_pairing_matrix(rng, deg):
     Z, W = nilpotent_point(rng, 2, 4), ball_point(rng, 2, 3)
     R = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     assert not R.T.flags.c_contiguous
-    want = _szego_full_length(Z, W, R.T, deg)
+    want = szego_oracle(Z, W, R.T, deg)
     assert szego_eval(Z, W, R.T, deg).tobytes() == want.tobytes()
 
 
@@ -91,6 +84,94 @@ def test_szego_nilpotent_exact():
     Z = MatrixPoint(2, 2, [0.9 * E12, np.zeros((2, 2))])
     val = szego_eval(Z, Z, np.eye(2), 5)
     assert np.allclose(val, np.eye(2) + 0.81 * np.array([[1, 0], [0, 0]]))
+
+
+# A factored Szego sum: alphabet size, the pin levels of each side, the
+# index among the pins of both sides of the one pin at a ball point (none
+# when out of range), whether the sides are one (a Gram: W is Z, R is L),
+# the degree, the factor rank and the seed of everything else.
+FACTORED = st.tuples(st.integers(1, 3),
+                     st.lists(st.integers(1, 4), min_size=1, max_size=12),
+                     st.lists(st.integers(1, 4), min_size=1, max_size=12),
+                     st.integers(-1, 24), st.booleans(), st.integers(0, 12),
+                     st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+
+
+def _factored_side(rng, d, levels, ball, r):
+    """Pins at the given levels, nilpotent but for the one at index ball,
+    stacked by _stack_pins, and a factor of r columns whose rows past each
+    pin's level are zero, as _stack_pins pads v."""
+    pins = [Pinning(ball_point(rng, d, n) if i == ball else nilpotent_point(rng, d, n),
+                    np.zeros(n), np.zeros(n)) for i, n in enumerate(levels)]
+    Z = _stack_pins(pins, 1)[0]
+    k, n = Z.shape[1:3]
+    F = rng.standard_normal((k, n, r)) + 1j * rng.standard_normal((k, n, r))
+    F[np.arange(n)[None, :] >= np.array(levels)[:, None]] = 0.0
+    return Z, F.reshape(k * n, r)
+
+
+def _direct_sum(Z):
+    """The block stack Z (d, k, n, n) as the point Z_1 (+) ... (+) Z_k."""
+    return direct_sum([MatrixPoint(len(Z), Z.shape[2], list(V)) for V in Z.swapaxes(0, 1)])
+
+
+@settings(max_examples=200)
+@given(case=FACTORED)
+def test_factored_szego_matches_fixed_point(case):
+    # the level-by-level sum of P = L R* equals the plain deg-step sum of
+    # the dense P at the direct sums of the blocks, and no factor it forms
+    # is wider than min(k n, l m)
+    d, zl, wl, ball, same, deg, r, seed = case
+    rng = np.random.default_rng(seed)
+    Z, L = _factored_side(rng, d, zl, ball, r)
+    W, R = (Z, L) if same else _factored_side(rng, d, wl, ball - len(zl), r)
+    ref = szego_oracle(_direct_sum(Z), _direct_sum(W), L @ R.conj().T, deg)
+    widths = []
+
+    def letters(V, F, _fn=kernels._letters):
+        out = _fn(V, F)
+        widths.append(out.shape[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_letters", letters)
+        S = kernels._szego(Z, W, (L, R), deg)
+    assert np.max(np.abs(S - ref)) <= 1e-14 * max(1.0, np.linalg.norm(ref, 2))
+    assert max(widths, default=0) <= min(len(L), len(R))
+
+
+def test_nilpotent_grams_run_no_fixed_point_and_evaluate_once(monkeypatch, rng):
+    # at nilpotent pins the factored Szego levels end at an empty level, so
+    # no fixed-point step runs (each one applies the letters to the columns
+    # of S through _cols), and a Gram evaluates each series once, at its
+    # one pin stack
+    B = random_schur(rng, 2, 2, 2, 2)
+    f = random_series(rng, 2, 2, p=2, q=2)
+    pins = _mixed_pins(rng, 2)
+    steps, evals = [], []
+
+    def step(*args, _fn=kernels._cols):
+        steps.append(args)
+        return _fn(*args)
+
+    def evaluated(F, Z, _fn=kernels.evaluate):
+        evals.append((F, Z))
+        return _fn(F, Z)
+
+    monkeypatch.setattr(kernels, "_cols", step)
+    monkeypatch.setattr(kernels, "evaluate", evaluated)
+    for kind in KernelKind:
+        evals.clear()
+        spec = KernelSpec(kind, None if kind is KernelKind.SZEGO else B, deg=8)
+        G = kernel_gram(spec, pins)
+        assert len(evals) == (kind is not KernelKind.SZEGO)
+        assert _close(G, gram_oracle(spec, pins))
+    evals.clear()
+    lam = membership_norm(KernelSpec(KernelKind.DBR_LEFT, B, deg=8), f, pins)["lambda"]
+    assert len(evals) == 2 and evals[0][0] is B and evals[1][0] is f
+    assert evals[0][1] is evals[1][1]
+    assert not steps
+    assert 0 < lam < math.inf
 
 
 # The Szego kernel vector pinned at (Z, y, v) is the coefficient array
