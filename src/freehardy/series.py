@@ -18,6 +18,14 @@ products of grade s of one factor with grade g - s of the other: one
 BLAS matrix product per pair of grades, over max(0, g - deg G) <= s <=
 min(g, deg F) only, deg being the degree of the nonzero part.  So Cayley
 transforms at degree 12..16 over d = 2 stay fast.
+
+Work stops where the rest is known to be zero, and the results are those
+of the full computation bit for bit (a grade of word powers left unwritten
+up to the sign of its zeros): series_degree scans the grades from the top
+down to the first nonzero one; word_powers stops at the first grade whose
+product is all zero, so at a point jointly nilpotent of order k it
+multiplies out k grades; and cayley writes I -/+ F and 2 X^{-1} -/+ I in
+place around its one inverse.
 """
 
 from __future__ import annotations
@@ -230,12 +238,14 @@ def letter_series(d: int, deg: int, k: int, p: int = 1) -> FreeSeries:
 
 
 def series_degree(F: FreeSeries) -> int:
-    """Length of the longest word with a nonzero coefficient, 0 if none."""
-    rows = np.flatnonzero(F.array.any(axis=(1, 2)))
-    if not len(rows):
-        return 0
-    return int(np.searchsorted(grade_offsets(F.d, F.deg), rows[-1],
-                               side="right")) - 1
+    """Length of the longest word with a nonzero coefficient, 0 if none.
+    Scans the grades from the top down and stops at the first one that
+    holds a nonzero (or NaN) coefficient."""
+    off = grade_offsets(F.d, F.deg)
+    for g in range(F.deg, 0, -1):
+        if F.array[off[g]:off[g + 1]].any():
+            return g
+    return 0
 
 
 def _convolve(out: np.ndarray, F: np.ndarray, G: np.ndarray, off: list[int],
@@ -309,18 +319,40 @@ def cayley(F: FreeSeries, direction: str) -> FreeSeries:
     Each takes one inverse: with X = I - B, I + B = 2I - X, so
     H = 2 X^{-1} - I; likewise B = I - 2 (H + I)^{-1}.  Truncation keeps
     this exact: trunc((2I - X) Y) = 2Y - I when trunc(X Y) = I.
+
+    X is written into one array and 2 X^{-1} -/+ I into the inverse's own
+    array: no identity series and no temporaries.  The steps are those of
+    the series composition 2.0 * invert_series(I - B) - I (or
+    I - 2.0 * invert_series(H + I)), so the result is bit for bit the
+    same, signs of zero and NaN included.  There a difference A - C is
+    A + (-1.0 * C), a complex product, and -1.0 * I is -0.0 + 0.0j off
+    the constant diagonal.
     """
     if F.p != F.q:
         raise ValueError("cayley needs square coefficients")
-    I = identity_series(F.d, F.deg, F.p)
+    eye = np.eye(F.p)
     if direction == "schur_to_herglotz":
-        if np.linalg.norm(F.coeff(()), 2) >= 1:
+        if np.linalg.norm(F.array[0], 2) >= 1:
             raise np.linalg.LinAlgError("constant term not a strict contraction")
-        return 2.0 * invert_series(I - F) - I
+        X = F.array * -1.0      # I - B is I + (-1.0 * B)
+        X += 0.0
+        X[0] += eye
+        G = invert_series(FreeSeries(F.d, F.deg, X)).array
+        G *= 2.0
+        G.imag += 0.0           # - I adds -0.0 + 0.0j off its diagonal
+        G[0] -= eye
+        return FreeSeries(F.d, F.deg, G)
     if direction == "herglotz_to_schur":
-        if np.linalg.cond(np.eye(F.p) + F.coeff(())) > 1e14:
+        X = F.array + 0.0
+        X[0] += eye
+        if np.linalg.cond(X[0]) > 1e14:
             raise np.linalg.LinAlgError("I + H(0) numerically singular")
-        return I - 2.0 * invert_series(F + I)
+        G = invert_series(FreeSeries(F.d, F.deg, X)).array
+        G *= 2.0
+        G *= -1.0               # I - 2G is I + (-1.0 * 2G)
+        G += 0.0
+        G[0] += eye
+        return FreeSeries(F.d, F.deg, G)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -329,7 +361,14 @@ def cayley(F: FreeSeries, direction: str) -> FreeSeries:
 
 def word_powers(Z, deg: int) -> np.ndarray:
     """Array of Z^alpha for every word of length <= deg, graded-lex order:
-    (words, n, n) at a MatrixPoint, (k, words, n, n) at a stack (d, k, n, n)."""
+    (words, n, n) at a MatrixPoint, (k, words, n, n) at a stack (d, k, n, n).
+
+    Grade g + 1 is grade g times the letters, so once a grade is all zero
+    every later one is too: the loop stops there and leaves the zeros of
+    the allocation.  At a point (or stack) jointly nilpotent of order k
+    that costs k grades whatever deg is.  The grades it writes are bit
+    for bit those of the full loop; those it skips equal them as values
+    (a product of zeros may carry a sign)."""
     if isinstance(Z, MatrixPoint):
         return word_powers(np.array(Z.mats)[:, None], deg)[0]
     d, k, n, _ = Z.shape
@@ -340,6 +379,8 @@ def word_powers(Z, deg: int) -> np.ndarray:
     for g in range(deg):  # child w.j of w sits at row (w, j) of grade g + 1
         L = off[g + 1] - off[g]
         x = out[:, off[g]:off[g + 1]].reshape(k, L * n, n) @ row
+        if not x.any():
+            break
         out[:, off[g + 1]:off[g + 2]].reshape(k, L, d, n, n)[...] = \
             x.reshape(k, L, n, d, n).transpose(0, 1, 3, 2, 4)
     return out
@@ -358,7 +399,11 @@ def evaluate(F: FreeSeries, Z) -> np.ndarray:
     MatrixPoint, and (k, n p, n q) at a stack (d, k, n, n) of blocks.  The
     word powers of Z up to the degree of F's nonzero part, then one matmul
     over the words into entries ((i, j), (a, b)), transposed to the layout
-    ((i, a), (j, b))."""
+    ((i, a), (j, b)).  The word powers stop at the first vanishing grade,
+    so at a point jointly nilpotent of order k only k grades are
+    multiplied out; the grades they leave unwritten differ from the full
+    loop's at most in the sign of a zero, which the sum over the words
+    does not see."""
     if F.d != (Z.d if isinstance(Z, MatrixPoint) else len(Z)):
         raise ValueError("alphabet mismatch between series and point")
     F = F.truncate(series_degree(F))

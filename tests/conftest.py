@@ -5,10 +5,11 @@ from hypothesis import settings
 from freehardy.fock import Side
 from freehardy.kernels import MEMBERSHIP_CAP, KernelKind, kernel_gram
 from freehardy.series import (FreeSeries, MatrixPoint, cayley, dagger_series,
-                              evaluate, letter_series, multiplier_matrix,
+                              evaluate, identity_series, invert_series,
+                              letter_series, multiplier_matrix,
                               normalize_schur, range_basis, series_degree)
-from freehardy.words import (enumerate_tuples, index_map, reversal,
-                             shift_indices, word_count)
+from freehardy.words import (enumerate_tuples, grade_offsets, index_map,
+                             reversal, shift_indices, word_count)
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a loaded machine neither fails them on time nor changes what they try.
@@ -57,6 +58,43 @@ def ball_point(rng, d, n, radius=0.4):
             for _ in range(d)]
     Z = MatrixPoint(d, n, mats)
     return MatrixPoint(d, n, [m * (radius / Z.row_norm()) for m in Z.mats])
+
+
+def word_powers_oracle(Z, deg):
+    """word_powers by the loop that multiplies out every grade up to deg,
+    zero or not: (words, n, n) at a MatrixPoint, (k, words, n, n) at a
+    stack (d, k, n, n)."""
+    if isinstance(Z, MatrixPoint):
+        return word_powers_oracle(np.array(Z.mats)[:, None], deg)[0]
+    d, k, n, _ = Z.shape
+    off = grade_offsets(d, deg)
+    row = Z.transpose(1, 2, 0, 3).reshape(k, n, d * n)
+    out = np.zeros((k, off[-1], n, n), dtype=complex)
+    out[:, 0] = np.eye(n)
+    for g in range(deg):
+        L = off[g + 1] - off[g]
+        x = out[:, off[g]:off[g + 1]].reshape(k, L * n, n) @ row
+        out[:, off[g + 1]:off[g + 2]].reshape(k, L, d, n, n)[...] = \
+            x.reshape(k, L, n, d, n).transpose(0, 1, 3, 2, 4)
+    return out
+
+
+def series_degree_oracle(F):
+    """series_degree from the last nonzero row of the whole array."""
+    rows = np.flatnonzero(F.array.any(axis=(1, 2)))
+    if not len(rows):
+        return 0
+    return int(np.searchsorted(grade_offsets(F.d, F.deg), rows[-1],
+                               side="right")) - 1
+
+
+def cayley_oracle(F, direction):
+    """cayley as the composition of series operations it replaces:
+    2 (I - B)^{-1} - I and I - 2 (H + I)^{-1}."""
+    I = identity_series(F.d, F.deg, F.p)
+    if direction == "schur_to_herglotz":
+        return 2.0 * invert_series(I - F) - I
+    return I - 2.0 * invert_series(F + I)
 
 
 def creation_oracle(side, k, d, N):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from freehardy.cli import _KINDS, _random_points, main
 from freehardy.kernels import KernelSpec, nilpotent_pins
-from freehardy.series import FreeSeries, series_degree
+from freehardy.series import FreeSeries, MatrixPoint, series_degree
 from freehardy.words import enumerate_tuples
 
 from conftest import ball_point, gram_oracle
@@ -103,6 +103,48 @@ def test_herglotz_verify(capsys):
                                   "--tol", "1e-6"])
     assert code == 0
     assert rep["results"]["max_residual"] <= 1e-6
+
+
+def _points_file(path, points):
+    path.write_text(json.dumps([{"n": Z.n, "mats": [
+        np.stack([m.real, m.imag], -1).tolist() for m in Z.mats]}
+        for Z in points]))
+    return str(path)
+
+
+def test_herglotz_verify_closed_form_residual_falls_with_N(capsys, tmp_path):
+    # the moment residual of 0.5*z1 is 0 at every N; the closed form
+    # (I + B(Z))(I - B(Z))^{-1} sees the truncation of H, about 0.3^(N+1)
+    rng = np.random.default_rng(0)
+    pts = _points_file(tmp_path / "pts.json",
+                       [ball_point(rng, 1, 2, radius=0.6) for _ in range(3)])
+    worst = []
+    for N in (6, 12, 24):
+        code, rep = run_json(capsys, ["herglotz-verify", "--expr", "0.5*z1",
+                                      "--d", "1", "--deg", "1", "--N", str(N),
+                                      "--points", pts])
+        res = rep["results"]
+        assert code == 0 and res["within_tol"]
+        assert len(res["closed_form_residuals"]) == 3
+        assert res["max_closed_form_residual"] == max(res["closed_form_residuals"])
+        worst.append(res["max_closed_form_residual"])
+    assert 1e-5 < worst[0] and worst[0] > 100 * worst[1] > 1e4 * worst[2]
+    assert worst[2] < 1e-12
+
+
+def test_herglotz_verify_closed_form_is_null_at_singular_points(capsys, tmp_path):
+    # B = 2 z1 has B(1/2) = 1: I - B(Z) is singular there, and not at 1/4
+    pts = _points_file(tmp_path / "pts.json",
+                       [MatrixPoint(1, 1, [np.array([[0.5]])]),
+                        MatrixPoint(1, 1, [np.array([[0.25]])])])
+    code, rep = run_json(capsys, ["herglotz-verify", "--expr", "2*z1",
+                                  "--d", "1", "--deg", "1", "--N", "60",
+                                  "--points", pts])
+    res = rep["results"]
+    assert code == 0
+    assert res["closed_form_residuals"][0] is None
+    assert res["max_closed_form_residual"] == res["closed_form_residuals"][1]
+    assert res["max_closed_form_residual"] < 1e-14
 
 
 def test_ce_test_inner(capsys):

@@ -1,5 +1,6 @@
 import json
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from freehardy.series import (FreeSeries, MatrixPoint, cayley,
                               word_powers)
 from freehardy import series
 from freehardy.clark import MomentFunctional, herglotz_from_moments
-from freehardy.words import enumerate_tuples, word_count
+from freehardy.words import enumerate_tuples, grade_offsets, word_count
 
-from conftest import (ball_point, creation_oracle, direct_sum,
+from conftest import (ball_point, cayley_oracle, creation_oracle, direct_sum,
                       factor_psd_oracle, random_series, random_schur,
-                      spy_linalg, transpose_unitary)
+                      series_degree_oracle, spy_linalg, transpose_unitary,
+                      word_powers_oracle)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E21 = E12.T
@@ -689,3 +691,160 @@ def test_factor_psd_of_a_connected_matrix_is_one_eigh(rng, n):
     for x, y in zip(got[:3], want[:3]):
         assert x.tobytes() == y.tobytes() and x.strides == y.strides
     assert got[3] == want[3]
+
+
+# ---------------------------------------------------------------------------
+# word powers stop at the first vanishing grade; the degree scan and Cayley
+# keep every bit of the loops and compositions they replace
+
+def _max_deg(d, n, k):
+    """The largest degree <= 10 whose word powers hold at most 2^18
+    entries: every degree at d <= 2, and 7..10 at d = 3."""
+    return max(g for g in range(11) if word_count(d, g) * k * n * n <= 2 ** 18)
+
+
+def _draw_letters(data, rng, d, n):
+    """The d letters (d, n, n) of one point: in or outside the ball, or
+    strictly upper triangular in a leading m x m block (jointly nilpotent
+    of order max(m, 1), m = 0..n), with some letters possibly zero."""
+    if data.draw(st.booleans()):
+        mats = np.array(ball_point(rng, d, n, radius=data.draw(
+            st.sampled_from([0.3, 0.9, 1.5]))).mats)
+    else:
+        m = data.draw(st.integers(0, n))
+        mats = np.zeros((d, n, n), dtype=complex)
+        mats[:, :m, :m] = np.triu(rng.standard_normal((d, m, m))
+                                  + 1j * rng.standard_normal((d, m, m)), 1)
+    zero = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    mats[np.array(zero)] = 0.0
+    return mats
+
+
+def _written_grades(pows, d, deg):
+    """Rows of the grades up to the last one the full loop leaves nonzero:
+    those the stopping loop writes."""
+    off = grade_offsets(d, deg)
+    top = max(g for g in range(deg + 1) if pows[..., off[g]:off[g + 1], :, :].any())
+    return off[top + 1]
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_word_powers_match_full_loop_bit_for_bit(data):
+    d, n, k = (data.draw(st.integers(1, x)) for x in (3, 4, 3))
+    deg = data.draw(st.integers(0, _max_deg(d, n, k)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Z = np.stack([_draw_letters(data, rng, d, n) for _ in range(k)], axis=1)
+    points = [Z] + [MatrixPoint(d, n, list(Z[:, i])) for i in range(k)]
+    for V in points:
+        got, want = word_powers(V, deg), word_powers_oracle(V, deg)
+        cut = _written_grades(want, d, deg)
+        assert got[..., :cut, :, :].tobytes() == want[..., :cut, :, :].tobytes()
+        assert np.array_equal(got, want)
+    # evaluate and szego_coords read the word powers only
+    F = random_series(rng, d, min(deg, 4), 2, 1)
+    y, v = rng.standard_normal(n), rng.standard_normal(n)
+    with mock.patch.object(series, "word_powers", word_powers_oracle):
+        want = [evaluate(F, Z)] + [evaluate(F, Y) for Y in points[1:]] \
+            + [series.szego_coords(Y, y, v, deg) for Y in points[1:]]
+    got = [evaluate(F, Z)] + [evaluate(F, Y) for Y in points[1:]] \
+        + [series.szego_coords(Y, y, v, deg) for Y in points[1:]]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class _MatmulSpy(np.ndarray):
+    """Letters that count the matrix products they enter."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulSpy.calls += 1
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_word_powers_at_nilpotent_stack_multiply_order_grades(rng, order):
+    # strictly upper triangular order x order blocks: Z^a = 0 for
+    # |a| >= order, so grades past order are never multiplied out
+    d, k = 2, 3
+    Z = np.triu(rng.standard_normal((d, k, order, order))
+                + 1j * rng.standard_normal((d, k, order, order)), 1)
+    _MatmulSpy.calls = 0
+    pows = word_powers(Z.view(_MatmulSpy), 10)
+    assert 1 <= _MatmulSpy.calls <= order
+    assert type(pows) is np.ndarray
+    assert np.array_equal(pows, word_powers_oracle(Z, 10))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_series_degree_matches_whole_array_scan(data):
+    d, p, q = (data.draw(st.integers(1, x)) for x in (3, 2, 2))
+    deg = data.draw(st.integers(0, 10 if d < 3 else 7))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    arr = rng.standard_normal((word_count(d, deg), p, q)) + 0j
+    off = grade_offsets(d, deg)
+    for g in range(deg + 1):          # each grade: zero, sparse, -0.0 or NaN
+        rows = arr[off[g]:off[g + 1]]
+        kind = data.draw(st.sampled_from(["zero", "sparse", "signed", "nan",
+                                          "dense"]))
+        if kind != "dense":
+            rows[...] = -0.0 if kind == "signed" else 0.0
+        if kind in ("sparse", "nan"):
+            rows[rng.integers(len(rows))] = 1.0 if kind == "sparse" else np.nan
+    F = FreeSeries(d, deg, arr)
+    assert series.series_degree(F) == series_degree_oracle(F)
+
+
+def _signed_zero_series(data, rng, d, deg, p, radius):
+    """A square series with ||F_0|| = radius, whole grades and single
+    entries zeroed, and zeros of either sign in either part; real (its
+    imaginary parts all zeros) or complex."""
+    arr = np.zeros((word_count(d, deg), p, p), dtype=complex)
+    arr.real = rng.standard_normal(arr.shape)
+    if data.draw(st.booleans()):
+        arr.imag = rng.standard_normal(arr.shape)
+    off = grade_offsets(d, deg)
+    for g in range(1, deg + 1):
+        if data.draw(st.booleans()):
+            arr[off[g]:off[g + 1]] = 0.0
+    for part in (arr.real, arr.imag):
+        part[rng.random(arr.shape) < 0.3] = 0.0
+        part[rng.random(arr.shape) < 0.3] = -0.0
+    if np.any(arr[0]):
+        arr[0] *= radius / np.linalg.norm(arr[0], 2)
+    return FreeSeries(d, deg, arr)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_cayley_matches_composition_bit_for_bit(data):
+    d, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    deg = data.draw(st.integers(0, 8 if d < 3 else 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    B = _signed_zero_series(data, rng, d, deg, p,
+                            data.draw(st.sampled_from([0.0, 0.5, 0.95])))
+    H = cayley_oracle(B, "schur_to_herglotz")
+    for F, direction in ((B, "schur_to_herglotz"), (B, "herglotz_to_schur"),
+                         (H, "herglotz_to_schur")):
+        before = F.array.tobytes()
+        got = cayley(F, direction)
+        assert got.array.tobytes() == cayley_oracle(F, direction).array.tobytes()
+        assert (got.d, got.deg) == (F.d, F.deg)
+        assert F.array.tobytes() == before
+
+
+@pytest.mark.parametrize("direction", ["schur_to_herglotz", "herglotz_to_schur"])
+def test_cayley_matches_composition_at_nonfinite_coefficients(rng, direction):
+    # NaN and inf past the constant term: a difference in the composition
+    # is a complex product with -1.0, which makes NaN of inf * 0.0
+    vals = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+    for d, deg, p in ((1, 4, 1), (2, 3, 2), (3, 2, 1)):
+        arr = np.zeros((word_count(d, deg), p, p), dtype=complex)
+        arr.real, arr.imag = rng.choice(vals, (2, *arr.shape))
+        arr[0] = 0.3 * np.eye(p)
+        F = FreeSeries(d, deg, arr)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = cayley(F, direction), cayley_oracle(F, direction)
+        assert got.array.tobytes() == want.array.tobytes()
