@@ -12,9 +12,10 @@ not certified, column-extreme obstruction), 1 error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -78,10 +79,11 @@ def _load_points(args) -> list[MatrixPoint]:
     return _random_points(args.d, args.num_points, args.seed)
 
 
-# Reports are the bytes of json.dumps(x, sort_keys=True, indent=2), with
-# each complex matrix written as json.dumps writes its mat_to_json lists;
-# the indent forces the pure-Python encoder, so _dumps writes the tree
-# itself and each matrix, the bulk of every report, from its array.
+# Reports are the bytes of json.dumps(x, sort_keys=True, indent=2) and a
+# newline, with each complex matrix written as json.dumps writes its
+# mat_to_json lists.  The indent forces the pure-Python encoder, so
+# _write_json writes the tree itself, and each matrix, the bulk of every
+# report, from its array; no function holds a whole report's text.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -97,75 +99,96 @@ def _atom(x) -> str | None:
     return _NONFINITE.get(text, text)
 
 
-def _matrix(m: np.ndarray, level: int) -> str:
-    """Text of the mat_to_json lists of a 2-D complex array nested `level`
-    deep.  Pairs whose bits are all zero share one string; only the other
-    entries are repr'd, in one batch."""
+def _write_json(x, write) -> None:
+    """Write the text of x and a newline through write.  Tree text
+    collects in a list that goes out before each matrix and at the end,
+    so a report without matrices leaves in one write."""
+    parts: list[str] = []
+    _tree(x, 0, parts, write)
+    parts.append("\n")
+    _flush(parts, write)
+
+
+def _flush(parts: list[str], write) -> None:
+    """Write the pieces in parts as one string and empty the list."""
+    text = "".join(parts)
+    parts.clear()
+    write(text)
+
+
+def _tree(x, level: int, parts: list[str], write) -> None:
+    """Append the text of x nested `level` deep to parts; a matrix on the
+    way writes parts out first."""
+    atom = _atom(x)
+    if atom is not None:
+        parts.append(atom)
+    elif type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.complex128:
+        _matrix(x, level, parts, write)
+    elif not isinstance(x, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    else:
+        brackets = "{}" if isinstance(x, dict) else "[]"
+        indent = "\n" + "  " * (level + 1)
+        for i, item in enumerate(sorted(x) if brackets == "{}" else x):
+            parts.append(("," if i else brackets[0]) + indent)
+            if brackets == "{}":  # other keys as JSON text, or TypeError
+                key = item if isinstance(item, str) else _atom(item)
+                parts.append(encode_basestring_ascii(key) + ": ")
+                item = x[item]
+            _tree(item, level + 1, parts, write)
+        parts.append(indent[:-2] + brackets[1] if x else brackets)
+
+
+def _matrix(m: np.ndarray, level: int, parts: list[str], write) -> None:
+    """Write parts, then the mat_to_json lists of a 2-D complex array
+    nested `level` deep one row at a time, and leave the closing bracket
+    in parts.  Each row is cut from one all-zero row, with the pairs whose
+    bits are not all zero formatted as it reaches them and spliced in."""
     rows, cols = m.shape
     i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
     if not rows * cols:
-        return "[" + i1 + ("," + i1).join(["[]"] * rows) + i0 + "]" if rows else "[]"
+        parts.append("[" + i1 + ("," + i1).join(["[]"] * rows) + i0 + "]" if rows else "[]")
+        return
     ri = np.ascontiguousarray(m).view(float).reshape(-1, 2)
     bits = ri.view(np.uint64)
-    nz = (bits[:, 0] | bits[:, 1]) != 0  # -0.0 is nonzero: it prints -0.0
-    text = list(map(float.__repr__, ri[nz].ravel().tolist()))
-    it = map(_NONFINITE.get, text, text)
-    cells = np.empty(rows * cols, dtype=object)
-    cells.fill("0.0," + i3 + "0.0")
-    cells[nz] = list(map(("," + i3).join, zip(it, it)))
-    lines = map((i2 + "]," + i2 + "[" + i3).join, cells.reshape(rows, cols).tolist())
-    body = (i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3).join(lines)
-    return f"[{i1}[{i2}[{i3}{body}{i2}]{i1}]{i0}]"
-
-
-def _dumps(x, level: int = 0, out: list | None = None) -> str:
-    """The text of x nested `level` deep; a nested call appends to out."""
-    top = out is None
-    out = [] if top else out
-    atom = _atom(x)
-    matrix = (type(x) is np.ndarray and x.ndim == 2
-              and x.dtype == np.complex128)
-    if atom is None and not matrix and not isinstance(x, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    brackets = "{}" if isinstance(x, dict) else "[]"
-    if atom or matrix or not x:
-        out.append(atom or (_matrix(x, level) if matrix else brackets))
-    else:
-        indent = "\n" + "  " * (level + 1)
-        for i, item in enumerate(sorted(x) if brackets == "{}" else x):
-            out.append(("," if i else brackets[0]) + indent)
-            if brackets == "{}":  # other keys as JSON text, or TypeError
-                key = item if isinstance(item, str) else _atom(item)
-                out.append(encode_basestring_ascii(key) + ": ")
-                item = x[item]
-            _dumps(item, level + 1, out)
-        out.append(indent[:-2] + brackets[1])
-    return "".join(out) if top else ""
+    at = np.flatnonzero(bits[:, 0] | bits[:, 1])  # -0.0 is nonzero: it prints -0.0
+    text = map(float.__repr__, ri[at].ravel())
+    it = map(_NONFINITE.get, *itertools.tee(text))
+    cells = map(("," + i3).join, zip(it, it))
+    zero, sep = "0.0," + i3 + "0.0", i2 + "]," + i2 + "[" + i3
+    head = "," + i1 + "[" + i2 + "[" + i3
+    blank = head + sep.join([zero] * cols) + i2 + "]" + i1 + "]"
+    starts = iter((len(head) + (len(zero) + len(sep)) * (at % cols)).tolist())
+    parts.append("[")
+    _flush(parts, write)
+    for r, n in enumerate(np.bincount(at // cols, minlength=rows).tolist()):
+        pieces, pos = [], 0 if r else 1  # the first row has no comma
+        for a in itertools.islice(starts, n):
+            pieces += (blank[pos:a], next(cells))
+            pos = a + len(zero)
+        pieces.append(blank[pos:])
+        write("".join(pieces))
+    parts.append(i0 + "]")
 
 
 def _emit(report: dict, args, rows: list[dict] | None = None) -> None:
-    """Write the report; CSV format needs tidy rows, else falls back to
-    flat key/value pairs of the scalar results."""
-    if args.format == "json":
-        text = _dumps(report) + "\n"
-    else:
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    """Write the report to --out or stdout as it is made: JSON, or for
+    --format csv the tidy rows, else flat key/value pairs of the scalar
+    results."""
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "json":
+            _write_json(report, fh.write)
+        elif rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
         else:
-            writer = csv.writer(buf)
+            writer = csv.writer(fh)
             writer.writerow(["key", "value"])
             for k, v in sorted(report["results"].items()):
                 if isinstance(v, (int, float, str, bool)):
                     writer.writerow([k, v])
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _header(args) -> dict:

@@ -12,6 +12,18 @@ Numbers are decimal floats; coefficients are exact binary floating point.
 Variables z1..zd do not commute: z1*z2 and z2*z1 are different words.
 Matrix literals give constant matrix coefficients.  Errors carry the
 offending position in the input string.
+
+The parser multiplies out (word, coefficient) terms and builds the
+coefficient array once, with the floating-point steps of the series
+operations on the dense array: a product's coefficient at w adds
+F_b @ G_c to zero over the splits w = b.c by increasing |b|, and a sign
+flip or a sum also reaches the zeros of the words it does not list.
+Two results can differ from the dense computation: a product of two
+matrix factors whose dot products sum two or more inexact terms, in the
+last place (BLAS rounds these by the batch shape, which for the dense
+array depends on d and the grade); and a product with a non-finite
+coefficient, which the dense array spreads as NaN over words that no
+term reaches.
 """
 
 from __future__ import annotations
@@ -20,8 +32,8 @@ import re
 
 import numpy as np
 
-from .series import (FreeSeries, constant_series, identity_series,
-                     letter_series, multiply, series_degree)
+from .series import FreeSeries
+from .words import index_map
 
 
 class ParseError(ValueError):
@@ -55,9 +67,45 @@ def _tokenize(text: str):
     return tokens
 
 
+class _Terms:
+    """A series being parsed: the p x q coefficients of the words it
+    lists, and `rest`, the block every other word holds.  rest is zero,
+    but with the signs that a sign flip gives the dense array's zeros."""
+
+    def __init__(self, terms: dict, rest: np.ndarray):
+        self.terms = terms
+        self.rest = rest
+        self.p, self.q = rest.shape
+
+    @classmethod
+    def single(cls, word: tuple, m) -> "_Terms":
+        m = np.atleast_2d(np.asarray(m, dtype=complex))
+        return cls({word: m}, np.zeros(m.shape, dtype=complex))
+
+    def degree(self) -> int:
+        """series_degree of the dense array: a NaN counts as nonzero."""
+        return max((len(w) for w, m in self.terms.items() if m.any()), default=0)
+
+    def times(self, scalar) -> "_Terms":
+        """Each coefficient times a float or a float array, every unlisted
+        word's zero too."""
+        return _Terms({w: m * scalar for w, m in self.terms.items()},
+                      self.rest * scalar)
+
+    def __add__(self, other: "_Terms") -> "_Terms":
+        if (self.p, self.q) != (other.p, other.q):
+            raise ValueError("series shape/alphabet mismatch")
+        terms = {w: m + other.terms.get(w, other.rest)
+                 for w, m in self.terms.items()}
+        terms.update((w, self.rest + m) for w, m in other.terms.items()
+                     if w not in self.terms)
+        return _Terms(terms, self.rest + other.rest)
+
+
 class _Parser:
     def __init__(self, text: str, d: int, deg: int, shape: tuple[int, int]):
         self.tokens = _tokenize(text)
+        index_map(d, deg)  # the basis cap, before any atom
         self.k = 0
         self.d = d
         self.deg = deg
@@ -76,27 +124,27 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
 
-    def parse(self) -> FreeSeries:
+    def parse(self) -> _Terms:
         out = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
         return out
 
-    def expr(self) -> FreeSeries:
+    def expr(self) -> _Terms:
         # leading sign
         sign = 1.0
         while self.peek()[1] in ("+", "-"):
             if self.take()[1] == "-":
                 sign = -sign
-        out = self.term() * sign
+        out = self.term().times(sign)
         while self.peek()[1] in ("+", "-"):
             op = self.take()[1]
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            out = out + (rhs if op == "+" else rhs.times(-1.0))
         return out
 
-    def term(self) -> FreeSeries:
+    def term(self) -> _Terms:
         out = self.factor()
         while self.peek()[1] == "*":
             self.take()
@@ -104,8 +152,8 @@ class _Parser:
             out = self._mul(out, rhs)
         return out
 
-    def _mul(self, a: FreeSeries, b: FreeSeries) -> FreeSeries:
-        da, db = series_degree(a), series_degree(b)
+    def _mul(self, a: _Terms, b: _Terms) -> _Terms:
+        da, db = a.degree(), b.degree()
         if da + db > self.deg:
             raise ParseError(
                 f"product of degree {da + db} exceeds truncation {self.deg}",
@@ -113,12 +161,20 @@ class _Parser:
         if a.q != b.p:
             # scalar coefficients broadcast against matrix ones
             if a.p == a.q == 1:
-                a = _scalar_times_eye(a, b.p, b.p)
+                a = a.times(np.eye(b.p))
             elif b.p == b.q == 1:
-                b = _scalar_times_eye(b, a.q, a.q)
-        return multiply(a, b)
+                b = b.times(np.eye(a.q))
+        if a.q != b.p:
+            raise ValueError("shape mismatch in series product")
+        zero = np.zeros((a.p, b.q), dtype=complex)
+        terms: dict = {}
+        for u, x in sorted(a.terms.items(), key=lambda t: len(t[0])):
+            for v, y in b.terms.items():
+                if len(u) + len(v) <= self.deg:
+                    terms[u + v] = terms.get(u + v, zero) + x @ y
+        return _Terms(terms, zero)
 
-    def factor(self) -> FreeSeries:
+    def factor(self) -> _Terms:
         out = self.atom()
         if self.peek()[1] == "^":
             self.take()
@@ -127,26 +183,26 @@ class _Parser:
         kind, val, pos = self.take()
         if kind != "num" or not val.isdigit():
             raise ParseError("exponent must be a nonnegative integer", pos)
-        n = int(val)
-        acc = identity_series(self.d, self.deg, out.p) if out.p == out.q \
-            else None
-        if acc is None:
+        if out.p != out.q:
             raise ParseError("cannot raise a non-square series to a power", pos)
-        for _ in range(n):
+        acc = _Terms.single((), np.eye(out.p))
+        for _ in range(int(val)):
             acc = self._mul(acc, out)
         return acc
 
-    def atom(self) -> FreeSeries:
+    def atom(self) -> _Terms:
         kind, val, pos = self.take()
         if kind == "num":
-            return constant_series(self.d, self.deg, float(val))
+            return _Terms.single((), float(val))
         if kind == "imag":
-            return constant_series(self.d, self.deg, 1j)
+            return _Terms.single((), 1j)
         if kind == "var":
             k = int(val[1:])
             if not 1 <= k <= self.d:
                 raise ParseError(f"variable {val} exceeds alphabet size {self.d}", pos)
-            return letter_series(self.d, self.deg, k)
+            if not self.deg:  # as FreeSeries.from_terms refuses the letter
+                raise ValueError(f"word {(k,)} exceeds degree 0")
+            return _Terms.single((k,), 1.0)
         if val == "(":
             out = self.expr()
             self.expect(")")
@@ -155,7 +211,7 @@ class _Parser:
             return self.matrix(pos)
         raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
 
-    def matrix(self, open_pos: int) -> FreeSeries:
+    def matrix(self, open_pos: int) -> _Terms:
         self.expect("[")
         rows = [self.row()]
         while self.peek()[1] == ",":
@@ -166,7 +222,7 @@ class _Parser:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ParseError("ragged matrix literal", open_pos)
-        return constant_series(self.d, self.deg, np.array(rows, dtype=complex))
+        return _Terms.single((), np.array(rows, dtype=complex))
 
     def row(self) -> list[complex]:
         # called after the opening '[' of the row has been consumed
@@ -199,13 +255,12 @@ def parse(text: str, d: int, deg: int, shape: tuple[int, int] = (1, 1)) -> FreeS
     """Parse an expression in z1..zd into a FreeSeries."""
     if d < 1 or deg < 0:
         raise ValueError("need d >= 1, deg >= 0")
-    parser = _Parser(text, d, deg, shape)
-    out = parser.parse()
+    out = _Parser(text, d, deg, shape).parse()
     if (out.p, out.q) == (1, 1) and shape != (1, 1):
-        out = _scalar_times_eye(out, *shape)
-    return out
-
-
-def _scalar_times_eye(F: FreeSeries, p: int, q: int) -> FreeSeries:
-    """A scalar series with each coefficient c replaced by c I (p x q)."""
-    return FreeSeries(F.d, F.deg, F.array * np.eye(p, q))
+        out = out.times(np.eye(*shape))
+    F = FreeSeries.from_terms(d, deg, out.p, out.q, out.terms)
+    if out.rest.view(np.uint64).any():  # zeros signed by a leading '-'
+        unlisted = np.ones(len(F.array), dtype=bool)
+        unlisted[[index_map(d, deg)[w] for w in out.terms]] = False
+        F.array[unlisted] = out.rest
+    return F

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import Side
-from .words import (enumerate_tuples, grade_offsets, index_map, reversal,
-                    shift_indices, word_count)
+from .words import (cached_offsets, enumerate_tuples, grade_offsets,
+                    index_map, reversal, shift_indices, word_count)
 
 
 @dataclass
@@ -111,11 +111,12 @@ class FreeSeries:
     def truncate(self, deg: int) -> "FreeSeries":
         """The same coefficients carried to degree deg: a prefix of the
         array in graded order (a view of it), zero-padded when
-        deg > self.deg."""
-        n = grade_offsets(self.d, deg)[-1]
+        deg > self.deg; only the padding checks the basis cap."""
         if deg <= self.deg:
-            return FreeSeries(self.d, deg, self.array[:n])
-        out = np.zeros((n, self.p, self.q), dtype=complex)
+            return FreeSeries(self.d, deg,
+                              self.array[:cached_offsets(self.d, deg)[-1]])
+        out = np.zeros((grade_offsets(self.d, deg)[-1], self.p, self.q),
+                       dtype=complex)
         out[:len(self.array)] = self.array
         return FreeSeries(self.d, deg, out)
 
@@ -241,7 +242,7 @@ def series_degree(F: FreeSeries) -> int:
     """Length of the longest word with a nonzero coefficient, 0 if none.
     Scans the grades from the top down and stops at the first one that
     holds a nonzero (or NaN) coefficient."""
-    off = grade_offsets(F.d, F.deg)
+    off = cached_offsets(F.d, F.deg)
     for g in range(F.deg, 0, -1):
         if F.array[off[g]:off[g + 1]].any():
             return g

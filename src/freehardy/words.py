@@ -12,8 +12,10 @@ read as base-d digits (letter k is digit k - 1), have value r sits at
 ``grade_offsets(d, N)[g] + r``.  Concatenation stacks digits, so the
 index of w.b or b.w is affine in the index of b within its grade;
 ``shift_indices`` and ``reversal`` compute such index maps as arrays.
-Every entry point checks ``FREEHARDY_MAX_BASIS`` on each call, outside
-any cache.
+Every entry point that enumerates a basis or sizes a new array checks
+``FREEHARDY_MAX_BASIS`` on each call, outside any cache.
+``cached_offsets`` does not: it serves code that indexes an array which
+already exists, and so passed the cap when it was made.
 """
 
 from __future__ import annotations
@@ -94,11 +96,14 @@ def grade_offsets(d: int, N: int) -> list[int]:
     """Position of the first word of each grade 0..N+1 in the graded
     basis of words of length <= N; the last entry is the basis size."""
     _check_cap(d, N)
-    return list(_grade_offsets(d, N))
+    return list(cached_offsets(d, N))
 
 
 @lru_cache(maxsize=None)
-def _grade_offsets(d: int, N: int) -> tuple[int, ...]:
+def cached_offsets(d: int, N: int) -> tuple[int, ...]:
+    """grade_offsets with no cap check, for indexing an existing array."""
+    if d < 1 or N < 0:
+        raise ValueError("need d >= 1 and max_len >= 0")
     return tuple(word_count(d, g - 1) for g in range(N + 2))
 
 

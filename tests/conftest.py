@@ -4,10 +4,12 @@ from hypothesis import settings
 
 from freehardy.fock import Side
 from freehardy.kernels import MEMBERSHIP_CAP, KernelKind, kernel_gram
-from freehardy.series import (FreeSeries, MatrixPoint, cayley, dagger_series,
-                              evaluate, identity_series, invert_series,
-                              letter_series, multiplier_matrix,
-                              normalize_schur, range_basis, series_degree)
+from freehardy.parser import ParseError, _tokenize
+from freehardy.series import (FreeSeries, MatrixPoint, cayley,
+                              constant_series, dagger_series, evaluate,
+                              identity_series, invert_series, letter_series,
+                              multiplier_matrix, multiply, normalize_schur,
+                              range_basis, series_degree)
 from freehardy.words import (enumerate_tuples, grade_offsets, index_map,
                              reversal, shift_indices, word_count)
 
@@ -314,6 +316,164 @@ def spy_linalg(monkeypatch, names):
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(mod, name, spy)
     return calls
+
+
+
+class DenseParserOracle:
+    """The parser that builds a dense FreeSeries for every atom and
+    multiplies series by convolution, checked against parse."""
+
+    def __init__(self, text: str, d: int, deg: int, shape: tuple[int, int]):
+        self.tokens = _tokenize(text)
+        self.k = 0
+        self.d = d
+        self.deg = deg
+        self.p, self.q = shape
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def take(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, val, pos = self.take()
+        if val != value:
+            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
+
+    def parse(self) -> FreeSeries:
+        out = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {val!r}", pos)
+        return out
+
+    def expr(self) -> FreeSeries:
+        # leading sign
+        sign = 1.0
+        while self.peek()[1] in ("+", "-"):
+            if self.take()[1] == "-":
+                sign = -sign
+        out = self.term() * sign
+        while self.peek()[1] in ("+", "-"):
+            op = self.take()[1]
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self) -> FreeSeries:
+        out = self.factor()
+        while self.peek()[1] == "*":
+            self.take()
+            rhs = self.factor()
+            out = self._mul(out, rhs)
+        return out
+
+    def _mul(self, a: FreeSeries, b: FreeSeries) -> FreeSeries:
+        da, db = series_degree(a), series_degree(b)
+        if da + db > self.deg:
+            raise ParseError(
+                f"product of degree {da + db} exceeds truncation {self.deg}",
+                self.peek()[2])
+        if a.q != b.p:
+            # scalar coefficients broadcast against matrix ones
+            if a.p == a.q == 1:
+                a = scalar_times_eye_oracle(a, b.p, b.p)
+            elif b.p == b.q == 1:
+                b = scalar_times_eye_oracle(b, a.q, a.q)
+        return multiply(a, b)
+
+    def factor(self) -> FreeSeries:
+        out = self.atom()
+        if self.peek()[1] == "^":
+            self.take()
+        else:
+            return out
+        kind, val, pos = self.take()
+        if kind != "num" or not val.isdigit():
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        n = int(val)
+        acc = identity_series(self.d, self.deg, out.p) if out.p == out.q \
+            else None
+        if acc is None:
+            raise ParseError("cannot raise a non-square series to a power", pos)
+        for _ in range(n):
+            acc = self._mul(acc, out)
+        return acc
+
+    def atom(self) -> FreeSeries:
+        kind, val, pos = self.take()
+        if kind == "num":
+            return constant_series(self.d, self.deg, float(val))
+        if kind == "imag":
+            return constant_series(self.d, self.deg, 1j)
+        if kind == "var":
+            k = int(val[1:])
+            if not 1 <= k <= self.d:
+                raise ParseError(f"variable {val} exceeds alphabet size {self.d}", pos)
+            return letter_series(self.d, self.deg, k)
+        if val == "(":
+            out = self.expr()
+            self.expect(")")
+            return out
+        if val == "[":
+            return self.matrix(pos)
+        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
+
+    def matrix(self, open_pos: int) -> FreeSeries:
+        self.expect("[")
+        rows = [self.row()]
+        while self.peek()[1] == ",":
+            self.take()
+            self.expect("[")
+            rows.append(self.row())
+        self.expect("]")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ParseError("ragged matrix literal", open_pos)
+        return constant_series(self.d, self.deg, np.array(rows, dtype=complex))
+
+    def row(self) -> list[complex]:
+        # called after the opening '[' of the row has been consumed
+        entries = [self.scalar()]
+        while self.peek()[1] == ",":
+            self.take()
+            entries.append(self.scalar())
+        self.expect("]")
+        return entries
+
+    def scalar(self) -> complex:
+        sign = 1.0
+        while self.peek()[1] in ("+", "-"):
+            if self.take()[1] == "-":
+                sign = -sign
+        kind, val, pos = self.take()
+        if kind == "num":
+            value = complex(float(val))
+        elif kind == "imag":
+            value = 1j
+        else:
+            raise ParseError("expected a number in matrix literal", pos)
+        if kind == "num" and self.peek()[0] == "imag":
+            self.take()
+            value = value * 1j
+        return sign * value
+
+def parse_oracle(text, d, deg, shape=(1, 1)):
+    """parse by DenseParserOracle."""
+    if d < 1 or deg < 0:
+        raise ValueError("need d >= 1, deg >= 0")
+    out = DenseParserOracle(text, d, deg, shape).parse()
+    if (out.p, out.q) == (1, 1) and shape != (1, 1):
+        out = scalar_times_eye_oracle(out, *shape)
+    return out
+
+
+def scalar_times_eye_oracle(F, p, q):
+    """A scalar series with each coefficient c replaced by c I (p x q)."""
+    return FreeSeries(F.d, F.deg, F.array * np.eye(p, q))
 
 
 @pytest.fixture

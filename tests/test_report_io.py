@@ -6,10 +6,12 @@ lists; malformed series, point and colligation files must end in exit
 1 with a message, never a traceback.
 """
 
+import argparse
 import contextlib
 import copy
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,13 @@ def as_lists(x):
 
 def reference(x) -> str:
     return json.dumps(as_lists(x), sort_keys=True, indent=2)
+
+
+def streamed(x) -> str:
+    """What the report writer writes for x, newline included."""
+    buf = io.StringIO()
+    cli._write_json(x, buf.write)
+    return buf.getvalue()
 
 
 # -- the writer ---------------------------------------------------------------
@@ -80,7 +89,7 @@ VALUES = st.recursive(
 @settings(max_examples=300)
 @given(VALUES)
 def test_writer_matches_json_dumps(x):
-    assert cli._dumps(x) == reference(x)
+    assert streamed(x) == reference(x) + "\n"
 
 
 @pytest.mark.parametrize("x", [
@@ -94,7 +103,7 @@ def test_writer_matches_json_dumps(x):
     {1: "int key", 2.5: "float key"}, {True: 1, False: 0}, {None: "x"},
 ])
 def test_writer_examples(x):
-    assert cli._dumps(x) == reference(x)
+    assert streamed(x) == reference(x) + "\n"
 
 
 ENTRIES = st.one_of(FLOATS, st.sampled_from(
@@ -134,7 +143,7 @@ def nested_arrays(draw):
 @settings(max_examples=300)
 @given(nested_arrays())
 def test_array_writer_matches_json_dumps_of_its_lists(x):
-    assert cli._dumps(x) == reference(x)
+    assert streamed(x) == reference(x) + "\n"
 
 
 @pytest.mark.parametrize("x", [np.bool_(True), np.int64(3), [np.int64(1)],
@@ -145,7 +154,7 @@ def test_writer_rejects_what_json_rejects(x):
     with pytest.raises(TypeError):
         json.dumps(x)
     with pytest.raises(TypeError):
-        cli._dumps(x)
+        streamed(x)
 
 
 @pytest.fixture
@@ -171,8 +180,7 @@ def matrix_symbol_file(tmp_path):
 
 SYMBOL = ["--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2", "--N", "4"]
 
-
-@pytest.mark.parametrize("argv", [
+COMMANDS = [
     ["eval"] + SYMBOL + ["--num-points", "2"],
     ["schur-check"] + SYMBOL,
     ["schur-check", "--expr", "1.5*z1", "--d", "1", "--deg", "1"],
@@ -193,13 +201,23 @@ SYMBOL = ["--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2", "--N", "4"]
     ["kernel-gram"] + SYMBOL + ["--num-points", "4"],
     ["realize", "--input", "MATRIX_SYMBOL", "--d", "2", "--N", "5"],
     ["complete-column", "--input", "MATRIX_SYMBOL", "--d", "2", "--N", "5"],
-], ids=lambda argv: "-".join(a for a in argv[:1] + argv[-1:]))
-def test_every_command_writes_json_dumps_bytes(capsys, monkeypatch,
+]
+
+
+@pytest.mark.parametrize("argv, to_file", [
+    pytest.param(argv, to_file, id="-".join(argv[:1] + argv[-1:] + ["out"] * to_file))
+    for argv in COMMANDS for to_file in (False, True)])
+def test_every_command_writes_json_dumps_bytes(capsys, monkeypatch, tmp_path,
                                                colligation_file,
-                                               matrix_symbol_file, argv):
+                                               matrix_symbol_file, argv,
+                                               to_file):
+    """The report on stdout, or the bytes of the --out file, are those of
+    json.dumps and a newline."""
     files = {"COLLIGATION": colligation_file,
              "MATRIX_SYMBOL": matrix_symbol_file}
     argv = [files.get(a, a) for a in argv]
+    out = tmp_path / "report.json"
+    argv += ["--out", str(out)] * to_file
     built = []
     emit = cli._emit
 
@@ -210,7 +228,58 @@ def test_every_command_writes_json_dumps_bytes(capsys, monkeypatch,
     monkeypatch.setattr(cli, "_emit", recording_emit)
     assert cli.main(argv) in (0, 2)
     assert len(built) == 1
-    assert capsys.readouterr().out == reference(built[0]) + "\n"
+    want = reference(built[0]) + "\n"
+    if to_file:
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == want.encode()
+    else:
+        assert capsys.readouterr().out == want
+
+
+@st.composite
+def row_streamed_matrices(draw):
+    """A complex array of shape 0..6 x 0..6, sparse or dense, with signed
+    zeros, NaN and infinities among its entries, nested 0..4 deep in lists
+    and dicts."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    dense = draw(st.booleans())
+    entry = ENTRIES if dense else st.one_of(*[st.just(0.0)] * 6, ENTRIES)
+    re, im = (np.array(draw(st.lists(entry, min_size=rows * cols,
+                                     max_size=rows * cols)),
+                       dtype=float).reshape(rows, cols) for _ in range(2))
+    x = re + 0j
+    x.imag = im
+    for _ in range(draw(st.integers(0, 4))):
+        x = draw(st.sampled_from([[x], {"m": x}, [1.5, x, "s"]]))
+    return x
+
+
+@settings(max_examples=300)
+@given(row_streamed_matrices())
+def test_rows_streamed_match_json_dumps_of_lists(x):
+    assert streamed(x) == reference(x) + "\n"
+
+
+def test_writer_peak_is_a_fraction_of_the_report(tmp_path):
+    """A report holding a 510 x 256 matrix with 1% nonzero entries, about
+    8 MB of text, is written with an allocation peak below a quarter of
+    its size: no whole-report string is built."""
+    rng = np.random.default_rng(5)
+    m = np.zeros((510, 256), dtype=complex)
+    nz = rng.random(m.shape) < 0.01
+    m[nz] = rng.standard_normal(nz.sum()) + 1j * rng.standard_normal(nz.sum())
+    report = {"schema": cli.SCHEMA,
+              "results": {"colligation": {"A": m, "d": 2}, "rank": 3}}
+    args = argparse.Namespace(format="json", out=str(tmp_path / "report.json"))
+    tracemalloc.start()
+    try:
+        cli._emit(report, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "report.json").stat().st_size
+    assert size > 7_000_000
+    assert peak < size / 4, (peak, size)
 
 
 # -- input files --------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from freehardy import words
 from freehardy.fock import Side
 from freehardy.series import (FreeSeries, dagger_series, letter_series,
-                              multiplier_matrix, multiply)
+                              multiplier_matrix, multiply, series_degree)
 from freehardy.words import (CapacityError, enumerate_tuples, grade_offsets,
                              index_map, reversal, shift_indices, word_count)
 
@@ -152,6 +153,17 @@ def test_capacity_cap_applies_after_caching(monkeypatch):
         monkeypatch.setenv("FREEHARDY_MAX_BASIS", "100")
         with pytest.raises(CapacityError):
             call()
+
+
+def test_indexing_an_existing_array_reads_no_cap(monkeypatch):
+    # truncating to a lower degree and series_degree only index an array
+    # that passed the cap when it was made; padding allocates, so it checks
+    F = letter_series(2, 4, 1)
+    monkeypatch.setattr(words, "max_basis_size", lambda: 1 / 0)
+    assert F.truncate(2).array.shape == (7, 1, 1)
+    assert series_degree(F) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.truncate(5)
 
 
 def test_reversal_is_read_only():
