@@ -452,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is an error: exit 1, not 2
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (CeObstructionError, NotSchurError) as exc:

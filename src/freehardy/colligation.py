@@ -151,11 +151,9 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
         raise CeObstructionError(
             "extremality gap vanishes; no nonzero completion exists")
     a0, model = gap["a0"], gap["model"]
-    X = shift_compressions(model)
-    Cg = gleason_maps(model)
-    E = A.truncate(model.M).array.reshape(-1, A.q)
-    Aa0 = model.Wplus @ E @ a0
-    U = Colligation(A.d, model.rank, A.q, A.q, X, Cg, -Aa0.conj().T, a0)
+    Aa0 = gap["coords"] @ a0
+    U = Colligation(A.d, model.rank, A.q, A.q, shift_compressions(model),
+                    gap["gleason_maps"], -Aa0.conj().T, a0)
     # the augmented block stacks the bottom-channel colligation with the
     # output row of the original column; its columns are isometric by the
     # Gleason structure identity

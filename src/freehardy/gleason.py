@@ -29,7 +29,7 @@ from .series import (FreeSeries, MatrixPoint, constant_series,
                      dagger_series, factor_psd, multiplier_matrix,
                      range_basis, schur_norm_estimate,
                      series_degree, strip_letter, szego_coords)
-from .words import grade_offsets, shift_indices, word_count
+from .words import shift_indices, word_count
 
 
 class NotSchurError(ValueError):
@@ -118,23 +118,17 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
 def _defect(B: FreeSeries, M: int) -> np.ndarray:
     """I - T T* on words of length <= M, T the right multiplier of B, from
     B's terms: T T* holds B_w B_v* at (b.w, b.v) for all terms w, v and
-    words b with |b.w|, |b.v| <= M, and b.w sits at the shift_indices
-    row of b.1^|w| plus the rank of w in its grade."""
-    n, p, off = word_count(B.d, M), B.p, np.array(grade_offsets(B.d, M))
-    at = np.flatnonzero(B.array.any(axis=(1, 2)))
-    grade = np.searchsorted(off, at, side="right") - 1
-    one = shift_indices(B.d, M, (1,), left=False)[0]
-    base = np.tile(np.arange(n), (grade.max(initial=0) + 1, 1))
-    for g in range(1, len(base)):  # b.1^g from b.1^(g - 1), for short b
-        base[g, :off[M + 1 - g]] = one[base[g - 1, :off[M + 1 - g]]]
-    size = off[M + 1 - grade]  # the words b that w can follow
-    k, j, b = np.nonzero(np.arange(n) < np.minimum.outer(size, size)[..., None])
-    x, y = (base[grade[t], b] + at[t] - off[grade[t]] for t in (k, j))
-    vals = np.einsum("kpq,jrq->kjpr", B.array[at], B.array[at].conj())[k, j]
-    i = np.arange(p)
-    pos = (x * (p * n) + y)[:, None, None] * p + (i[:, None] * (n * p) + i)
+    words b with |b.w|, |b.v| <= M.  shift_indices lists the rows b.w in
+    the graded order of b, so the words b that both w and v can follow
+    are the first min(len) entries of both lists."""
+    n, p = word_count(B.d, M), B.p
+    rows = [(shift_indices(B.d, M, w, left=False)[0], m) for w, m in B.terms()]
     D = np.eye(n * p, dtype=complex)
-    np.subtract.at(D.reshape(-1), pos.ravel(), vals.ravel())
+    D4 = D.reshape(n, p, n, p)
+    for x, Bw in rows:
+        for y, Bv in rows:
+            k = min(len(x), len(y))
+            D4[x[:k], :, y[:k], :] -= np.einsum("pq,rq->pr", Bw, Bv.conj())
     return D
 
 
@@ -171,11 +165,12 @@ def vacuum_kernel(model: DbrModel) -> np.ndarray:
     return model.W[0:model.p, :].conj().T
 
 
-def _gap(model: DbrModel) -> np.ndarray:
-    """(I - B(0)*B(0)) - <Gleason tuple Gram> on one model, Hermitian."""
+def _gap(model: DbrModel, maps: list[np.ndarray]) -> np.ndarray:
+    """(I - B(0)*B(0)) - <Gleason tuple Gram> on one model, Hermitian, from
+    the model's Gleason maps."""
     B0 = model.B.coeff(())
     G = np.eye(model.B.q, dtype=complex) - B0.conj().T @ B0
-    for C in gleason_maps(model):
+    for C in maps:
         G = G - C.conj().T @ C
     return 0.5 * (G + G.conj().T)
 
@@ -188,7 +183,7 @@ def extremality_gap(B: FreeSeries, N: int, tol: float = 1e-8,
     tol; the model at the top rung, dbr_model(B, N, rank_tol=rank_tol,
     tol=tol), is returned with it."""
     models = _models(B, N, 3, rank_tol, tol)
-    gaps = [_gap(model) for model in models]
+    gaps = [_gap(model, gleason_maps(model)) for model in models]
     ladder = [{"N": model.N, "gap_norm": float(np.abs(np.linalg.eigvalsh(G)).max())}
               for model, G in zip(models, gaps)]
     extremal = ladder[0]["gap_norm"] <= tol
@@ -204,9 +199,11 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     one eigh of the gap; a0 is cross-validated against
     (I + Ahat*Ahat)^{-1} when membership of A.h in the model certifies the
     graph realization of Ahat.  The model dbr_model(A, N,
-    rank_tol=rank_tol, tol=tol) is returned with them."""
+    rank_tol=rank_tol, tol=tol), its Gleason maps and the rank coordinates
+    W+ E of A's columns are returned with them."""
     model = _models(A, N, 1, rank_tol, tol)[0]
-    evals, vecs = np.linalg.eigh(_gap(model))
+    maps = gleason_maps(model)
+    evals, vecs = np.linalg.eigh(_gap(model, maps))
     if evals[0] < -tol:
         raise ValueError(
             f"extremality gap indefinite ({evals[0]:.3e}); truncation too coarse")
@@ -214,12 +211,12 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
     E = A.truncate(model.M).array.reshape(-1, A.q)
     memb = max(model.membership(E[:, j])["residual"] for j in range(A.q))
-    dual = None
-    if memb <= tol:
-        C = model.Wplus @ E
-        dual = np.linalg.inv(np.eye(A.q) + C.conj().T @ C)
+    coords = model.Wplus @ E
+    dual = (np.linalg.inv(np.eye(A.q) + coords.conj().T @ coords)
+            if memb <= tol else None)
     return {"a0_sq": clipped, "a0": a0, "eigenvalues": evals, "dual": dual,
-            "membership_residual": memb, "model": model}
+            "membership_residual": memb, "model": model,
+            "gleason_maps": maps, "coords": coords}
 
 
 def l_invariance_test(A: FreeSeries, N: int, tol: float = 1e-8) -> dict:
@@ -250,8 +247,7 @@ def exactgs_residual(A: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     model = gap["model"]
     X = shift_compressions(model)
     K0 = vacuum_kernel(model)
-    E = A.truncate(model.M).array.reshape(-1, A.q)
-    Aa0 = model.Wplus @ E @ gap["a0"]
+    Aa0 = gap["coords"] @ gap["a0"]
     lhs = np.eye(model.rank, dtype=complex) - sum(x.conj().T @ x for x in X)
     rhs = K0 @ K0.conj().T + Aa0 @ Aa0.conj().T
     Q = _class_span(model, model.M - 1)

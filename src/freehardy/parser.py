@@ -103,13 +103,12 @@ class _Terms:
 
 
 class _Parser:
-    def __init__(self, text: str, d: int, deg: int, shape: tuple[int, int]):
+    def __init__(self, text: str, d: int, deg: int):
         self.tokens = _tokenize(text)
         index_map(d, deg)  # the basis cap, before any atom
         self.k = 0
         self.d = d
         self.deg = deg
-        self.p, self.q = shape
 
     def peek(self):
         return self.tokens[self.k]
@@ -255,7 +254,7 @@ def parse(text: str, d: int, deg: int, shape: tuple[int, int] = (1, 1)) -> FreeS
     """Parse an expression in z1..zd into a FreeSeries."""
     if d < 1 or deg < 0:
         raise ValueError("need d >= 1, deg >= 0")
-    out = _Parser(text, d, deg, shape).parse()
+    out = _Parser(text, d, deg).parse()
     if (out.p, out.q) == (1, 1) and shape != (1, 1):
         out = out.times(np.eye(*shape))
     F = FreeSeries.from_terms(d, deg, out.p, out.q, out.terms)

@@ -63,11 +63,11 @@ def _check_cap(d: int, max_len: int) -> None:
     if d < 1 or max_len < 0:
         raise ValueError("need d >= 1 and max_len >= 0")
     limit = max_basis_size()
-    total = word_count(d, max_len)
-    if total > limit:
+    if word_count(d, max_len) > limit:
+        # the count itself can pass the digits that str() of an int allows
         raise CapacityError(
-            f"basis of {total} words exceeds cap {limit} "
-            f"(set FREEHARDY_MAX_BASIS to raise it)"
+            f"basis of words of length <= {max_len} on {d} letters exceeds "
+            f"cap {limit} (set FREEHARDY_MAX_BASIS to raise it)"
         )
 
 

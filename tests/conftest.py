@@ -295,6 +295,37 @@ def defect_oracle(B, M):
     return np.eye(T.shape[0]) - T @ T.conj().T
 
 
+def defect_scatter_oracle(B, M):
+    """gleason._defect by one scatter: b.w sits at the shift_indices row of
+    b.1^|w| plus the rank of w in its grade, and one subtract.at takes
+    every B_w B_v* off I at its flat positions, pairs (w, v) in order."""
+    n, p, off = word_count(B.d, M), B.p, np.array(grade_offsets(B.d, M))
+    at = np.flatnonzero(B.array.any(axis=(1, 2)))
+    grade = np.searchsorted(off, at, side="right") - 1
+    one = shift_indices(B.d, M, (1,), left=False)[0]
+    base = np.tile(np.arange(n), (grade.max(initial=0) + 1, 1))
+    for g in range(1, len(base)):  # b.1^g from b.1^(g - 1), for short b
+        base[g, :off[M + 1 - g]] = one[base[g - 1, :off[M + 1 - g]]]
+    size = off[M + 1 - grade]  # the words b that w can follow
+    k, j, b = np.nonzero(np.arange(n) < np.minimum.outer(size, size)[..., None])
+    x, y = (base[grade[t], b] + at[t] - off[grade[t]] for t in (k, j))
+    vals = np.einsum("kpq,jrq->kjpr", B.array[at], B.array[at].conj())[k, j]
+    i = np.arange(p)
+    pos = (x * (p * n) + y)[:, None, None] * p + (i[:, None] * (n * p) + i)
+    D = np.eye(n * p, dtype=complex)
+    np.subtract.at(D.reshape(-1), pos.ravel(), vals.ravel())
+    return D
+
+
+def outer_mate_a0sq(c):
+    """|a(0)|^2 = exp of the mean of log(1 - |b|^2) over the circle, for
+    the one-letter polynomial b(z) = sum c[k] z^k and its outer mate a
+    (|a|^2 + |b|^2 = 1 on the circle), on 4096 midpoints."""
+    z = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+    b = np.polyval(np.asarray(c)[::-1], z)
+    return float(np.exp(np.mean(np.log(1.0 - np.abs(b) ** 2))))
+
+
 def factor_psd_oracle(G, rank_tol):
     """factor_psd by one eigh of the whole of G."""
     evals, vecs = np.linalg.eigh(G)

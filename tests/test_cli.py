@@ -368,6 +368,25 @@ def test_parse_error_exit_one(capsys):
     assert "error:" in captured.err
 
 
+def test_usage_error_exits_one_and_help_zero(capsys):
+    # exit 2 is kept for certified negative verdicts, so argparse's usage
+    # exit 2 becomes the error exit 1
+    assert main(["eval", "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: freehardy" in capsys.readouterr().out
+
+
+def test_capacity_error_names_the_cap_at_any_size(capsys):
+    # the basis count of d = 2, N = 20000 has over 6000 digits, more than
+    # str() of an int allows; the message must not need them
+    code = main(["ce-test", "--expr", "z1", "--d", "2", "--N", "20000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "FREEHARDY_MAX_BASIS" in captured.err
+    assert "length <= 20000 on 2 letters" in captured.err
+
+
 def test_missing_series_exit_one(capsys):
     code = main(["schur-check", "--d", "1", "--deg", "2"])
     assert code == 1

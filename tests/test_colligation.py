@@ -312,8 +312,8 @@ def test_model_path_takes_no_svd_of_a_hermitian_matrix(monkeypatch, rng):
 
 
 def test_complete_column_factors_one_rung(monkeypatch):
-    # the completion reads the top rung only: one Gleason Gram for a0 and
-    # one for the input maps
+    # the completion reads the top rung only, and one set of Gleason maps
+    # serves both the gap a0 and the input maps
     calls = []
 
     def counted(model, _fn=gleason.gleason_maps):
@@ -322,7 +322,7 @@ def test_complete_column_factors_one_rung(monkeypatch):
     monkeypatch.setattr(gleason, "gleason_maps", counted)
     monkeypatch.setattr(colligation, "gleason_maps", counted)
     complete_column(parse("0.9*z1", 1, 4), 10)
-    assert calls == [10, 10]
+    assert calls == [10]
 
 
 def _from_block(M, d, state):

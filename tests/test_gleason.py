@@ -19,8 +19,9 @@ from freehardy.series import (FreeSeries, MatrixPoint, dagger_series,
                               multiplier_matrix, multiply, normalize_schur)
 from freehardy.words import enumerate_tuples, word_count
 
-from conftest import (creation_oracle, defect_oracle, nilpotent_point,
-                      random_schur, random_series, spy_linalg)
+from conftest import (creation_oracle, defect_oracle, defect_scatter_oracle,
+                      nilpotent_point, outer_mate_a0sq, random_schur,
+                      random_series, spy_linalg)
 
 SQRT_HALF = 0.7071067811865476
 
@@ -184,6 +185,83 @@ def test_models_d_matches_the_dense_defect(data):
     scale = max(1.0, float(np.linalg.norm(np.eye(len(want)) - want, 2)))
     assert seen[0].shape == want.shape
     assert np.abs(seen[0] - want).max() <= 1e-14 * scale
+
+
+@given(st.data())
+def test_defect_equals_the_scatter_oracle_bit_for_bit(data):
+    # D is taken off I pair of terms by pair of terms, in the order of the
+    # one scatter it replaced, so every entry keeps its last bit
+    from freehardy import gleason
+    d, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    deg = data.draw(st.integers(1, 3))
+    M = data.draw(st.integers(1, {1: 11, 2: 5, 3: 3}[d]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    F = random_series(rng, d, deg, p, p)
+    if data.draw(st.booleans()):  # sparse: about 60% of the terms zeroed
+        F.array[rng.random(len(F.array)) < 0.6] = 0
+    B = F.truncate(min(deg, M))
+    assert gleason._defect(B, M).tobytes() == \
+        defect_scatter_oracle(B, M).tobytes()
+
+
+def _one_letter(c, d, k):
+    """sum_j c[j] z_k^j as a series on d letters."""
+    return FreeSeries.from_terms(d, len(c) - 1, 1, 1, {
+        (k,) * j: np.array([[cj]]) for j, cj in enumerate(c)})
+
+
+@st.composite
+def _one_letter_coeffs(draw, top=0.9):
+    """The coefficients of a polynomial of degree 1-3 whose sup norm on
+    the circle is between 0.3 and top."""
+    deg = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    return c * draw(st.floats(0.3, top)) / np.abs(np.polyval(c[::-1], z)).max()
+
+
+@settings(max_examples=10)
+@given(_one_letter_coeffs())
+def test_one_letter_gap_decreases_to_the_outer_mate(c):
+    # the disk case (Sarason): the gap at N decreases in N to |a(0)|^2,
+    # a the outer mate of b, with |a|^2 + |b|^2 = 1 on the circle
+    want = outer_mate_a0sq(c)
+    ladder = [r["gap_norm"]
+              for r in extremality_gap(_one_letter(c, 1, 1), 40)["ladder"]]
+    assert all(top <= below + 1e-14 for top, below in zip(ladder, ladder[1:]))
+    assert min(ladder) >= want - 1e-12
+    assert abs(ladder[0] - want) <= 1e-10
+
+
+@settings(max_examples=10)
+@given(_one_letter_coeffs(), st.data())
+def test_one_letter_symbol_on_more_letters_keeps_its_ladder(c, data):
+    # b(z_k) read over d letters has the model space of b(z) at every N
+    for d, N in ((2, 7), (3, 5)):
+        k = data.draw(st.integers(1, d))
+        want = extremality_gap(_one_letter(c, 1, 1), N)["ladder"]
+        got = extremality_gap(_one_letter(c, d, k), N)["ladder"]
+        assert [r["N"] for r in got] == [r["N"] for r in want]
+        assert max(abs(g["gap_norm"] - w["gap_norm"])
+                   for g, w in zip(got, want)) <= 1e-14
+
+
+@settings(max_examples=10)
+@given(_one_letter_coeffs(0.6))
+def test_one_letter_completion_is_extremal(c):
+    # [A; a] with the canonical completion a, the outer mate, is inner and
+    # so column-extreme: its gap vanishes at the top rung.  The completion
+    # is truncated at N = 20; near sup norm 0.9 the mate decays slowly
+    # enough that [A; a] can miss the Schur check there, so the sup norm
+    # stays at most 0.6
+    from freehardy.colligation import complete_column
+    A = _one_letter(c, 1, 1)
+    a = complete_column(A, 20)["a"]
+    deg = max(A.deg, a.deg)
+    col = FreeSeries(1, deg, np.concatenate(
+        [A.truncate(deg).array, a.truncate(deg).array], axis=1))
+    assert extremality_gap(col, 20 + A.deg)["ladder"][0]["gap_norm"] <= 1e-10
 
 
 def test_sparse_symbol_factors_small_blocks(monkeypatch):

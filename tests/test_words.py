@@ -130,6 +130,14 @@ def test_capacity_error(monkeypatch):
         enumerate_tuples(10, 10)
 
 
+def test_capacity_message_holds_no_basis_count():
+    # word_count(2, 20000) has 6021 digits, past the limit of str() of an
+    # int, so the message names d, the length and the cap instead
+    with pytest.raises(CapacityError, match=r"length <= 20000 on 2 letters "
+                       r"exceeds cap 1000000 \(set FREEHARDY_MAX_BASIS"):
+        enumerate_tuples(2, 20000)
+
+
 @given(st.integers(1, 3), st.integers(0, 5))
 def test_dagger_involution_property(d, N):
     rev = reversal(d, N)
