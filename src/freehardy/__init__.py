@@ -13,8 +13,8 @@ from .fock import Side
 from .series import (FreeSeries, MatrixPoint, cayley, constant_series,
                      dagger_series, evaluate, identity_series, invert_series,
                      letter_series, multiplier_matrix, multiply,
-                     normalize_schur, schur_norm_estimate, series_degree,
-                     word_powers)
+                     normalize_schur, schur_norm_bound, schur_norm_estimate,
+                     series_degree, word_powers)
 from .parser import ParseError, parse
 from .kernels import (KernelKind, KernelSpec, Pinning, gram_psd_check,
                       kernel_eval, kernel_gram, membership_norm,

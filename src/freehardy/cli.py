@@ -31,7 +31,7 @@ from .gleason import CeObstructionError, NotSchurError, ce_test, extremality_gap
 from .kernels import KernelKind, KernelSpec, gram_psd_check, nilpotent_pins
 from .parser import ParseError, parse
 from .series import (FreeSeries, MatrixPoint, cayley, evaluate, json_field,
-                     mat_from_json, schur_norm_estimate,
+                     mat_from_json, schur_norm_bound, schur_norm_estimate,
                      series_degree)
 from .words import CapacityError
 
@@ -216,8 +216,8 @@ def cmd_schur_check(args) -> int:
     F = _load_series(args)
     est = schur_norm_estimate(F, args.N)
     ok = est <= 1.0 + args.tol
-    _emit(_report(args, {"norm_estimate": est, "is_schur": bool(ok),
-                         "tol": args.tol}), args)
+    _emit(_report(args, {"norm_estimate": est, "upper": schur_norm_bound(F),
+                         "is_schur": bool(ok), "tol": args.tol}), args)
     return 0 if ok else 2
 
 

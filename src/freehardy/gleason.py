@@ -26,9 +26,10 @@ from .clark import (GnsModel, InvalidMomentsError, clark_moments, cuntz_check,
 from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
-                     dagger_series, factor_psd, multiplier_matrix,
-                     range_basis, schur_norm_estimate,
-                     series_degree, strip_letter, szego_coords)
+                     dagger_series, factor_psd, fock_degree,
+                     multiplier_matrix, range_basis, schur_norm_bound,
+                     schur_norm_estimate, series_degree, strip_letter,
+                     szego_coords)
 from .words import shift_indices, word_count
 
 
@@ -51,6 +52,7 @@ class DbrModel:
     W: np.ndarray        # (n_words * p) x rank, columns H(B)-orthonormal
     Wplus: np.ndarray    # rank x (n_words * p), left inverse of W
     eigenvalues: np.ndarray
+    gleason: list[FreeSeries]  # gleason_vector(B), shared by the rungs
 
     @property
     def p(self) -> int:
@@ -93,25 +95,31 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
     is a leading principal block of D at N, and each rung's W and W+ are
     factor_psd of its block, which splits by the block's components; the
     norm estimate is nondecreasing in N, so the check at N covers the
-    lower rungs."""
+    lower rungs.  The check reads the estimate only when schur_norm_bound
+    is not at most 1 + tol (nan included): the estimate is at most the
+    bound, so below it the estimate cannot refuse B."""
     degB = series_degree(B)
     B = B.truncate(degB)
-    # the norm of the right multiplier that D factors
-    est = schur_norm_estimate(dagger_series(B), N)
-    if est > 1.0 + tol:
-        raise NotSchurError(f"multiplier norm estimate {est:.6f} exceeds 1")
+    # the right multiplier that D factors, as the left one of the transpose;
+    # a degree above N and a basis over the cap at (d, N) are refused first
+    Bt = dagger_series(B)
+    fock_degree(Bt, N)
+    if not schur_norm_bound(Bt) <= 1.0 + tol:
+        est = schur_norm_estimate(Bt, N)
+        if est > 1.0 + tol:
+            raise NotSchurError(f"multiplier norm estimate {est:.6f} exceeds 1")
     M = N - degB
     if M < 1:
         raise ValueError(f"truncation {N} too small for degree {degB}")
     # a right multiplier only lengthens words, so terms longer than M and
     # grades above M never reach the interior block of I - T T*
     D = _defect(B.truncate(min(degB, M)), M)
-    models = []
+    vector, models = gleason_vector(B), []
     for k in range(min(rungs, M)):
         m = word_count(B.d, M - k) * B.p
         W, Wplus, evals, _ = factor_psd(D[:m, :m], rank_tol)
         models.append(DbrModel(B, N - k, M - k, int(W.shape[1]), W, Wplus,
-                               evals))
+                               evals, vector))
     return models
 
 
@@ -139,10 +147,10 @@ def gleason_vector(B: FreeSeries) -> list[FreeSeries]:
 
 
 def gleason_maps(model: DbrModel) -> list[np.ndarray]:
-    """Rank-coordinate matrices of the Gleason tuple components."""
-    B = model.B
-    return [model.Wplus @ comp.truncate(model.M).array.reshape(-1, B.q)
-            for comp in gleason_vector(B)]
+    """Rank-coordinate matrices of the Gleason tuple components, each
+    component cut to the model's interior degree."""
+    return [model.Wplus @ comp.truncate(model.M).array.reshape(-1, model.B.q)
+            for comp in model.gleason]
 
 
 def shift_compressions(model: DbrModel) -> list[np.ndarray]:

@@ -26,6 +26,15 @@ down to the first nonzero one; word_powers stops at the first grade whose
 product is all zero, so at a point jointly nilpotent of order k it
 multiplies out k grades; and cayley writes I -/+ F and 2 X^{-1} -/+ I in
 place around its one inverse.
+
+The norm of the left multiplier T = sum_w F_w (x) L_w is bracketed from
+both sides.  schur_norm_estimate is the norm of T on words of length
+<= N, a lower bound that grows with N.  schur_norm_bound reads the terms
+alone: on term words that are pairwise not prefixes of one another T is
+a column of isometries with orthogonal ranges, of norm
+||sum F_w* F_w||^(1/2), and the bound sums that over the levels of the
+prefix order.  With one level it is the norm, and the model-space gate
+in gleason reads it first.
 """
 
 from __future__ import annotations
@@ -448,22 +457,62 @@ def multiplier_matrix(F: FreeSeries, side: Side, N: int) -> np.ndarray:
 LANCZOS_MIN_SIZE = 200
 
 
+def fock_degree(F: FreeSeries, N: int) -> int:
+    """series_degree(F), once a multiplier by F fits F2(d, N): ValueError
+    when the degree, not the carried degree, exceeds N, and CapacityError
+    when the words of length <= N pass the basis cap, in that order."""
+    deg = series_degree(F)
+    if deg > N:
+        raise ValueError(f"series degree {deg} exceeds Fock truncation {N}")
+    grade_offsets(F.d, N)
+    return deg
+
+
 def schur_norm_estimate(F: FreeSeries, N: int) -> float:
     """Operator norm of the truncated left multiplication matrix: a lower
     bound for the multiplier norm, nondecreasing in N.
 
     The dense 2-norm of multiplier_matrix at d = 1 or below
     LANCZOS_MIN_SIZE; otherwise the top Ritz value of _lanczos_norm, which
-    agrees with the dense norm to rounding.  Refuses a series whose
-    degree, not its carried degree, exceeds N."""
-    deg = series_degree(F)
-    if deg > N:
-        raise ValueError(f"series degree {deg} exceeds Fock truncation {N}")
-    F = F.truncate(deg)
-    size = grade_offsets(F.d, N)[-1] * max(F.p, F.q)  # checks the basis cap
+    agrees with the dense norm to rounding.  Refuses what fock_degree
+    refuses."""
+    F = F.truncate(fock_degree(F, N))
+    size = cached_offsets(F.d, N)[-1] * max(F.p, F.q)
     if F.d == 1 or size < LANCZOS_MIN_SIZE:
         return float(np.linalg.norm(multiplier_matrix(F, Side.LEFT, N), 2))
     return _lanczos_norm(F, N)
+
+
+def schur_norm_bound(F: FreeSeries) -> float:
+    """An upper bound for the norm of the left multiplier
+    T = sum_w F_w (x) L_w of F on the whole Fock space, from F's terms.
+
+    A term word's level is the number of term words that are proper
+    prefixes of it; those form a chain, so this is the longest chain below
+    it (Mirsky's antichain partition).  Words of one level are pairwise
+    not prefixes of one another, so their L_w are isometries with
+    orthogonal ranges and ||sum_level F_w (x) L_w||^2 = ||sum_level
+    F_w* F_w|| (Popescu, Math. Ann. 303, 1995).  The bound is the sum over
+    the levels of these norms, each the top eigenvalue of a q x q Gram; it
+    equals ||T|| when there is one level.  The parent of the word of rank
+    r in grade g has rank r // d in grade g - 1, so the counts of term
+    prefixes take one np.repeat per grade.  A coefficient too large to
+    square, or not finite, gives inf or nan: no bound."""
+    is_term = F.array.any(axis=(1, 2))
+    at = np.flatnonzero(is_term)
+    if not len(at):
+        return 0.0
+    off = cached_offsets(F.d, F.deg)
+    below = np.zeros(len(is_term), dtype=np.int64)  # term proper prefixes
+    for g in range(1, F.deg + 1):
+        below[off[g]:off[g + 1]] = np.repeat(
+            below[off[g - 1]:off[g]] + is_term[off[g - 1]:off[g]], F.d)
+    level, C = below[at], F.array[at]
+    gram = np.zeros((level.max() + 1, F.q, F.q), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(gram, level, C.conj().swapaxes(1, 2) @ C)
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    return float(np.sqrt(np.maximum(top, 0.0)).sum())
 
 
 def _left_products(F: FreeSeries, N: int):

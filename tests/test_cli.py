@@ -174,6 +174,36 @@ def test_terms_above_truncation_are_not_dropped(capsys, cmd):
                             "truncation 2\n")
 
 
+@pytest.mark.parametrize("cmd", ["ce-test", "gleason-gap", "realize",
+                                 "complete-column"])
+def test_degree_above_truncation_refused_before_the_certificate(capsys, cmd):
+    # schur_norm_bound certifies 0.5*z1*z2*z2 (one term), and the refusal
+    # still names its degree against N, not the model's empty interior
+    code = main([cmd, "--expr", "0.5*z1*z2*z2", "--d", "2", "--deg", "3",
+                 "--N", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: series degree 3 exceeds Fock "
+                            "truncation 2\n")
+
+
+def test_schur_check_reports_the_certificate_beside_the_estimate(capsys):
+    # one level: the bound is the norm; two levels: the bound 1.4 is above
+    # the norm, and is_schur and the exit code read the estimate
+    code, rep = run_json(capsys, ["schur-check", "--expr", "0.6*z1+0.5*z2*z2",
+                                  "--d", "2", "--deg", "2", "--N", "4"])
+    res = rep["results"]
+    assert code == 0 and res["is_schur"]
+    assert res["upper"] == np.sqrt(0.61)
+    assert abs(res["norm_estimate"] - res["upper"]) <= 1e-12
+    code, rep = run_json(capsys, ["schur-check", "--expr", "0.6+0.8*z1*z2",
+                                  "--d", "2", "--deg", "2", "--N", "4"])
+    res = rep["results"]
+    assert code == 2 and not res["is_schur"]
+    assert res["upper"] == 1.4
+    assert round(res["norm_estimate"], 4) == 1.2583
+
+
 def test_schur_check_reads_series_degree(capsys):
     # the default --deg 6 carries 0.5*z1 past N = 4; its degree is 1
     code, rep = run_json(capsys, ["schur-check", "--expr", "0.5*z1",

@@ -16,7 +16,8 @@ from freehardy.fock import Side
 from freehardy.parser import parse
 from freehardy.series import (FreeSeries, MatrixPoint, dagger_series,
                               evaluate, factor_psd, letter_series,
-                              multiplier_matrix, multiply, normalize_schur)
+                              multiplier_matrix, multiply, normalize_schur,
+                              schur_norm_bound)
 from freehardy.words import enumerate_tuples, word_count
 
 from conftest import (creation_oracle, defect_oracle, defect_scatter_oracle,
@@ -29,6 +30,95 @@ SQRT_HALF = 0.7071067811865476
 def test_dbr_model_rejects_non_schur():
     with pytest.raises(NotSchurError):
         dbr_model(parse("1.5*z1", 1, 4), 6)
+
+
+# Symbols whose norm estimate passes 1 on the side the model checks, and
+# whose term words are prefixes of one another there, so that
+# schur_norm_bound does not decide them: the estimate refuses them, and the
+# message gives its value to six places.
+@pytest.mark.parametrize("expr, d, deg, N, side, message", [
+    ("0.6+0.8*z1*z2", 2, 2, 5, Side.RIGHT, "1.258301"),
+    ("0.6+0.8*z1*z2", 2, 2, 5, Side.LEFT, "1.258301"),
+    ("0.6*z1+0.8*z2*z1", 2, 2, 5, Side.RIGHT, "1.342969"),
+    ("0.8*z2+0.6*z1*z2", 2, 2, 5, Side.RIGHT, "1.345913"),
+    ("0.6*z1+0.8*z1*z1", 1, 2, 8, Side.RIGHT, "1.376252"),
+    ("0.8*z1 + 0.5*z2*z1", 2, 2, 6, Side.RIGHT, "1.265515"),
+    ("1.0000001*z1^6", 1, 6, 8, Side.RIGHT, "1.000000"),
+    ("1.0000001*z1^6", 1, 6, 8, Side.LEFT, "1.000000"),
+])
+def test_models_refuse_non_schur_symbols_by_the_estimate(expr, d, deg, N,
+                                                         side, message):
+    B = parse(expr, d, deg)
+    with pytest.raises(NotSchurError) as exc:
+        dbr_model(B, N, side=side)
+    assert str(exc.value) == f"multiplier norm estimate {message} exceeds 1"
+    if side is Side.RIGHT:
+        with pytest.raises(NotSchurError) as exc:
+            extremality_gap(B, N)
+        assert str(exc.value) == f"multiplier norm estimate {message} exceeds 1"
+
+
+def test_models_read_the_estimate_only_where_the_bound_cannot_decide(
+        monkeypatch):
+    from freehardy import gleason
+    calls = []
+
+    def counted(F, N, _fn=gleason.schur_norm_estimate):
+        calls.append((F.d, N))
+        return _fn(F, N)
+
+    monkeypatch.setattr(gleason, "schur_norm_estimate", counted)
+    G = np.random.default_rng(0).standard_normal((4, 4))
+    M = np.linalg.qr(G[:, :2] + 1j * G[:, 2:])[0]
+    isometry = FreeSeries.from_terms(2, 1, 2, 2, {(1,): M[:2], (2,): M[2:]})
+    # the symbol families of the perfbench model_space workload: words that
+    # are pairwise not suffixes of one another, norm below or at 1
+    for B, N in [(parse("-0.7*z1", 1, 2), 8), (parse("z1", 1, 2), 8),
+                 (parse("0.5*z1*z2-0.6*z2*z1", 2, 2), 5),
+                 (parse("0.6*z1+0.5*z2*z2", 2, 2), 6),
+                 (parse("0.6*z1-0.8*z2", 2, 2), 5),
+                 (isometry * 0.7, 5), (isometry, 5),
+                 (parse("-0.6*z1+0.5*z3*z2", 3, 2), 3),
+                 (parse("0.6*z1+0.64*z2-0.48*z3", 3, 2), 4)]:
+        extremality_gap(B, N)
+        ce_test(B, N)
+        dbr_model(B, N, side=Side.LEFT)
+        a_empty_sq(B, N)
+    assert calls == []
+    B = random_schur(np.random.default_rng(0), 2, 2, target=0.9, N=5)
+    assert schur_norm_bound(dagger_series(B)) > 1.0
+    extremality_gap(B, 5)
+    assert calls == [(2, 5)]
+    # a coefficient that is not a number bounds nothing: the estimate runs,
+    # and its SVD refuses it
+    B = FreeSeries.from_terms(2, 1, 1, 1, {(1,): [[math.nan]]})
+    assert math.isnan(schur_norm_bound(B))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        extremality_gap(B, 4)
+    assert calls == [(2, 5), (2, 4)]
+
+
+def test_ladder_strips_the_letters_once(monkeypatch, rng):
+    # the three rungs share one Gleason vector; each rung's maps are those
+    # of the vector built for its own model, bit for bit
+    from freehardy import gleason
+    B = random_schur(rng, 2, 2, 2, 2, target=0.8, N=6)
+    want = [[m.Wplus @ c.truncate(m.M).array.reshape(-1, B.q)
+             for c in gleason_vector(m.B)]
+            for m in gleason._models(B.truncate(2), 7, 3, 1e-10, 1e-8)]
+    stripped = []
+
+    def counted(F, k, _fn=gleason.strip_letter):
+        stripped.append(k)
+        return _fn(F, k)
+
+    monkeypatch.setattr(gleason, "strip_letter", counted)
+    models = gleason._models(B, 7, 3, 1e-10, 1e-8)
+    assert stripped == [1, 2]
+    for model, maps in zip(models, want, strict=True):
+        got = gleason_maps(model)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, maps))
+    assert stripped == [1, 2]
 
 
 def test_dbr_model_zero_symbol_full_space():
@@ -296,6 +386,13 @@ def test_ce_test_builds_shared_objects_once(monkeypatch):
             monkeypatch.setattr(mod, name, counted)
     out = ce_test(parse("0.6*z1 + 0.5*z2*z2", 2, 2), 5)
     assert out["by_cuntz"] is not None
+    # schur_norm_bound certifies this symbol, so the gate reads no estimate
+    assert calls == {"schur_norm_estimate": 0, "clark_moments": 1}
+    # a dense symbol that the bound does not certify reads it once
+    B = random_schur(np.random.default_rng(0), 2, 2, target=0.9, N=5)
+    assert schur_norm_bound(dagger_series(B)) > 1.0
+    calls.update(dict.fromkeys(calls, 0))
+    ce_test(B, 5)
     assert calls == {"schur_norm_estimate": 1, "clark_moments": 1}
 
 
@@ -343,13 +440,15 @@ def test_a_empty_sq_zero_symbol():
 
 def test_a_empty_sq_factors_the_gap_once(monkeypatch, rng):
     # one eigh of the model's D and one of the 2 x 2 gap, whose spectrum
-    # is returned and gives a0^2 and a0
+    # is returned and gives a0^2 and a0; before them the Schur gate's
+    # schur_norm_bound takes one eigvalsh of its three 2 x 2 level Grams
+    # (the transpose's words of length 0, 1 and 2)
     A = random_schur(rng, 2, 2, 2, 2, target=0.8, N=6)
     calls = spy_linalg(monkeypatch, ("eigh", "eigvalsh"))
     out = a_empty_sq(A, 6)
     m = word_count(2, 6 - 2) * 2
     assert [(name, shape) for name, shape, _ in calls] == [
-        ("eigh", (m, m)), ("eigh", (2, 2))]
+        ("eigvalsh", (3, 2, 2)), ("eigh", (m, m)), ("eigh", (2, 2))]
     lam = out["eigenvalues"]
     assert lam[0] <= lam[1] and lam[0] > 0.0
     assert np.allclose(out["a0"] @ out["a0"], out["a0_sq"], atol=1e-14)

@@ -11,8 +11,8 @@ from freehardy.series import (FreeSeries, MatrixPoint, cayley,
                               constant_series, dagger_series, evaluate,
                               factor_psd, identity_series, invert_series,
                               letter_series, multiplier_matrix, multiply,
-                              normalize_schur, schur_norm_estimate,
-                              word_powers)
+                              normalize_schur, schur_norm_bound,
+                              schur_norm_estimate, word_powers)
 from freehardy import series
 from freehardy.clark import MomentFunctional, herglotz_from_moments
 from freehardy.words import enumerate_tuples, grade_offsets, word_count
@@ -321,6 +321,46 @@ def test_schur_norm_reads_series_degree_not_carried_degree():
     G = FreeSeries.from_terms(1, 6, 1, 1, {(1,) * 5: [[0.5]]})
     with pytest.raises(ValueError, match="degree 5 exceeds Fock truncation 4"):
         schur_norm_estimate(G, 4)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_schur_norm_bound_bounds_the_multiplier(data):
+    # an upper bound for every truncation, and the norm itself at N >= deg
+    # when no term word is a proper prefix of another
+    d, p, q = (data.draw(st.integers(1, k)) for k in (3, 2, 2))
+    deg = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    keep = rng.random(word_count(d, deg)) < data.draw(
+        st.sampled_from([0.15, 0.5, 1.0]))
+    F = random_series(rng, d, deg, p, q) * keep[:, None, None]
+    bound = schur_norm_bound(F)
+    for N in range(deg, deg + 3):
+        assert bound >= _dense_norm(F, N) - 1e-12
+    words = {w for w, _ in F.terms()}
+    free = FreeSeries.from_terms(d, deg, p, q, {
+        w: m for w, m in F.terms()
+        if not any(w[:k] in words for k in range(len(w)))})
+    bound = schur_norm_bound(free)
+    for N in range(deg, deg + 3):
+        assert abs(bound - _dense_norm(free, N)) <= 1e-12
+
+
+def test_schur_norm_bound_by_levels():
+    # 0.6 z1 + 0.5 z2 z2: one level, the norm sqrt(0.61); 0.6 + 0.8 z1 z2:
+    # two levels, 0.6 + 0.8 against the norm 1.2583
+    assert schur_norm_bound(letter_series(2, 2, 1) * 0.6 + FreeSeries.from_terms(
+        2, 2, 1, 1, {(2, 2): [[0.5]]})) == np.sqrt(0.61)
+    F = FreeSeries.from_terms(2, 2, 1, 1, {(): [[0.6]], (1, 2): [[0.8]]})
+    assert schur_norm_bound(F) == 1.4
+    # at p = 2: z1 and z2 on level 0, where the Grams E22 and E11 sum to I,
+    # then z1 z2 and z1 z2 z1 on levels 1 and 2
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    G = FreeSeries.from_terms(2, 3, 2, 2, {(1,): A, (1, 2): A, (2,): A.T,
+                                          (1, 2, 1): 2 * A})
+    assert schur_norm_bound(G) == 1.0 + 1.0 + 2.0
+    assert schur_norm_bound(FreeSeries(2, 2, np.zeros((7, 2, 1)))) == 0.0
+    assert schur_norm_bound(letter_series(1, 3, 1) * 0.5) == 0.5
 
 
 def test_normalize_schur(rng):
