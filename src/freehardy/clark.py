@@ -134,7 +134,8 @@ class GnsModel:
 
     T maps word coordinates to rank coordinates; columns of Tplus lift
     back.  pi holds the images of the left creation operators, interior
-    an orthonormal basis of the image of the words of length <= N - 1.
+    an orthonormal basis of the image of the words of length <= N - 1,
+    and M the moment matrix that the build factored.
     """
 
     d: int
@@ -146,6 +147,7 @@ class GnsModel:
     pi: list[np.ndarray]
     interior: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False, default=None)
+    M: np.ndarray = field(repr=False, default=None)
 
 
 def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel:
@@ -158,7 +160,8 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
     """
     if N < 1:
         raise ValueError("GNS build needs N >= 1: pi_k is read off grades below N")
-    W, Wplus, evals, cut = factor_psd(moment_matrix(mu, N), rank_tol)
+    M = moment_matrix(mu, N)
+    W, Wplus, evals, cut = factor_psd(M, rank_tol)
     if evals[0] < -cut:
         raise InvalidMomentsError(
             f"moment matrix eigenvalue {evals[0]:.3e} below tolerance")
@@ -176,7 +179,7 @@ def gns_build(mu: MomentFunctional, N: int, rank_tol: float = 1e-10) -> GnsModel
         S = T_words[:, rows, :].reshape(T.shape[0], -1)
         pi.append(S @ T_int_pinv)
     return GnsModel(mu.d, N, p, int(T.shape[0]), T, Tplus, pi,
-                    U[:, s > 1e-12 * max(s.max(initial=0.0), 1e-300)], evals)
+                    U[:, s > 1e-12 * max(s.max(initial=0.0), 1e-300)], evals, M)
 
 
 def _pinv(A: np.ndarray, rcond: float):

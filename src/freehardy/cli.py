@@ -278,17 +278,16 @@ def _closed_form_residual(BZ: np.ndarray, HZ: np.ndarray) -> float | None:
 
 def _gns_from_args(args):
     B = _load_series(args)
-    mu = clark_moments(B, args.N)
-    return gns_build(mu, args.N, rank_tol=args.rank_tol), mu
+    return gns_build(clark_moments(B, args.N), args.N, rank_tol=args.rank_tol)
 
 
 def cmd_gns(args) -> int:
-    model, mu = _gns_from_args(args)
+    model = _gns_from_args(args)
     results = {"rank": model.rank,
                "eigenvalues": [float(v) for v in model.eigenvalues],
                "interior_isometry_defect": interior_isometry_defect(model)}
     if args.full:
-        results["moment_matrix"] = moment_matrix(mu, args.N)
+        results["moment_matrix"] = model.M
         results["pi"] = model.pi
     rows = [{"index": i, "eigenvalue": float(v)}
             for i, v in enumerate(model.eigenvalues)]
@@ -297,7 +296,7 @@ def cmd_gns(args) -> int:
 
 
 def cmd_cuntz_check(args) -> int:
-    model, _ = _gns_from_args(args)
+    model = _gns_from_args(args)
     res = cuntz_check(model)
     res["is_cuntz"] = bool(res["defect"] <= args.tol)
     _emit(_report(args, res), args)
@@ -316,9 +315,7 @@ def cmd_ce_test(args) -> int:
                               "certified_bound": bool(lam != float("inf")),
                               "extremal": res["by_membership"]["extremal"]},
                "cuntz": res["by_cuntz"]}
-    rows = [{"N": r["N"], "gap_norm": r["gap_norm"]}
-            for r in res["by_gleason"]["ladder"]]
-    _emit(_report(args, results), args, rows)
+    _emit(_report(args, results), args, res["by_gleason"]["ladder"])
     return 0
 
 
@@ -328,8 +325,7 @@ def cmd_gleason_gap(args) -> int:
     results = {"gap": res["gap"], "ladder": res["ladder"],
                "extremal": res["extremal"],
                "trend_decreasing": res["trend_decreasing"]}
-    rows = [{"N": r["N"], "gap_norm": r["gap_norm"]} for r in res["ladder"]]
-    _emit(_report(args, results), args, rows)
+    _emit(_report(args, results), args, res["ladder"])
     return 0
 
 
@@ -338,7 +334,7 @@ def cmd_realize(args) -> int:
     U = canonical_colligation(B, args.N, rank_tol=args.rank_tol)
     margin = args.N - series_degree(B)
     diff = transfer_series(U, margin).array - B.truncate(margin).array
-    err = max(float(np.linalg.norm(m)) for m in diff)
+    err = float(np.linalg.norm(diff, axis=(1, 2)).max())
     results = {"colligation": U.fields(), "roundtrip_error": err,
                "contraction_defect": U.meta["contraction_defect"],
                "coisometry_defect": U.meta["coisometry_defect"],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clark import (GnsModel, InvalidMomentsError, clark_moments, cuntz_check,
-                    gns_build, moment_matrix)
+                    gns_build)
 from .fock import Side
 from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
 from .series import (FreeSeries, MatrixPoint, constant_series,
@@ -51,21 +51,11 @@ class DbrModel:
     rank: int
     W: np.ndarray        # (n_words * p) x rank, columns H(B)-orthonormal
     Wplus: np.ndarray    # rank x (n_words * p), left inverse of W
-    eigenvalues: np.ndarray
     gleason: list[FreeSeries]  # gleason_vector(B), shared by the rungs
 
     @property
     def p(self) -> int:
         return self.B.p
-
-    def membership(self, coeffs: np.ndarray) -> dict:
-        """Residual of a coefficient vector against the retained range of
-        D; small residual certifies membership in the model space."""
-        coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
-        nrm = max(1.0, float(np.linalg.norm(coeffs)))
-        proj = self.W @ (self.Wplus @ coeffs)
-        return {"residual": float(np.linalg.norm(coeffs - proj)) / nrm,
-                "coords": self.Wplus @ coeffs}
 
     def kernel_coords(self, Z: MatrixPoint, y: np.ndarray, v: np.ndarray,
                       g: np.ndarray) -> np.ndarray:
@@ -117,9 +107,9 @@ def _models(B: FreeSeries, N: int, rungs: int, rank_tol: float,
     vector, models = gleason_vector(B), []
     for k in range(min(rungs, M)):
         m = word_count(B.d, M - k) * B.p
-        W, Wplus, evals, _ = factor_psd(D[:m, :m], rank_tol)
+        W, Wplus, _, _ = factor_psd(D[:m, :m], rank_tol)
         models.append(DbrModel(B, N - k, M - k, int(W.shape[1]), W, Wplus,
-                               evals, vector))
+                               vector))
     return models
 
 
@@ -206,9 +196,11 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     to PSD, its PSD square root a0 and its ascending "eigenvalues", from
     one eigh of the gap; a0 is cross-validated against
     (I + Ahat*Ahat)^{-1} when membership of A.h in the model certifies the
-    graph realization of Ahat.  The model dbr_model(A, N,
-    rank_tol=rank_tol, tol=tol), its Gleason maps and the rank coordinates
-    W+ E of A's columns are returned with them."""
+    graph realization of Ahat.  Membership reads the rank coordinates
+    W+ E of A's columns E: the residual is the largest
+    ||E_j - W (W+ E)_j|| / max(1, ||E_j||) over the columns.  The model
+    dbr_model(A, N, rank_tol=rank_tol, tol=tol), its Gleason maps and
+    W+ E are returned with them."""
     model = _models(A, N, 1, rank_tol, tol)[0]
     maps = gleason_maps(model)
     evals, vecs = np.linalg.eigh(_gap(model, maps))
@@ -218,8 +210,9 @@ def a_empty_sq(A: FreeSeries, N: int, tol: float = 1e-6,
     clipped = (vecs * np.clip(evals, 0.0, None)[None, :]) @ vecs.conj().T
     a0 = (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.conj().T
     E = A.truncate(model.M).array.reshape(-1, A.q)
-    memb = max(model.membership(E[:, j])["residual"] for j in range(A.q))
     coords = model.Wplus @ E
+    memb = float((np.linalg.norm(E - model.W @ coords, axis=0)
+                  / np.maximum(1.0, np.linalg.norm(E, axis=0))).max())
     dual = (np.linalg.inv(np.eye(A.q) + coords.conj().T @ coords)
             if memb <= tol else None)
     return {"a0_sq": clipped, "a0": a0, "eigenvalues": evals, "dual": dual,
@@ -382,15 +375,13 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
 def _weighted_transform(B: FreeSeries, N: int, rank_tol: float):
     """Shared setup: the model, the Clark GNS model, and the weighted
     Cauchy transform matrix from GNS rank coordinates to model rank
-    coordinates."""
+    coordinates, through the moment matrix that the GNS build factored."""
     model = dbr_model(B, N, rank_tol=rank_tol)
-    mu = clark_moments(B, N)
-    gns = gns_build(mu, N, rank_tol=rank_tol)
+    gns = gns_build(clark_moments(B, N), N, rank_tol=rank_tol)
     one = constant_series(B.d, B.deg, np.eye(B.p))
     T_im = multiplier_matrix(one - B, Side.RIGHT, N)
-    M = moment_matrix(mu, N)
     rows = word_count(B.d, model.M) * B.p
-    Fhat = model.Wplus @ (T_im @ M)[:rows, :] @ gns.Tplus
+    Fhat = model.Wplus @ (T_im @ gns.M)[:rows, :] @ gns.Tplus
     return model, gns, Fhat
 
 

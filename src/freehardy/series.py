@@ -459,12 +459,15 @@ LANCZOS_MIN_SIZE = 200
 
 def fock_degree(F: FreeSeries, N: int) -> int:
     """series_degree(F), once a multiplier by F fits F2(d, N): ValueError
-    when the degree, not the carried degree, exceeds N, and CapacityError
-    when the words of length <= N pass the basis cap, in that order."""
+    when the degree, not the carried degree, exceeds N, CapacityError
+    when the words of length <= N pass the basis cap, and ValueError when
+    a coefficient is not finite, in that order."""
     deg = series_degree(F)
     if deg > N:
         raise ValueError(f"series degree {deg} exceeds Fock truncation {N}")
     grade_offsets(F.d, N)
+    if not np.isfinite(F.array).all():
+        raise ValueError("series has a coefficient that is not finite")
     return deg
 
 

@@ -317,6 +317,18 @@ def defect_scatter_oracle(B, M):
     return D
 
 
+def membership_residual_oracle(model, E):
+    """gleason.a_empty_sq's membership residual one column at a time: the
+    largest ||E_j - W W+ E_j|| / max(1, ||E_j||) over the columns of E,
+    each projection from its own matrix-vector products."""
+    worst = 0.0
+    for e in E.T:
+        nrm = max(1.0, float(np.linalg.norm(e)))
+        proj = model.W @ (model.Wplus @ e)
+        worst = max(worst, float(np.linalg.norm(e - proj)) / nrm)
+    return worst
+
+
 def outer_mate_a0sq(c):
     """|a(0)|^2 = exp of the mean of log(1 - |b|^2) over the circle, for
     the one-letter polynomial b(z) = sum c[k] z^k and its outer mate a

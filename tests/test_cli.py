@@ -187,6 +187,22 @@ def test_degree_above_truncation_refused_before_the_certificate(capsys, cmd):
                             "truncation 2\n")
 
 
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+def test_non_finite_coefficient_refused_up_front(capfd, tmp_path, value):
+    # FreeSeries.from_json accepts the JSON constants; fock_degree refuses
+    # them before any LAPACK call sees them, so no DLASCL line is printed
+    path = tmp_path / "series.json"
+    path.write_text('{"d": 2, "deg": 2, "p": 1, "q": 1, "terms": ['
+                    '{"word": [1], "re": [[0.5]], "im": [[0.0]]}, '
+                    '{"word": [2, 1], "re": [[%s]], "im": [[0.0]]}]}' % value)
+    for cmd in ("schur-check", "ce-test", "gleason-gap", "realize",
+                "complete-column"):
+        code = main([cmd, "--input", str(path), "--d", "2", "--N", "5"])
+        out, err = capfd.readouterr()
+        assert code == 1 and out == "" and "DLASCL" not in err
+        assert err == "error: series has a coefficient that is not finite\n"
+
+
 def test_schur_check_reports_the_certificate_beside_the_estimate(capsys):
     # one level: the bound is the norm; two levels: the bound 1.4 is above
     # the norm, and is_schur and the exit code read the estimate

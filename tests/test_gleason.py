@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,8 +22,9 @@ from freehardy.series import (FreeSeries, MatrixPoint, dagger_series,
 from freehardy.words import enumerate_tuples, word_count
 
 from conftest import (creation_oracle, defect_oracle, defect_scatter_oracle,
-                      nilpotent_point, outer_mate_a0sq, random_schur,
-                      random_series, spy_linalg)
+                      membership_residual_oracle, nilpotent_point,
+                      outer_mate_a0sq, random_schur, random_series,
+                      spy_linalg)
 
 SQRT_HALF = 0.7071067811865476
 
@@ -89,13 +91,13 @@ def test_models_read_the_estimate_only_where_the_bound_cannot_decide(
     assert schur_norm_bound(dagger_series(B)) > 1.0
     extremality_gap(B, 5)
     assert calls == [(2, 5)]
-    # a coefficient that is not a number bounds nothing: the estimate runs,
-    # and its SVD refuses it
+    # a coefficient that is not a number bounds nothing, and fock_degree
+    # refuses it ahead of the bound, so the estimate does not run
     B = FreeSeries.from_terms(2, 1, 1, 1, {(1,): [[math.nan]]})
     assert math.isnan(schur_norm_bound(B))
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+    with pytest.raises(ValueError, match="coefficient that is not finite"):
         extremality_gap(B, 4)
-    assert calls == [(2, 5), (2, 4)]
+    assert calls == [(2, 5)]
 
 
 def test_ladder_strips_the_letters_once(monkeypatch, rng):
@@ -132,8 +134,8 @@ def test_dbr_model_inner_symbol_small_rank():
     # b = z: the model space is one dimensional (constants)
     model = dbr_model(parse("z1", 1, 8), 8)
     assert model.rank == 1
-    memb = model.membership(np.eye(model.W.shape[0])[:, 0])
-    assert memb["residual"] < 1e-12
+    vacuum = np.eye(model.W.shape[0])[:, 0]
+    assert np.linalg.norm(vacuum - model.W @ (model.Wplus @ vacuum)) < 1e-12
 
 
 def test_gleason_vector_reconstructs_symbol(rng):
@@ -245,6 +247,56 @@ def _suffix_free(words):
         if not any(w[len(w) - len(v):] == v for v in kept):
             kept.append(w)
     return kept
+
+
+def _suffix_free_symbol(data, max_len, norm):
+    """sum_w C_w z^w over suffix-free words of length <= max_len, d in 1..3
+    and p in 1..2, scaled so that ||sum_w C_w* C_w|| = norm, with
+    sum_w C_w* C_w."""
+    d, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    word = st.lists(st.integers(1, d), min_size=1, max_size=max_len).map(tuple)
+    words = _suffix_free(data.draw(st.lists(word, min_size=1, max_size=4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    C = {w: rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+         for w in words}
+    S = sum(c.conj().T @ c for c in C.values())
+    scale = math.sqrt(norm / np.linalg.eigvalsh(S)[-1])
+    C = {w: scale * c for w, c in C.items()}
+    B = FreeSeries.from_terms(d, max(map(len, words)), p, p, C)
+    return B, sum(c.conj().T @ c for c in C.values())
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_suffix_free_gap_is_the_coefficient_gram_defect(data):
+    # for words that are pairwise not suffixes of one another the right
+    # shifts are isometries with orthogonal ranges, and the gap is exactly
+    # I - sum_w C_w* C_w; norm 1 gives column-extreme symbols.  The Gleason
+    # components have degree deg - 1 and gleason_maps cuts them at
+    # M = N - deg, so at d >= 2 the gap is exact only for M >= deg - 1:
+    # 0.6 z1 + 0.8 z2^3 reads 0.64 at N = 4 and 0 at N = 5
+    norm = data.draw(st.sampled_from([1.0]) | st.floats(0.05, 1.0))
+    B, S = _suffix_free_symbol(data, 4, norm)
+    deg, want = B.deg, np.eye(B.p) - S
+    lo = deg + max(1, deg - 1)
+    for N in (lo, lo + 1):
+        assert np.abs(extremality_gap(B, N)["gap"] - want).max() <= 1e-12
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_suffix_free_completion_is_extremal(data):
+    # the canonical completion a of a suffix-free column A below norm 1
+    # makes [A; a] column-extreme at the N where the gap of A is exact;
+    # words of length <= 3 keep the gap of [A; a] at N + deg small
+    from freehardy.colligation import complete_column
+    A, _ = _suffix_free_symbol(data, 3, data.draw(st.floats(0.05, 0.9)))
+    N = A.deg + max(1, A.deg - 1)
+    a = complete_column(A, N)["a"]
+    deg = max(A.deg, a.deg)
+    col = FreeSeries(A.d, deg, np.concatenate(
+        [A.truncate(deg).array, a.truncate(deg).array], axis=1))
+    assert extremality_gap(col, N + A.deg)["ladder"][0]["gap_norm"] <= 1e-12
 
 
 @settings(max_examples=40)
@@ -453,6 +505,45 @@ def test_a_empty_sq_factors_the_gap_once(monkeypatch, rng):
     assert lam[0] <= lam[1] and lam[0] > 0.0
     assert np.allclose(out["a0"] @ out["a0"], out["a0_sq"], atol=1e-14)
     assert abs(np.linalg.norm(out["a0_sq"], 2) - lam[-1]) <= 1e-15
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_a_empty_sq_reads_membership_off_its_coords(data):
+    # one product W+ E gives the completion's coordinates, and the
+    # membership residual read off them is the per-column one to rounding
+    d, deg = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    p, q = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    N = deg + data.draw(st.integers(1, 3 if d < 3 else 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    A = random_schur(rng, d, deg, p, q, target=0.8, N=N)
+    out = a_empty_sq(A, N)
+    model = out["model"]
+    E = A.truncate(model.M).array.reshape(-1, q)
+    assert out["coords"].tobytes() == (model.Wplus @ E).tobytes()
+    want = membership_residual_oracle(model, E)
+    assert abs(out["membership_residual"] - want) <= 1e-15
+
+
+def test_gns_model_keeps_the_moment_matrix_it_factored(monkeypatch, capsys):
+    # gns --full and the Clark transport read GnsModel.M: each forms one
+    # moment matrix
+    from freehardy import clark, cli, gleason
+    calls = []
+
+    def spy(mu, N, _fn=clark.moment_matrix):
+        calls.append(N)
+        return _fn(mu, N)
+    for mod in (clark, cli, gleason):
+        monkeypatch.setattr(mod, "moment_matrix", spy, raising=False)
+    assert cli.main(["gns", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2",
+                     "--deg", "2", "--N", "4", "--full"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert calls == [4]
+    assert len(rep["results"]["moment_matrix"]) == word_count(2, 4)
+    calls.clear()
+    assert clark_gleason_residual(parse("0.9*z1", 1, 4), 8) < 1e-6
+    assert calls == [8]
 
 
 def test_a_empty_sq_passes_on_its_model():
