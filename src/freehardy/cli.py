@@ -1,9 +1,10 @@
 """Batch command line front end.
 
 One analysis per invocation; results go to stdout or --out as JSON (or
-tidy CSV for ladder/spectrum data).  Reports embed a schema version, the
-full configuration, and the truncation parameters behind every verdict,
-so a report file is reproducible on its own.
+tidy CSV for ladder/spectrum data).  Each subcommand takes the options
+it reads and no others.  Reports embed a schema version, every option
+the subcommand takes, and the truncation parameters behind every
+verdict, so a report file is reproducible on its own.
 
 Exit status: 0 success, 2 certified-negative verdict (not Schur, Gram
 not certified, column-extreme obstruction), 1 error.
@@ -69,14 +70,14 @@ def _random_points(d: int, count: int, seed: int, n: int = 2,
     return [MatrixPoint(d, n, list(Z)) for Z in mats]
 
 
-def _load_points(args) -> list[MatrixPoint]:
+def _load_points(args, d: int) -> list[MatrixPoint]:
     if args.points is not None:
         with open(args.points) as fh:
             data = json.load(fh)
         if not isinstance(data, list):
             raise ValueError("a points file holds a list of points")
-        return [_point_from_json(p, args.d) for p in data]
-    return _random_points(args.d, args.num_points, args.seed)
+        return [_point_from_json(p, d) for p in data]
+    return _random_points(d, args.num_points, args.seed)
 
 
 # Reports are the bytes of json.dumps(x, sort_keys=True, indent=2) and a
@@ -192,20 +193,23 @@ def _emit(report: dict, args, rows: list[dict] | None = None) -> None:
 
 
 def _header(args) -> dict:
-    """Schema tag, command and full configuration, shared by every report."""
+    """Schema tag, command and every option the command takes, shared by
+    every report."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {"schema": SCHEMA, "command": args.command, "config": config}
 
 
 def _report(args, results: dict, truncation: dict | None = None) -> dict:
-    return {**_header(args),
-            "truncation": truncation or {"N": args.N, "deg": args.deg},
-            "results": results}
+    """The report; its truncation block defaults to the truncation options
+    the command takes."""
+    if truncation is None:
+        truncation = {k: v for k, v in vars(args).items() if k in ("N", "deg")}
+    return {**_header(args), "truncation": truncation, "results": results}
 
 
 def cmd_eval(args) -> int:
     F = _load_series(args)
-    points = _load_points(args)
+    points = _load_points(args, args.d)
     vals = [{"point": _point_json(Z), "value": evaluate(F, Z)}
             for Z in points]
     _emit(_report(args, {"values": vals, "num_points": len(points)}), args)
@@ -249,7 +253,7 @@ def cmd_herglotz_verify(args) -> int:
     # a product's degree-N part reads its factors to degree N only, so the
     # moments of H to N are those of the Cayley transform of B to N
     mu = herglotz_moments(H.truncate(args.N))
-    points = _load_points(args)
+    points = _load_points(args, args.d)
     values = [evaluate(H, Z) for Z in points]
     per_point = [float(np.linalg.norm(herglotz_from_moments(mu, Z) - HZ, 2))
                  for Z, HZ in zip(points, values)]
@@ -331,7 +335,7 @@ def cmd_gleason_gap(args) -> int:
 
 def cmd_realize(args) -> int:
     B = _load_series(args)
-    U = canonical_colligation(B, args.N, rank_tol=args.rank_tol)
+    U = canonical_colligation(B, args.N, rank_tol=args.rank_tol, tol=args.tol)
     margin = args.N - series_degree(B)
     diff = transfer_series(U, margin).array - B.truncate(margin).array
     err = float(np.linalg.norm(diff, axis=(1, 2)).max())
@@ -353,8 +357,7 @@ def cmd_transfer_eval(args) -> int:
     if isinstance(data, dict) and "results" in data:  # a realize report
         data = json_field(data["results"], "colligation", dict)
     U = Colligation.from_json(data)
-    args.d = U.d
-    points = _load_points(args)
+    points = _load_points(args, U.d)
     vals = [{"point": _point_json(Z),
              "value": transfer_eval(U, Z)} for Z in points]
     _emit(_report(args, {"values": vals}), args)
@@ -374,12 +377,8 @@ def cmd_complete_column(args) -> int:
     return 0
 
 
-_KINDS = {"szego": KernelKind.SZEGO, "dbr-left": KernelKind.DBR_LEFT,
-          "dbr-right": KernelKind.DBR_RIGHT, "herglotz": KernelKind.HERGLOTZ}
-
-
 def cmd_kernel_gram(args) -> int:
-    kind = _KINDS[args.kind]
+    kind = KernelKind(args.kind.replace("-", "_"))
     B = _load_series(args) if kind is not KernelKind.SZEGO else None
     spec = KernelSpec(kind, B, deg=args.N)
     rng = np.random.default_rng(args.seed)
@@ -396,53 +395,68 @@ def cmd_kernel_gram(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parse_args fills a
-    new namespace from the defaults on every call."""
+    new namespace from the defaults on every call.  Each subcommand takes
+    the shared options it reads, so one it would ignore is refused."""
     top = argparse.ArgumentParser(prog="freehardy",
                                   description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
+    shared = {"--expr": {"help": "inline expression in z1..zd"},
+              "--input": {"help": "input file (series or colligation JSON)"},
+              "--d": {"type": int, "default": 1, "help": "alphabet size"},
+              "--deg": {"type": int, "default": 6, "help": "series degree"},
+              "--N": {"type": int, "default": 6, "help": "Fock truncation"},
+              "--tol": {"type": float, "default": 1e-8},
+              "--rank-tol": {"dest": "rank_tol", "type": float, "default": 1e-10},
+              "--seed": {"type": int, "default": 0}}
 
-    def add(name, fn, help_text, **extra):
+    def add(name, fn, help_text, takes, **extra):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--expr", help="inline expression in z1..zd")
-        p.add_argument("--input", help="input file (series or colligation JSON)")
-        p.add_argument("--d", type=int, default=1, help="alphabet size")
-        p.add_argument("--deg", type=int, default=6, help="series degree")
-        p.add_argument("--N", type=int, default=6, help="Fock truncation")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=0)
+        source = p.add_mutually_exclusive_group()
+        for flag in takes.split():
+            (source if flag in ("--expr", "--input") else p).add_argument(
+                flag, **shared[flag])
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
         p.set_defaults(func=fn)
-        return p
 
     pts = {"--points": {"help": "JSON file with evaluation points"},
            "--num-points": {"dest": "num_points", "type": int, "default": 5}}
-    add("eval", cmd_eval, "evaluate a series at matrix points", **pts)
-    add("schur-check", cmd_schur_check, "contractivity estimate")
-    add("cayley", cmd_cayley, "Cayley transform of a series",
+    series, model = "--expr --input --d --deg", "--N --tol --rank-tol"
+    add("eval", cmd_eval, "evaluate a series at matrix points",
+        f"{series} --seed", **pts)
+    add("schur-check", cmd_schur_check, "contractivity estimate",
+        f"{series} --N --tol")
+    add("cayley", cmd_cayley, "Cayley transform of a series", series,
         **{"--direction": {"choices": ["schur_to_herglotz",
                                        "herglotz_to_schur"],
                            "default": "schur_to_herglotz"}})
-    add("moments", cmd_moments, "Clark moment functional",
+    add("moments", cmd_moments, "Clark moment functional", f"{series} --N",
         **{"--moment-deg": {"dest": "moment_deg", "type": int, "default": None}})
     add("herglotz-verify", cmd_herglotz_verify,
-        "reconstruction residual of the Herglotz formula", **pts)
+        "reconstruction residual of the Herglotz formula",
+        f"{series} --N --tol --seed", **pts)
     add("gns", cmd_gns, "GNS model of the Clark moments",
+        f"{series} --N --rank-tol",
         **{"--full": {"action": "store_true",
                       "help": "embed moment matrix and row blocks"}})
-    add("cuntz-check", cmd_cuntz_check, "Cuntz defect of the GNS row")
-    add("ce-test", cmd_ce_test, "column-extremeness battery")
-    add("gleason-gap", cmd_gleason_gap, "extremality gap ladder")
-    add("realize", cmd_realize, "canonical functional-model colligation")
+    add("cuntz-check", cmd_cuntz_check, "Cuntz defect of the GNS row",
+        f"{series} {model}")
+    add("ce-test", cmd_ce_test, "column-extremeness battery",
+        f"{series} {model} --seed")
+    add("gleason-gap", cmd_gleason_gap, "extremality gap ladder",
+        f"{series} {model}")
+    add("realize", cmd_realize, "canonical functional-model colligation",
+        f"{series} {model}")
     add("transfer-eval", cmd_transfer_eval, "evaluate a colligation transfer "
-        "function", **pts)
+        "function", "--input --seed", **pts)
     add("complete-column", cmd_complete_column,
-        "canonical completion of a non-extreme column")
+        "canonical completion of a non-extreme column", f"{series} {model}")
+    kinds = sorted(k.value.replace("_", "-") for k in KernelKind)
     add("kernel-gram", cmd_kernel_gram, "kernel Gram positivity certificate",
-        **{"--kind": {"choices": sorted(_KINDS), "default": "dbr-left"},
+        f"{series} --N --tol --seed",
+        **{"--kind": {"choices": kinds, "default": "dbr-left"},
            "--num-points": {"dest": "num_points", "type": int, "default": 10}})
     return top
 

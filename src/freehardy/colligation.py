@@ -123,12 +123,13 @@ def transfer_series(U: Colligation, deg: int) -> FreeSeries:
     return FreeSeries(U.d, deg, np.concatenate(grades))
 
 
-def canonical_colligation(B: FreeSeries, N: int,
-                          rank_tol: float = 1e-10) -> Colligation:
+def canonical_colligation(B: FreeSeries, N: int, rank_tol: float = 1e-10,
+                          tol: float = 1e-8) -> Colligation:
     """Functional-model realization of a Schur series on its left model
     space (the right model space of the transpose): A_k compresses the
-    backward shift, B_k is the k-th Gleason map, C = K_0* and D = B(0)."""
-    model = dbr_model(B, N, rank_tol=rank_tol, side=Side.LEFT)
+    backward shift, B_k is the k-th Gleason map, C = K_0* and D = B(0).
+    tol is the Schur gate's slack, as in dbr_model."""
+    model = dbr_model(B, N, rank_tol=rank_tol, side=Side.LEFT, tol=tol)
     U = Colligation(B.d, model.rank, B.q, B.p, shift_compressions(model),
                     gleason_maps(model), vacuum_kernel(model).conj().T,
                     B.coeff(()))

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freehardy.cli import _KINDS, _random_points, main
-from freehardy.kernels import KernelSpec, nilpotent_pins
+from freehardy.cli import _random_points, build_parser, main
+from freehardy.colligation import canonical_colligation
+from freehardy.kernels import KernelKind, KernelSpec, nilpotent_pins
+from freehardy.parser import parse
 from freehardy.series import FreeSeries, MatrixPoint, series_degree
 from freehardy.words import enumerate_tuples
 
@@ -400,7 +404,8 @@ def test_kernel_gram_kinds_on_matrix_symbol(capsys, tmp_path, kind):
                                   "--num-points", "6", "--seed", "4"])
     assert code == 0 and rep["results"]["certified"]
     B = FreeSeries.from_json(json.loads(path.read_text()))
-    spec = KernelSpec(_KINDS[kind], None if kind == "szego" else B, deg=6)
+    spec = KernelSpec(KernelKind(kind.replace("-", "_")),
+                      None if kind == "szego" else B, deg=6)
     pins = nilpotent_pins(2, 6, np.random.default_rng(4))
     want = np.linalg.eigvalsh(gram_oracle(spec, pins))
     got = np.array(rep["results"]["eigenvalues"])
@@ -578,7 +583,7 @@ def test_square_only_commands_refuse_rectangular_symbol(capsys, tmp_path, cmd,
                                                          message):
     path = _series_file(tmp_path, q=2, terms=[
         {"word": [1], "re": [[0.3, 0.2]], "im": [[0.0, 0.0]]}])
-    code = main([cmd, "--input", path, "--N", "3"])
+    code = main([cmd, "--input", path] + ["--N", "3"] * (cmd != "cayley"))
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -596,7 +601,7 @@ def test_parser_is_built_once_and_keeps_its_defaults(capsys, monkeypatch):
             built.append(self)
         init(self, *args, **kwargs)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    base = ["schur-check", "--expr", "0.5*z1", "--d", "1", "--deg", "2"]
+    base = ["ce-test", "--expr", "0.5*z1", "--d", "1", "--deg", "2"]
     code, first = run_json(capsys, base + ["--N", "4", "--tol", "1e-3",
                                            "--rank-tol", "1e-6", "--seed", "3"])
     assert code == 0 and first["config"]["N"] == 4
@@ -623,3 +628,113 @@ def test_transfer_eval_singular_pencil_exits_one(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not out.exists()
     assert captured.err.startswith("error: state pencil numerically singular")
+
+
+SERIES = ["--expr", "--input", "--d", "--deg"]
+SHARED = SERIES + ["--N", "--tol", "--rank-tol", "--seed"]
+POINTS = ["--points", "--num-points"]
+# the options of each subcommand besides --out and --format
+OPTIONS = {
+    "eval": SERIES + ["--seed"] + POINTS,
+    "schur-check": SERIES + ["--N", "--tol"],
+    "cayley": SERIES + ["--direction"],
+    "moments": SERIES + ["--N", "--moment-deg"],
+    "herglotz-verify": SERIES + ["--N", "--tol", "--seed"] + POINTS,
+    "gns": SERIES + ["--N", "--rank-tol", "--full"],
+    "cuntz-check": SERIES + ["--N", "--tol", "--rank-tol"],
+    "ce-test": SHARED,
+    "gleason-gap": SERIES + ["--N", "--tol", "--rank-tol"],
+    "realize": SERIES + ["--N", "--tol", "--rank-tol"],
+    "transfer-eval": ["--input", "--seed"] + POINTS,
+    "complete-column": SERIES + ["--N", "--tol", "--rank-tol"],
+    "kernel-gram": SERIES + ["--N", "--tol", "--seed", "--kind", "--num-points"],
+}
+
+
+def _subparser_options():
+    """{subcommand: its option strings other than -h and --help}."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {name: [o for a in p._actions for o in a.option_strings
+                   if o not in ("-h", "--help")]
+            for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_takes_the_options_it_reads():
+    got = _subparser_options()
+    assert {k: sorted(v) for k, v in got.items()} == {
+        k: sorted(v + ["--out", "--format"]) for k, v in OPTIONS.items()}
+    assert sum(map(len, got.values())) == 115
+
+
+def _minimal_argv(cmd, tmp_path):
+    """One accepted command line of each subcommand, on a small input."""
+    if cmd == "transfer-eval":
+        path = tmp_path / "colligation.json"
+        path.write_text(json.dumps(canonical_colligation(
+            parse("0.5*z1", 1, 1), 3).to_json()))
+        return [cmd, "--input", str(path), "--num-points", "1"]
+    argv = [cmd, "--expr", "0.5*z1", "--d", "1", "--deg", "1"]
+    argv += ["--N", "3"] * ("--N" in OPTIONS[cmd])
+    return argv + ["--num-points", "1"] * ("--num-points" in OPTIONS[cmd])
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    (cmd, flag) for cmd in OPTIONS for flag in SHARED
+    if flag not in OPTIONS[cmd]])
+def test_an_option_the_subcommand_ignores_is_refused(capsys, tmp_path, cmd,
+                                                     flag):
+    out = tmp_path / "report.json"
+    value = {"--expr": "0.5*z1", "--input": "f.json"}.get(flag, "3")
+    code = main(_minimal_argv(cmd, tmp_path) + [flag, value, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+@pytest.mark.parametrize("cmd", sorted(OPTIONS))
+def test_config_lists_the_options_the_subcommand_takes(capsys, tmp_path, cmd):
+    code, rep = run_json(capsys, _minimal_argv(cmd, tmp_path))
+    assert code == 0
+    dests = {f.lstrip("-").replace("-", "_") for f in OPTIONS[cmd]}
+    assert set(rep["config"]) == {"command", "out", "format"} | dests
+    if cmd in ("eval", "cayley", "transfer-eval"):
+        assert set(rep["truncation"]) == {"deg"} & dests
+
+
+def test_realize_schur_gate_reads_tol(capsys):
+    # just outside the unit ball: refused at the default tol 1e-8 and
+    # accepted at 1e-6, by realize as by gleason-gap
+    argv = ["--expr", "1.0000001*z1^2", "--d", "1", "--deg", "2", "--N", "8"]
+    for cmd in ("realize", "gleason-gap"):
+        for tol, want in (("1e-8", 2), ("1e-6", 0)):
+            code, rep = run_json(capsys, [cmd] + argv + ["--tol", tol])
+            assert code == want, (cmd, tol)
+            assert ("verdict" in rep) == (want == 2)
+
+
+def test_expr_and_input_exclude_each_other(capsys):
+    code = main(["eval", "--expr", "0.5*z1", "--input", "/nonexistent",
+                 "--d", "1", "--deg", "1", "--num-points", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "not allowed with argument --expr" in captured.err
+    code = main(["eval", "--d", "1", "--deg", "1", "--num-points", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: provide --expr or --input\n"
+
+
+def test_readme_option_table_matches_the_parser():
+    # the table in README's "Command line" section: one row per subcommand
+    # (or several that share options), each option in backticks; every
+    # subcommand also takes --out and --format
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names, flags = line.strip(" |").split("|")
+            for cmd in re.findall(r"`([a-z-]+)`", names):
+                table[cmd] = sorted(re.findall(r"`(--[a-zA-Z-]+)`", flags)
+                                    + ["--out", "--format"])
+    assert table == {k: sorted(v) for k, v in _subparser_options().items()}

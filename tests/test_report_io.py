@@ -181,10 +181,10 @@ def matrix_symbol_file(tmp_path):
 SYMBOL = ["--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "2", "--N", "4"]
 
 COMMANDS = [
-    ["eval"] + SYMBOL + ["--num-points", "2"],
+    ["eval"] + SYMBOL[:-2] + ["--num-points", "2"],
     ["schur-check"] + SYMBOL,
     ["schur-check", "--expr", "1.5*z1", "--d", "1", "--deg", "1"],
-    ["cayley"] + SYMBOL,
+    ["cayley", "--expr", "0.5*z1+0.3*z2*z1", "--d", "2", "--deg", "4"],
     ["moments", "--expr", "0.5*z1", "--d", "1", "--deg", "1", "--N", "3"],
     ["herglotz-verify", "--expr", "0.5*z1", "--d", "1", "--deg", "1",
      "--N", "8", "--num-points", "2"],
