@@ -175,8 +175,9 @@ def _matrix(m: np.ndarray, level: int, parts: list[str], write) -> None:
 def _emit(report: dict, args, rows: list[dict] | None = None) -> None:
     """Write the report to --out or stdout as it is made: JSON, or for
     --format csv the tidy rows, else flat key/value pairs of the scalar
-    results."""
-    with (open(args.out, "w") if args.out
+    results.  A file takes the writes through a 256 KiB buffer, so a
+    report goes out in large blocks rather than one call per matrix row."""
+    with (open(args.out, "w", buffering=1 << 18) if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "json":
             _write_json(report, fh.write)
@@ -209,7 +210,7 @@ def _report(args, results: dict, truncation: dict | None = None) -> dict:
 
 def cmd_eval(args) -> int:
     F = _load_series(args)
-    points = _load_points(args, args.d)
+    points = _load_points(args, F.d)
     vals = [{"point": _point_json(Z), "value": evaluate(F, Z)}
             for Z in points]
     _emit(_report(args, {"values": vals, "num_points": len(points)}), args)
@@ -253,7 +254,7 @@ def cmd_herglotz_verify(args) -> int:
     # a product's degree-N part reads its factors to degree N only, so the
     # moments of H to N are those of the Cayley transform of B to N
     mu = herglotz_moments(H.truncate(args.N))
-    points = _load_points(args, args.d)
+    points = _load_points(args, B.d)
     values = [evaluate(H, Z) for Z in points]
     per_point = [float(np.linalg.norm(herglotz_from_moments(mu, Z) - HZ, 2))
                  for Z, HZ in zip(points, values)]
@@ -382,7 +383,7 @@ def cmd_kernel_gram(args) -> int:
     B = _load_series(args) if kind is not KernelKind.SZEGO else None
     spec = KernelSpec(kind, B, deg=args.N)
     rng = np.random.default_rng(args.seed)
-    pins = nilpotent_pins(args.d, args.num_points, rng)
+    pins = nilpotent_pins(args.d if B is None else B.d, args.num_points, rng)
     res = gram_psd_check(spec, pins, tol=args.tol)
     eigs = [float(v) for v in res["eigenvalues"]]
     results = {"min_eig": res["min_eig"], "certified": res["certified"],

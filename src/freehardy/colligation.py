@@ -27,9 +27,9 @@ import numpy as np
 from .fock import Side
 from .gleason import (CeObstructionError, a_empty_sq, dbr_model,
                       gleason_maps, shift_compressions, vacuum_kernel)
-from .series import (FreeSeries, MatrixPoint, dagger_series, json_field,
-                     mat_from_json, mat_to_json, schur_norm_estimate,
-                     series_degree)
+from .series import (FreeSeries, MatrixPoint, dagger_series, gram_spectrum,
+                     json_field, mat_from_json, mat_to_json,
+                     schur_norm_estimate, series_degree)
 
 
 @dataclass
@@ -62,11 +62,12 @@ class Colligation:
     def defects(self) -> dict:
         """max(0, ||U|| - 1) and ||U U* - I|| from the squared singular
         values s^2 of U, read as the eigenvalues of its smaller Gram (U*U
-        when U has at least as many rows as columns, else U U*): U U* has
+        when U has at least as many rows as columns, else U U*) by
+        gram_spectrum, per component of the block matrix: U U* has
         eigenvalues s^2, and zeros when U has more rows than columns."""
         U = self.block_matrix()
-        s2 = np.maximum(np.linalg.eigvalsh(
-            U.conj().T @ U if U.shape[0] >= U.shape[1] else U @ U.conj().T), 0.0)
+        s2 = np.maximum(gram_spectrum(
+            U if U.shape[0] >= U.shape[1] else U.conj().T), 0.0)
         return {"contraction_defect": max(0.0, math.sqrt(s2[-1]) - 1.0),
                 "coisometry_defect": float(np.abs(s2 - 1).max(
                     initial=float(U.shape[0] > len(s2))))}
@@ -112,14 +113,15 @@ def transfer_series(U: Colligation, deg: int) -> FreeSeries:
     """Taylor coefficients of the transfer function: the coefficient at
     the word i1..ik is C A_{i1} ... A_{i_{k-1}} B_{ik}."""
     grades = [U.D[None]]
-    # C A_w for the words w of one grade; w.k is row (w, k) of the next
-    CA = U.C[None]
+    # the rows C A_w of the words w of one grade, stacked: each letter takes
+    # one product for the whole grade, and w.k is block (w, k) of the next
+    CA, p = U.C, U.out_dim
     for ell in range(1, deg + 1):
-        grades.append(np.stack([CA @ b for b in U.B], axis=1).reshape(
-            -1, U.out_dim, U.in_dim))
+        grades.append(np.stack([(CA @ b).reshape(-1, p, U.in_dim)
+                                for b in U.B], axis=1).reshape(-1, p, U.in_dim))
         if ell < deg:
-            CA = np.stack([CA @ a for a in U.A], axis=1).reshape(
-                -1, U.out_dim, U.state_dim)
+            CA = np.stack([(CA @ a).reshape(-1, p, U.state_dim)
+                           for a in U.A], axis=1).reshape(-1, U.state_dim)
     return FreeSeries(U.d, deg, np.concatenate(grades))
 
 
@@ -160,8 +162,7 @@ def complete_column(A: FreeSeries, N: int, tol: float = 1e-6,
     # Gleason structure identity
     aug = np.vstack([U.block_matrix(),
                      np.hstack([model.W[0:A.p, :], A.coeff(())])])
-    defect = float(np.abs(np.linalg.eigvalsh(
-        aug.conj().T @ aug - np.eye(aug.shape[1]))).max())
+    defect = float(np.abs(gram_spectrum(aug, shift=1.0)).max())
     # transfer function of the bottom channel is the reversed-word
     # series of the completion
     a = dagger_series(transfer_series(U, model.M))

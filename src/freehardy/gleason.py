@@ -319,15 +319,21 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     The verdict follows the Gleason gap; the other criteria are independent
     cross-checks that raise a flag when they disagree or cannot decide.
     """
-    B = B.truncate(series_degree(B))
+    degB = series_degree(B)
+    B = B.truncate(degB)
     gap = extremality_gap(B, N, tol=tol, rank_tol=rank_tol)
     by_gleason = gap["extremal"]
+    flags, gns = [], None
+    # the Gleason components have degree deg(B) - 1 and the gap reads them
+    # cut at M = N - deg(B); below that degree it can read too large
+    if N - degB < degB - 1:
+        flags.append(f"gleason components cut below their degree {degB - 1} "
+                     f"at N - deg(B) = {N - degB}: the gap can read too large")
 
     # one Clark GNS row serves the Szego and Cuntz criteria, or leaves both
     # undecided when the moments fail its positivity cut (Schur boundary)
     Bsq = square_completion(B)
     n_gns = min(N, 5)
-    flags, gns = [], None
     dist = by_szego = cuntz_defect = by_cuntz = None
     try:
         gns = gns_build(clark_moments(Bsq, n_gns), n_gns, rank_tol=rank_tol)

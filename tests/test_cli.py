@@ -712,6 +712,20 @@ def test_realize_schur_gate_reads_tol(capsys):
             assert ("verdict" in rep) == (want == 2)
 
 
+@pytest.mark.parametrize("cmd", ["eval", "herglotz-verify", "kernel-gram"])
+def test_points_and_pins_are_drawn_on_the_series_alphabet(capsys, tmp_path, cmd):
+    # a d = 2 file read with the default --d 1: the points (or pins) take
+    # the alphabet of the series, as with --expr ... --d 2
+    path = tmp_path / "B.json"
+    path.write_text(json.dumps(parse("0.3*z1+0.2*z2*z1", 2, 2).to_json()))
+    tail = ["--num-points", "2"] + ["--N", "4"] * (cmd != "eval")
+    code, rep = run_json(capsys, [cmd, "--input", str(path)] + tail)
+    code2, rep2 = run_json(capsys, [cmd, "--expr", "0.3*z1+0.2*z2*z1", "--d",
+                                    "2", "--deg", "2"] + tail)
+    assert code == code2 == 0
+    assert rep["results"] == rep2["results"]
+
+
 def test_expr_and_input_exclude_each_other(capsys):
     code = main(["eval", "--expr", "0.5*z1", "--input", "/nonexistent",
                  "--d", "1", "--deg", "1", "--num-points", "1"])

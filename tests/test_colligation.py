@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from freehardy import colligation, gleason, series
+from freehardy import cli, colligation, gleason, series
 from freehardy.colligation import (Colligation, canonical_colligation,
                                    column_schur_defect, complete_column,
                                    transfer_eval, transfer_series)
@@ -71,25 +72,60 @@ def test_transfer_series_matches_eval(rng):
         assert np.allclose(evaluate(F, Z), transfer_eval(U, Z), atol=1e-10)
 
 
+def _transfer_word_loop(U, deg):
+    """The coefficient at i1..ik is C A_{i1} ... A_{i_{k-1}} B_{ik},
+    multiplied left to right one word at a time."""
+    want = np.zeros((word_count(U.d, deg), U.out_dim, U.in_dim), dtype=complex)
+    for w, i in index_map(U.d, deg).items():
+        if not w:
+            want[i] = U.D
+            continue
+        mat = U.C
+        for k in w[:-1]:
+            mat = mat @ U.A[k - 1]
+        want[i] = mat @ U.B[w[-1] - 1]
+    return want
+
+
 def test_transfer_series_matches_word_loop(rng):
-    # rectangular complex colligation: coefficient at i1..ik is
-    # C A_{i1} ... A_{i_{k-1}} B_{ik}, multiplied left to right
+    # rectangular complex colligation
     def cmat(r, c):
         return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
     d, n, m, p = 3, 4, 2, 3
     U = Colligation(d, n, m, p, [0.3 * cmat(n, n) for _ in range(d)],
                     [cmat(n, m) for _ in range(d)], cmat(p, n), cmat(p, m))
     for deg in (0, 1, 4):
-        want = np.zeros((word_count(d, deg), p, m), dtype=complex)
-        for w, i in index_map(d, deg).items():
-            if not w:
-                want[i] = U.D
-                continue
-            mat = U.C
-            for k in w[:-1]:
-                mat = mat @ U.A[k - 1]
-            want[i] = mat @ U.B[w[-1] - 1]
-        assert np.array_equal(transfer_series(U, deg).array, want)
+        assert np.array_equal(transfer_series(U, deg).array,
+                              _transfer_word_loop(U, deg))
+
+
+def _two_by_two_contraction(seed):
+    """B = A1 z1 + A2 z2 with [A1; A2] of norm 0.8, a 2x2 symbol like those
+    of the model_space benchmark."""
+    g = np.random.default_rng(seed).standard_normal((2, 4, 2))
+    M = (g[0] + 1j * g[1]) * (0.8 / np.linalg.norm(g[0] + 1j * g[1], 2))
+    return FreeSeries.from_terms(2, 2, 2, 2, {(1,): M[:2], (2,): M[2:]})
+
+
+def test_transfer_series_is_the_word_loop_bit_for_bit_at_state_size():
+    # a 254-dimensional state: BLAS splits the inner dimension of each
+    # product, and the grade-wide product keeps every bit of the word loop
+    U = canonical_colligation(_two_by_two_contraction(3), 7)
+    assert U.state_dim == 254
+    assert transfer_series(U, 6).array.tobytes() == \
+        _transfer_word_loop(U, 6).tobytes()
+
+
+@pytest.mark.parametrize("cmd", ["realize", "complete-column"])
+def test_model_commands_take_no_state_size_eigvalsh(monkeypatch, tmp_path, cmd):
+    # the colligation Gram splits into components of at most 6 columns, so
+    # no spectrum is read from a dense Gram of the state's size
+    path = tmp_path / "B.json"
+    path.write_text(json.dumps(_two_by_two_contraction(3).to_json()))
+    calls = spy_linalg(monkeypatch, ("eigvalsh",))
+    assert cli.main([cmd, "--input", str(path), "--N", "7",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert calls and max(shape[-1] for _, shape, _ in calls) <= 6
 
 
 def test_transfer_eval_singular_pencil():

@@ -616,6 +616,24 @@ def test_ce_battery(expr, d, expect):
     assert out["flags"] == []
 
 
+@pytest.mark.parametrize("expr, d, N, verdict, cut", [
+    # N - deg(B) below deg(B) - 1: the Gleason components are cut and the
+    # gap reads too large, at d = 1 as at d = 2; one step up it is exact
+    ("0.6*z1+0.8*z2*z2*z2", 2, 4, "not-CE", True),
+    ("0.6*z1+0.8*z2*z2*z2", 2, 5, "CE", False),
+    ("z1*z1*z1", 1, 4, "not-CE", True),
+    ("z1*z1*z1", 1, 5, "CE", False),
+])
+def test_ce_test_flags_gleason_components_cut_below_their_degree(
+        expr, d, N, verdict, cut):
+    out = ce_test(parse(expr, d, 3), N)
+    assert out["verdict"] == verdict
+    flagged = [f for f in out["flags"] if f.startswith("gleason components cut")]
+    assert flagged == ([f"gleason components cut below their degree 2 at "
+                        f"N - deg(B) = {N - 3}: the gap can read too large"]
+                       if cut else [])
+
+
 def test_ce_rejects_non_schur():
     with pytest.raises(NotSchurError):
         ce_test(parse("2*z1", 1, 4), 6)

@@ -9,9 +9,14 @@ lists; malformed series, point and colligation files must end in exit
 import argparse
 import contextlib
 import copy
+import importlib.util
 import io
 import json
+import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from freehardy import cli
 from freehardy.colligation import canonical_colligation
 from freehardy.parser import parse
 from freehardy.series import mat_to_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def as_lists(x):
@@ -280,6 +287,32 @@ def test_writer_peak_is_a_fraction_of_the_report(tmp_path):
     size = (tmp_path / "report.json").stat().st_size
     assert size > 7_000_000
     assert peak < size / 4, (peak, size)
+
+
+def _report_diff():
+    path = ROOT / "tools" / "report_diff.py"
+    spec = importlib.util.spec_from_file_location("report_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_diff_separates_values_from_signs_of_zero():
+    found = {}
+    _report_diff().diff_tree(
+        {"a": [[0.0, 1.0]], "b": [0.0], "c": "x", "e": 1},
+        {"a": [[0.0, 1.25]], "b": [-0.0], "c": "y", "e": 1}, "", found)
+    assert found == {"a[][]": (0.25, False), "b[]": (0.0, True),
+                     "c": (math.inf, False)}
+
+
+def test_report_diff_of_a_checkout_against_itself_is_empty():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "report_diff.py"), str(ROOT),
+         "--seeds", "0", "--scale", "tiny"],
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["0 of 36 reports differ"]
 
 
 # -- input files --------------------------------------------------------------

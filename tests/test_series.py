@@ -733,6 +733,69 @@ def test_factor_psd_of_a_connected_matrix_is_one_eigh(rng, n):
     assert got[3] == want[3]
 
 
+def _gram_test_matrix(rng, kind, blocks, zero_rows, zero_cols):
+    """A permuted U with zero rows and columns besides its nonzero part:
+    block diagonal with blocks of (rows, columns) sizes, a chain whose
+    rows each join two columns, so connected, or all zero."""
+    def cmat(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    if kind == "blocks":
+        core = np.zeros((sum(r for r, _ in blocks), sum(c for _, c in blocks)),
+                        dtype=complex)
+        i = j = 0
+        for r, c in blocks:
+            core[i:i + r, j:j + c] = cmat(r, c)
+            i, j = i + r, j + c
+    else:
+        n = sum(c for _, c in blocks)
+        core = np.zeros((n + 1, n), dtype=complex)
+        if kind == "connected":
+            k = np.arange(n)
+            core[k, k], core[k + 1, k] = cmat(1, n)[0], cmat(1, n)[0]
+    U = np.zeros((len(core) + zero_rows, core.shape[1] + zero_cols), dtype=complex)
+    U[:len(core), :core.shape[1]] = core
+    return U[rng.permutation(len(U))][:, rng.permutation(U.shape[1])]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)), min_size=1,
+                max_size=24),
+       st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(["blocks", "connected", "zero"]), st.booleans(),
+       st.sampled_from([0.0, 1.0]), st.sampled_from([0, series.GRAM_SPLIT_MIN]),
+       st.integers(0, 2 ** 32 - 1))
+def test_gram_spectrum_matches_the_dense_spectrum(blocks, zero_rows, zero_cols,
+                                                  kind, wide, shift, split_min,
+                                                  seed):
+    # block-sparse U with zero rows and columns, a connected U and an
+    # all-zero U; a wide U gives U U* through U*; with and without the size
+    # floor on the split
+    U = _gram_test_matrix(np.random.default_rng(seed), kind, blocks,
+                          zero_rows, zero_cols)
+    V = U.conj().T if wide else U
+    G = V.conj().T @ V
+    want = np.linalg.eigvalsh(G - shift * np.eye(len(G)))
+    with mock.patch.object(series, "GRAM_SPLIT_MIN", split_min):
+        got = series.gram_spectrum(V, shift)
+    bound = 1e-14 * max(1.0, np.linalg.norm(U, 2) ** 2)
+    assert got.shape == want.shape and np.abs(got - want).max() <= bound
+    assert np.all(np.diff(got) >= 0)
+    if kind == "connected" and not (zero_rows if wide else zero_cols):
+        assert got.tobytes() == want.tobytes()  # one component: the dense call
+
+
+def test_gram_spectrum_runs_one_eigvalsh_per_component_size(monkeypatch, rng):
+    # blocks of 1, 2, 2 and 3 columns among 64 columns in all
+    U = _gram_test_matrix(rng, "blocks", [(3, 1), (2, 2), (4, 2), (2, 3)],
+                          2, 56)
+    calls = spy_linalg(monkeypatch, ("eigvalsh", "eigh"))
+    got = series.gram_spectrum(U)
+    assert sorted(shape for _, shape, _ in calls) == [
+        (1, 3, 3), (2, 2, 2), (57, 1, 1)]
+    assert np.abs(got - np.linalg.eigvalsh(U.conj().T @ U)).max() <= 1e-14 * max(
+        1.0, np.linalg.norm(U, 2) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # word powers stop at the first vanishing grade; the degree scan and Cayley
 # keep every bit of the loops and compositions they replace
