@@ -16,9 +16,10 @@ from .series import (FreeSeries, MatrixPoint, cayley, constant_series,
                      normalize_schur, schur_norm_bound, schur_norm_estimate,
                      series_degree, word_powers)
 from .parser import ParseError, parse
-from .kernels import (KernelKind, KernelSpec, Pinning, gram_psd_check,
-                      kernel_eval, kernel_gram, membership_norm,
-                      nilpotent_pins, szego_eval)
+from .kernels import (KernelKind, KernelSpec, Pinning, PinStack,
+                      gram_psd_check, kernel_eval, kernel_gram,
+                      membership_norm, nilpotent_pins, nilpotent_stack,
+                      szego_eval)
 from .clark import (GnsModel, InvalidMomentsError, MomentFunctional,
                     cauchy_transform_matrix, clark_moments, cuntz_check,
                     gns_build, gns_kernel_coords, herglotz_from_moments,

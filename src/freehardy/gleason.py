@@ -24,7 +24,7 @@ import numpy as np
 from .clark import (GnsModel, InvalidMomentsError, clark_moments, cuntz_check,
                     gns_build)
 from .fock import Side
-from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_pins
+from .kernels import KernelKind, KernelSpec, membership_norm, nilpotent_stack
 from .series import (FreeSeries, MatrixPoint, constant_series,
                      dagger_series, factor_psd, fock_degree,
                      multiplier_matrix, range_basis, schur_norm_bound,
@@ -297,19 +297,37 @@ def szego_distance(B: FreeSeries, N: int, rank_tol: float = 1e-10) -> float:
     property."""
     Bsq = square_completion(B)
     gns = gns_build(clark_moments(Bsq, N), N, rank_tol=rank_tol)
-    return _szego(gns, Bsq.coeff(()))
+    return _szego(gns, Bsq.coeff(()), rank_tol)
 
 
-def _szego(model: GnsModel, B0: np.ndarray) -> float:
+def _szego(model: GnsModel, B0: np.ndarray, rank_tol: float) -> float:
+    """The largest, over the columns t_j of T[:, :p] c, c = I - B0, of the
+    distance of t_j from the range of T[:, p:] over ||t_j|| (floored at
+    1e-12): a vacuum Schur complement of the moment matrix M ~ W W* that
+    gns_build factored, read off its factors T = W* and Tplus = (W+)*.
+
+    A u orthogonal to range(T[:, p:]) has u* T = [u* T[:, :p], 0], and
+    T Tplus = I, so u = Y x with Y = W+[:, :p].  Y x is orthogonal to that
+    range when x is an eigenvector of S0 = W[:p] Y = (W W+)[:p, :p], a
+    compression of a projector, at eigenvalue 1 (Y x = 0 at eigenvalue 0);
+    eigenvalues above 1 - rank_tol count as 1.  With E those eigenvectors
+    and Y* t_j = S0 c_j, the projection of t_j onto the complement Y E has
+    squared norm (E* c_j)* (E* Y* Y E)^-1 (E* c_j), and ||t_j||^2 =
+    ||W[:p]* c_j||^2.  With M invertible S0 = I, and at p = 1 the distance
+    is (M00 (M^-1)00)^(-1/2).  No E (the column-extreme case) gives 0."""
     p = model.p
-    Q = range_basis(model.T[:, p:], 1e-10)
-    target = model.T[:, 0:p] @ (np.eye(p) - B0)
-    resid = target - Q @ (Q.conj().T @ target)
-    worst = 0.0
-    for j in range(p):
-        scale = max(float(np.linalg.norm(target[:, j])), 1e-12)
-        worst = max(worst, float(np.linalg.norm(resid[:, j])) / scale)
-    return worst
+    Yh = model.Tplus[:p, :]          # Y*
+    evals, vecs = np.linalg.eigh(Yh @ model.T[:, :p])
+    E = vecs[:, evals > 1.0 - rank_tol]
+    if not E.shape[1]:
+        return 0.0
+    c = np.eye(p) - B0
+    YE = Yh.conj().T @ E
+    b = E.conj().T @ c
+    proj = np.einsum("ij,ij->j", b.conj(), np.linalg.solve(YE.conj().T @ YE, b)).real
+    norm = np.linalg.norm(model.T[:, :p] @ c, axis=0)
+    return float((np.sqrt(np.clip(proj, 0.0, None))
+                  / np.maximum(norm, 1e-12)).max())
 
 
 def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
@@ -340,20 +358,22 @@ def ce_test(B: FreeSeries, N: int, tol: float = 1e-8,
     except InvalidMomentsError as exc:
         flags.append(f"szego and cuntz criteria undecided: {exc}")
     else:
-        dist = _szego(gns, Bsq.coeff(()))
+        dist = _szego(gns, Bsq.coeff(()), rank_tol)
         by_szego = dist <= 1e-6
 
     # more pins than the span of their kernel functions can carry, so that
     # the kernel Gram is singular and membership failures register as
     # uncertifiable rather than as a large finite bound
     n_pin = 4
-    pins = nilpotent_pins(B.d, word_count(B.d, n_pin - 1) + 2,
-                          np.random.default_rng(seed), n=n_pin, scale=0.85)
-    # a unit coefficient direction per pin, from a stream of its own
-    hrng = np.random.default_rng([seed, 1])
-    for pin in pins:
-        h = hrng.standard_normal(Bsq.p) + 1j * hrng.standard_normal(Bsq.p)
-        pin.h = h / np.linalg.norm(h)
+    pins = nilpotent_stack(B.d, word_count(B.d, n_pin - 1) + 2,
+                           np.random.default_rng(seed), n=n_pin, scale=0.85)
+    if Bsq.p > 1:
+        # a unit coefficient direction per pin, from a stream of its own
+        # (re then im of each pin's h), each normed as the vector it is;
+        # p = 1 reads the default h
+        g = np.random.default_rng([seed, 1]).standard_normal((len(pins.v), 2, Bsq.p))
+        h = g[:, 0] + 1j * g[:, 1]
+        pins.h = h / np.array([np.linalg.norm(x) for x in h])[:, None]
     spec = KernelSpec(KernelKind.DBR_LEFT, Bsq, deg=2 * N)
     lam = membership_norm(spec, Bsq, pins)["lambda"]
     by_membership = not math.isfinite(lam)

@@ -87,6 +87,19 @@ class Pinning:
             self.h = np.asarray(self.h, dtype=complex).reshape(-1)
 
 
+@dataclass
+class PinStack:
+    """Pins of one level n held as arrays, as nilpotent_stack draws them:
+    the points Z as a (d, k, n, n) block stack, y and v as (k, n), and the
+    coefficient directions h as (k, p), or None for _stack_pins' default.
+    kernel_gram, gram_psd_check and membership_norm take one in place of a
+    list of Pinning."""
+    Z: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    h: np.ndarray | None = None
+
+
 def _rows(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Z X for a stack Z of k blocks: Z_i on row block i."""
     return (Z @ X.reshape(len(Z), Z.shape[2], -1)).reshape(-1, X.shape[1])
@@ -241,20 +254,27 @@ def kernel_eval(spec: KernelSpec, Z: MatrixPoint, W: MatrixPoint,
     return _kernel(spec, *_one_block(Z, W, P), X, Y)[0, 0]
 
 
-def _stack_pins(pins: list[Pinning], p: int):
+def _stack_pins(pins: list[Pinning] | PinStack, p: int):
     """The pins' points as one (d, k, n, n) block stack, v as (k, n) and
     y (x) h as (k, n, p, 1), padded with zeros to the largest level n; h
-    is ones / sqrt(p) by default, and is ignored at p = 1."""
-    if len({pin.Z.d for pin in pins}) != 1:
-        raise ValueError("pins live over different alphabets")
-    k, n = len(pins), max(pin.Z.n for pin in pins)
-    Z = np.zeros((pins[0].Z.d, k, n, n), dtype=complex)
-    y, v = np.zeros((2, k, n), dtype=complex)
-    for i, pin in enumerate(pins):
-        Z[:, i, :pin.Z.n, :pin.Z.n] = pin.Z.mats
-        y[i, :pin.Z.n], v[i, :pin.Z.n] = pin.y, pin.v
+    is ones / sqrt(p) by default, and is ignored at p = 1.  A PinStack is
+    read as it stands."""
+    if not len(pins.v if isinstance(pins, PinStack) else pins):
+        raise ValueError("need at least one pin")
     one = np.ones(p) / math.sqrt(p)
-    h = [pin.h if pin.h is not None and p > 1 else one for pin in pins]
+    if isinstance(pins, PinStack):
+        Z, y, v = pins.Z, pins.y, pins.v
+        h = [one] * len(v) if pins.h is None or p == 1 else list(pins.h)
+    else:
+        if len({pin.Z.d for pin in pins}) != 1:
+            raise ValueError("pins live over different alphabets")
+        k, n = len(pins), max(pin.Z.n for pin in pins)
+        Z = np.zeros((pins[0].Z.d, k, n, n), dtype=complex)
+        y, v = np.zeros((2, k, n), dtype=complex)
+        for i, pin in enumerate(pins):
+            Z[:, i, :pin.Z.n, :pin.Z.n] = pin.Z.mats
+            y[i, :pin.Z.n], v[i, :pin.Z.n] = pin.y, pin.v
+        h = [pin.h if pin.h is not None and p > 1 else one for pin in pins]
     if any(len(x) != p for x in h):
         raise ValueError(f"coefficient vector h must have length {p}")
     return Z, v, (y[:, :, None] * np.array(h)[:, None, :])[..., None]
@@ -267,7 +287,7 @@ def _gram(spec: KernelSpec, Z: np.ndarray, v: np.ndarray, yh: np.ndarray):
     return 0.5 * (G + G.conj().T)
 
 
-def kernel_gram(spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
+def kernel_gram(spec: KernelSpec, pins: list[Pinning] | PinStack) -> np.ndarray:
     """Gram matrix G_ij = (y_i (x) h_i)* K(Z_i, Z_j)[v_i v_j*] (y_j (x) h_j)
     over the pins, h as in _stack_pins, from their blocks at P = u u*, u
     the stacked v: DbrLeft, for instance, is (Y* S Y) o (H H*) - sum_r
@@ -275,14 +295,12 @@ def kernel_gram(spec: KernelSpec, pins: list[Pinning]) -> np.ndarray:
     return _gram(spec, *_stack_pins(pins, spec.coeff_dim()))
 
 
-def gram_psd_check(spec: KernelSpec, pins: list[Pinning],
+def gram_psd_check(spec: KernelSpec, pins: list[Pinning] | PinStack,
                    tol: float = 1e-8) -> dict:
     """Certify positive semidefiniteness of the pin Gram matrix from its
     spectrum, returned ascending as "eigenvalues".  The tolerance is
     relative: min_eig >= -tol * max(1, ||G||), ||G|| = max |eigenvalue|.
     """
-    if not pins:
-        raise ValueError("need at least one pin")
     G = kernel_gram(spec, pins)
     eigs = np.linalg.eigvalsh(G)
     scale = max(1.0, -eigs[0], eigs[-1])
@@ -303,10 +321,30 @@ def _rank_one_vectors(f: FreeSeries, Z: np.ndarray, v: np.ndarray,
 
 
 MEMBERSHIP_CAP = 1e3
+# levels of the bisection tree tested per call: 15 midpoints, each a
+# (pins x columns) test, cost less than the calls that would test them
+# one at a time
+BISECTION_LEVELS = 4
 
 
-def membership_norm(spec: KernelSpec, f: FreeSeries, pins: list[Pinning],
-                    tol: float = 1e-8) -> dict:
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """The bisection midpoints of the next `levels` levels below [lo, hi]
+    in heap order: node i splits its interval at the i-th value, and the
+    lower half is node 2 i + 1, the upper half node 2 i + 2.  Each is
+    0.5 * (lo + hi) of its interval, the operations a one-step bisection
+    makes; a level's intervals lie between consecutive points of the
+    sorted ends, in heap order from left to right."""
+    ends, out = [lo, hi], []
+    for _ in range(levels):
+        mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+        merged = [0.0] * (2 * len(ends) - 1)
+        merged[::2], merged[1::2] = ends, mids
+        ends, out = merged, out + mids
+    return out
+
+
+def membership_norm(spec: KernelSpec, f: FreeSeries,
+                    pins: list[Pinning] | PinStack, tol: float = 1e-8) -> dict:
     """Smallest lambda with lambda^2 Gram_K - Gram_c psd (up to tol) for
     every column c of a p x r series f, Gram_c the rank-one Gram of that
     column, by bisection: the largest of the columns' lower bounds for
@@ -317,6 +355,9 @@ def membership_norm(spec: KernelSpec, f: FreeSeries, pins: list[Pinning],
     |Q* w_c|^2 and tau_c = tol * max(1, max |mu|, ||w_c||^2), the test
     eigvalsh(lambda^2 Gram_K - Gram_c)[0] >= -tau_c is the Schur complement
     test D = lambda^2 mu + tau_c > 0 and sum a_c / D <= 1, for all columns.
+    The bisection tests the midpoints of BISECTION_LEVELS levels of its
+    tree in one call and walks down the tree with the results, so it ends
+    on the lambda of a one-step bisection, bit for bit.
 
     Returns math.inf when no lambda below the cap certifies; with
     refining pin families this is evidence (not proof) that a column lies
@@ -327,31 +368,48 @@ def membership_norm(spec: KernelSpec, f: FreeSeries, pins: list[Pinning],
     # w_c is the conjugate of column c of u, so |Q* w_c| = |Q^T u_c|
     a = np.abs(Q.T @ _rank_one_vectors(f, *pinstack)) ** 2
     tau = tol * np.maximum(max(1.0, -mu[0], mu[-1]), a.sum(0))
-
-    def ok(lam: float) -> bool:
-        D = lam * lam * mu[:, None] + tau
-        return bool(np.all(D > 0) and np.all((a / D).sum(0) <= 1))
-
-    if ok(0.0):
-        return {"lambda": 0.0}
-    if not ok(MEMBERSHIP_CAP):
-        return {"lambda": math.inf}
-    lo, hi = 0.0, MEMBERSHIP_CAP
-    while hi - lo > tol * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return {"lambda": hi}
+    return {"lambda": _smallest_lambda(mu, a, tau, tol)}
 
 
-def nilpotent_pins(d: int, count: int, rng: np.random.Generator,
-                   n: int = 3, scale: float = 0.8) -> list[Pinning]:
-    """Random jointly nilpotent pins (strictly upper triangular tuples):
-    truncated kernel sums are exact at these points, so positivity
-    failures are genuine rather than truncation artifacts.  One draw serves
-    all pins, each reading re and im of its matrices, then of y and v."""
+def _smallest_lambda(mu: np.ndarray, a: np.ndarray, tau: np.ndarray,
+                     tol: float) -> float:
+    """membership_norm's bisection on [0, MEMBERSHIP_CAP] for the Gram
+    spectrum mu, the weights a (pins x columns) and the column tolerances
+    tau: 0.0 when lambda = 0 passes, math.inf when the cap fails."""
+
+    def ok(lams: list[float]) -> np.ndarray:
+        # D is (lambdas, pins, columns); the sum over pins rounds as it
+        # does for one lambda's (pins, columns); a quotient by a D that is
+        # not positive decides nothing
+        lams = np.array(lams)
+        D = (lams * lams)[:, None, None] * mu[:, None] + tau
+        return (D > 0).all((1, 2)) & ((a / D).sum(1) <= 1).all(1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_zero, at_cap = ok([0.0, MEMBERSHIP_CAP])
+        if at_zero:
+            return 0.0
+        if not at_cap:
+            return math.inf
+        lo, hi = 0.0, MEMBERSHIP_CAP
+        while hi - lo > tol * max(1.0, lo):
+            mids = _midpoints(lo, hi, BISECTION_LEVELS)
+            passed, i = ok(mids), 0
+            while i < len(mids) and hi - lo > tol * max(1.0, lo):
+                if passed[i]:
+                    hi, i = mids[i], 2 * i + 1
+                else:
+                    lo, i = mids[i], 2 * i + 2
+    return hi
+
+
+def nilpotent_stack(d: int, count: int, rng: np.random.Generator,
+                    n: int = 3, scale: float = 0.8) -> PinStack:
+    """Random jointly nilpotent pins (strictly upper triangular tuples) as
+    one PinStack: truncated kernel sums are exact at these points, so
+    positivity failures are genuine rather than truncation artifacts.
+    One draw serves all pins, each reading re and im of its matrices, then
+    of y and v."""
     g = rng.standard_normal((count, 2 * d * n * n + 4 * n))
     mats = g[:, :2 * d * n * n].reshape(count, d, 2, n, n)
     mats = np.triu(mats[:, :, 0] + 1j * mats[:, :, 1], 1)
@@ -359,5 +417,13 @@ def nilpotent_pins(d: int, count: int, rng: np.random.Generator,
     yv = yv[:, :, 0] + 1j * yv[:, :, 1]
     rn = np.linalg.norm(mats.swapaxes(1, 2).reshape(count, n, d * n), 2, axis=(1, 2))
     mats *= np.divide(scale, rn, out=np.ones(count), where=rn > 0)[:, None, None, None]
+    return PinStack(np.ascontiguousarray(mats.swapaxes(0, 1)),
+                    np.ascontiguousarray(yv[:, 0]), np.ascontiguousarray(yv[:, 1]))
+
+
+def nilpotent_pins(d: int, count: int, rng: np.random.Generator,
+                   n: int = 3, scale: float = 0.8) -> list[Pinning]:
+    """The pins of nilpotent_stack, one Pinning each."""
+    pins = nilpotent_stack(d, count, rng, n, scale)
     return [Pinning(MatrixPoint(d, n, list(Z)), y, v)
-            for Z, (y, v) in zip(mats, yv)]
+            for Z, y, v in zip(pins.Z.swapaxes(0, 1), pins.y, pins.v)]

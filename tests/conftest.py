@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -327,6 +329,44 @@ def membership_residual_oracle(model, E):
         proj = model.W @ (model.Wplus @ e)
         worst = max(worst, float(np.linalg.norm(e - proj)) / nrm)
     return worst
+
+
+def szego_svd_oracle(model, B0):
+    """gleason's Szego distance from a second SVD: the largest distance of
+    a column of T[:, :p] (I - B0) from range_basis(T[:, p:], 1e-10), over
+    its norm floored at 1e-12."""
+    p = model.p
+    Q = range_basis(model.T[:, p:], 1e-10)
+    target = model.T[:, 0:p] @ (np.eye(p) - B0)
+    resid = target - Q @ (Q.conj().T @ target)
+    worst = 0.0
+    for j in range(p):
+        scale = max(float(np.linalg.norm(target[:, j])), 1e-12)
+        worst = max(worst, float(np.linalg.norm(resid[:, j])) / scale)
+    return worst
+
+
+def membership_bisection_oracle(mu, a, tau, tol=1e-8):
+    """kernels.membership_norm's bisection one midpoint at a time, from the
+    Gram spectrum mu, the weights a = |Q* w_c|^2 (pins x columns) and the
+    per-column tolerances tau."""
+
+    def ok(lam: float) -> bool:
+        D = lam * lam * mu[:, None] + tau
+        return bool(np.all(D > 0) and np.all((a / D).sum(0) <= 1))
+
+    if ok(0.0):
+        return 0.0
+    if not ok(MEMBERSHIP_CAP):
+        return math.inf
+    lo, hi = 0.0, MEMBERSHIP_CAP
+    while hi - lo > tol * max(1.0, lo):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def outer_mate_a0sq(c):

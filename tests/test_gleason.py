@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from freehardy import gleason, kernels
+from freehardy.clark import InvalidMomentsError, clark_moments, gns_build
 from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                ce_test, clark_gleason_residual,
                                clark_intertwining_residual, dbr_model,
@@ -14,17 +16,18 @@ from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                shift_compressions, square_completion,
                                szego_distance, vacuum_kernel)
 from freehardy.fock import Side
+from freehardy.kernels import PinStack, _stack_pins, nilpotent_pins
 from freehardy.parser import parse
 from freehardy.series import (FreeSeries, MatrixPoint, dagger_series,
                               evaluate, factor_psd, letter_series,
                               multiplier_matrix, multiply, normalize_schur,
-                              schur_norm_bound)
+                              range_basis, schur_norm_bound)
 from freehardy.words import enumerate_tuples, word_count
 
 from conftest import (creation_oracle, defect_oracle, defect_scatter_oracle,
                       membership_residual_oracle, nilpotent_point,
                       outer_mate_a0sq, random_schur, random_series,
-                      spy_linalg)
+                      spy_linalg, szego_svd_oracle)
 
 SQRT_HALF = 0.7071067811865476
 
@@ -700,3 +703,135 @@ def test_gleason_maps_norm_bound():
     (C,) = gleason_maps(model)
     # the Gleason Gram is dominated by I - B(0)*B(0) = I
     assert np.linalg.norm(C, 2) <= 1.0 + 1e-10
+
+
+def _clark_gns(B, N):
+    """The Clark GNS model that szego_distance builds, or None when the
+    moments fail its positivity cut."""
+    Bsq = square_completion(B)
+    try:
+        return Bsq, gns_build(clark_moments(Bsq, N), N)
+    except InvalidMomentsError:
+        return Bsq, None
+
+
+@settings(max_examples=80)
+@given(d=st.integers(1, 3), p=st.integers(1, 2), q=st.integers(1, 2),
+       deg=st.integers(1, 3), extra=st.integers(0, 2),
+       target=st.floats(0.05, 0.999), seed=st.integers(0, 2 ** 32 - 1))
+def test_szego_distance_from_the_factors_matches_the_svd(d, p, q, deg, extra,
+                                                         target, seed):
+    # rectangular symbols go through square_completion, as in ce_test
+    B = random_schur(np.random.default_rng(seed), d, deg, p, q, target=target)
+    N = deg + extra
+    while N > 1 and word_count(d, N) * max(p, q) > 250:
+        N -= 1
+    Bsq, gns = _clark_gns(B, N)
+    assume(gns is not None)
+    B0 = Bsq.coeff(())
+    got = gleason._szego(gns, B0, 1e-10)
+    assert abs(got - szego_svd_oracle(gns, B0)) <= 1e-10
+    # the eigenvalue-1 space of S0 = (W W+)[:p, :p] is as wide as the
+    # complement of the nonempty-word columns that the SVD cuts
+    s = gns.p
+    S0 = gns.Tplus[:s, :] @ gns.T[:, :s]
+    width = np.count_nonzero(np.linalg.eigvalsh(S0) > 1.0 - 1e-10)
+    assert width == gns.rank - range_basis(gns.T[:, s:], 1e-10).shape[1]
+
+
+def _isometry(seed, rows):
+    G = np.random.default_rng(seed).standard_normal((rows, 4))
+    return np.linalg.qr(G[:, :2] + 1j * G[:, 2:])[0]
+
+
+# Column-extreme symbols: unit rows, 2 x 2 isometries over one letter
+# each, and isometries over suffix-free words.
+CE_FAMILIES = [
+    (lambda: parse("z1", 1, 1), 6),
+    (lambda: parse("0.6*z1+0.8*z2", 2, 1), 5),
+    (lambda: parse("0.48*z1+0.6*z2+0.64*z3", 3, 1), 3),
+    (lambda: parse("0.6*z1*z2-0.8*z2*z1", 2, 2), 5),
+    (lambda: parse("0.6*z1+0.8*z2*z2*z2", 2, 3), 5),
+    (lambda: FreeSeries.from_terms(2, 1, 2, 2, dict(zip([(1,), (2,)], np.split(_isometry(0, 4), 2)))), 5),
+    (lambda: FreeSeries.from_terms(1, 1, 2, 2, {(1,): _isometry(1, 2)}), 6),
+    (lambda: FreeSeries.from_terms(2, 2, 2, 2, dict(zip([(1, 2), (2, 1)], np.split(_isometry(2, 4), 2)))), 4),
+    (lambda: FreeSeries.from_terms(3, 2, 2, 2, dict(zip([(1,), (3, 2)], np.split(_isometry(3, 4), 2)))), 3),
+]
+
+
+@pytest.mark.parametrize("family", range(len(CE_FAMILIES)))
+def test_column_extreme_symbols_print_szego_distance_zero(family):
+    make, N = CE_FAMILIES[family]
+    B = make()
+    assert szego_distance(B, N) == 0.0
+    out = ce_test(B, N)
+    assert out["verdict"] == "CE"
+    assert out["by_szego"] == {"distance": 0.0, "extremal": True}
+
+
+def test_ce_test_takes_no_svd_of_the_nonempty_word_columns(monkeypatch):
+    G = np.random.default_rng(4).standard_normal((4, 2))
+    G *= 0.7 / np.linalg.norm(G, 2)
+    B = FreeSeries.from_terms(2, 1, 2, 2, {(1,): G[:2], (2,): G[2:]})
+    calls, bases = spy_linalg(monkeypatch, ["svd"]), []
+
+    def basis(*args, _fn=gleason.range_basis):
+        bases.append(np.shape(args[0]))
+        return _fn(*args)
+
+    monkeypatch.setattr(gleason, "range_basis", basis)
+    out = ce_test(B, 6)
+    assert out["by_szego"]["distance"] > 0
+    # the Clark window is min(N, 5): T has word_count(2, 5) * 2 columns
+    width = word_count(2, 5) * 2 - 2
+    assert not bases
+    assert all(shape[-1] != width for _, shape, _ in calls)
+
+
+def _pins_one_at_a_time(B, seed):
+    """ce_test's pins as it drew them before they were stacked: Pinning
+    objects from nilpotent_pins, then a unit h per pin, re then im, from
+    the stream [seed, 1]."""
+    p = square_completion(B).p
+    pins = nilpotent_pins(B.d, word_count(B.d, 3) + 2,
+                          np.random.default_rng(seed), n=4, scale=0.85)
+    hrng = np.random.default_rng([seed, 1])
+    for pin in pins:
+        h = hrng.standard_normal(p) + 1j * hrng.standard_normal(p)
+        pin.h = h / np.linalg.norm(h)
+    return pins
+
+
+@pytest.mark.parametrize("expr,d,shape", [
+    ("0.5*z1+0.4*z2*z1", 2, (1, 1)),
+    ("0.6*z1+0.3*z3*z2", 3, (1, 1)),
+    ("[[0.5,0.1],[0.2,0.3]]*z1+[[0.1,0.2],[0.3,0.1]]*z2*z1", 2, (2, 2)),
+    ("[[0.5],[0.5]]*z1", 1, (2, 1)),
+])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_ce_test_membership_reads_one_pin_stack(monkeypatch, expr, d, shape, seed):
+    seen = []
+
+    def spy(spec, f, pins, *args, _fn=gleason.membership_norm):
+        seen.append((spec, pins))
+        return _fn(spec, f, pins, *args)
+
+    monkeypatch.setattr(gleason, "membership_norm", spy)
+    B = parse(expr, d, 2, shape)
+    ce_test(B, 5, seed=seed)
+    (spec, stack), = seen
+    assert isinstance(stack, PinStack)
+    p = spec.coeff_dim()
+    want = _stack_pins(_pins_one_at_a_time(B, seed), p)
+    for got, x in zip(_stack_pins(stack, p), want):
+        assert got.tobytes() == x.tobytes()
+
+
+def test_ce_test_builds_no_pinning(monkeypatch):
+    def refuse(self):
+        raise AssertionError("ce_test built a Pinning")
+
+    monkeypatch.setattr(kernels.Pinning, "__post_init__", refuse)
+    for B in (parse("0.5*z1+0.4*z2*z1", 2, 2),
+              parse("[[0.5],[0.5]]*z1", 1, 1, (2, 1))):
+        assert ce_test(B, 5)["verdict"] == "not-CE"

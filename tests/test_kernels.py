@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freehardy import kernels, series
 from freehardy.clark import clark_moments
-from freehardy.kernels import (KernelKind, KernelSpec, Pinning,
-                               _rank_one_vectors, _stack_pins,
-                               gram_psd_check, kernel_eval, kernel_gram,
-                               membership_norm, nilpotent_pins, szego_eval)
+from freehardy.kernels import (MEMBERSHIP_CAP, KernelKind, KernelSpec,
+                               Pinning, PinStack, _rank_one_vectors,
+                               _smallest_lambda, _stack_pins, gram_psd_check,
+                               kernel_eval, kernel_gram, membership_norm,
+                               nilpotent_pins, nilpotent_stack, szego_eval)
 from freehardy.parser import parse
 from freehardy.series import (MatrixPoint, cayley,
                               constant_series, evaluate,
@@ -19,7 +20,8 @@ from freehardy.words import enumerate_tuples, index_map
 
 from conftest import (ball_point, coefficient_kernel, direct_sum,
                       gram_oracle, herglotz_coefficient, kernel_oracle,
-                      membership_oracle, nilpotent_point, random_schur,
+                      membership_bisection_oracle, membership_oracle,
+                      nilpotent_point, random_schur,
                       random_series, rank_one_oracle, szego_oracle, unit_vector)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -537,3 +539,103 @@ def test_coefficient_kernel_matches_pairing(rng):
 def test_spec_requires_symbol():
     with pytest.raises(ValueError):
         KernelSpec(KernelKind.DBR_LEFT)
+
+
+@pytest.mark.parametrize("call", ["kernel_gram", "gram_psd_check", "membership_norm"])
+@pytest.mark.parametrize("empty", ["list", "stack"])
+def test_every_entry_point_refuses_no_pins(call, empty):
+    # the one stacking routine refuses an empty family, for every caller
+    B = parse("0.5*z1", 2, 2)
+    spec = KernelSpec(KernelKind.DBR_LEFT, B, deg=4)
+    pins = [] if empty == "list" else nilpotent_stack(2, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="need at least one pin"):
+        if call == "membership_norm":
+            membership_norm(spec, B, pins)
+        else:
+            getattr(kernels, call)(spec, pins)
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 4)])
+def test_nilpotent_pins_are_the_stack_one_pin_each(d, n):
+    stack = nilpotent_stack(d, 7, np.random.default_rng(d), n=n, scale=0.85)
+    pins = nilpotent_pins(d, 7, np.random.default_rng(d), n=n, scale=0.85)
+    assert stack.Z.shape == (d, 7, n, n) and stack.y.shape == stack.v.shape == (7, n)
+    for i, pin in enumerate(pins):
+        assert np.array(pin.Z.mats).tobytes() == stack.Z[:, i].tobytes()
+        assert pin.y.tobytes() == stack.y[i].tobytes()
+        assert pin.v.tobytes() == stack.v[i].tobytes()
+    h = np.random.default_rng(5).standard_normal((7, 2)) + 0j
+    for p, hs in ((1, None), (1, h[:, :1]), (2, None), (2, h)):
+        for pin, x in zip(pins, [None] * 7 if hs is None else hs):
+            pin.h = x
+        got = _stack_pins(PinStack(stack.Z, stack.y, stack.v, hs), p)
+        for x, y in zip(got, _stack_pins(pins, p)):
+            assert x.tobytes() == y.tobytes()
+
+
+# Gram spectra for the bisection: mu sorted, with `neg` of its entries
+# negative (an indefinite Gram), weights a of r columns over 10^scale,
+# tau as membership_norm forms it.
+SPECTRA = st.tuples(st.integers(1, 14), st.integers(1, 3), st.integers(0, 2),
+                    st.floats(-9.0, 9.0), st.sampled_from([1e-15, 1e-12, 1e-8, 1e-4]),
+                    st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200)
+@given(spectrum=SPECTRA)
+@example(spectrum=(5, 2, 0, -12.0, 1e-8, 0))   # lambda = 0 passes
+@example(spectrum=(5, 2, 1, 0.0, 1e-8, 1))     # the cap fails: inf
+@example(spectrum=(5, 2, 0, 2.0, 1e-8, 1))     # a bound near the cap: 939.4
+def test_bisection_is_the_one_step_bisection_bit_for_bit(spectrum):
+    k, r, neg, scale, tol, seed = spectrum
+    rng = np.random.default_rng(seed)
+    mu = np.sort(rng.uniform(0.01, 2.0, k) * 10 ** rng.uniform(-4, 1, k))
+    mu[:neg] *= -1
+    mu.sort()
+    a = rng.random((k, r)) * 10 ** scale
+    a[:, rng.random(r) < 0.2] = 0.0
+    tau = tol * np.maximum(max(1.0, -mu[0], mu[-1]), a.sum(0))
+    got = _smallest_lambda(mu, a, tau, tol)
+    assert got.hex() == membership_bisection_oracle(mu, a, tau, tol).hex()
+
+
+@pytest.mark.parametrize("mu,a,tau,want", [
+    ([0.5, 1.0], [[0.0], [0.0]], [1e-8], 0.0),
+    ([-1.0, 1.0], [[1.0], [1.0]], [1e-8], math.inf),
+    # passes at the cap with equality and fails below it: the walk never
+    # moves hi off the cap
+    ([1.0], [[MEMBERSHIP_CAP ** 2]], [0.0], MEMBERSHIP_CAP),
+])
+def test_bisection_branches(mu, a, tau, want):
+    mu, a, tau = (np.array(x, dtype=float) for x in (mu, a, tau))
+    got = _smallest_lambda(mu, a, tau, 1e-8)
+    assert got == want == membership_bisection_oracle(mu, a, tau)
+
+
+def test_bisection_sums_over_pins_in_the_order_of_one_lambda():
+    # at the first midpoint, 500, the column's terms a_i / D_i are 1 and 15
+    # times 2^-53: summed in pin order they round to 1 and pass, and summed
+    # by blocks of 8 (numpy's order along a contiguous axis) they exceed 1
+    a = np.zeros((16, 2))
+    a[:, 0] = 500.0 ** 2 * np.r_[1.0, np.full(15, 2.0 ** -53)]
+    mu, tau = np.ones(16), np.zeros(2)
+    got = _smallest_lambda(mu, a, tau, 1e-8)
+    assert got == 500.0 == membership_bisection_oracle(mu, a, tau)
+
+
+def test_membership_norm_is_the_bisection_of_its_spectrum(monkeypatch, rng):
+    # membership_norm hands its spectrum, weights and tolerances to the
+    # bisection and returns what it ends on
+    seen = []
+
+    def spy(mu, a, tau, tol, _fn=kernels._smallest_lambda):
+        seen.append(membership_bisection_oracle(mu, a, tau, tol))
+        return _fn(mu, a, tau, tol)
+
+    monkeypatch.setattr(kernels, "_smallest_lambda", spy)
+    for p, r in ((1, 1), (2, 2), (2, 3)):
+        B = random_schur(rng, 2, 2, p, p)
+        f = random_series(rng, 2, 2, p=p, q=r, scale=0.3)
+        lam = membership_norm(KernelSpec(KernelKind.DBR_LEFT, B, deg=8), f,
+                              nilpotent_stack(2, 12, rng))["lambda"]
+        assert lam.hex() == seen[-1].hex()
