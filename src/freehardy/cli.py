@@ -19,7 +19,6 @@ import functools
 import itertools
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -82,73 +81,47 @@ def _load_points(args, d: int) -> list[MatrixPoint]:
 
 # Reports are the bytes of json.dumps(x, sort_keys=True, indent=2) and a
 # newline, with each complex matrix written as json.dumps writes its
-# mat_to_json lists.  The indent forces the pure-Python encoder, so
-# _write_json writes the tree itself, and each matrix, the bulk of every
-# report, from its array; no function holds a whole report's text.
+# mat_to_json lists.  The stdlib encoder writes the tree chunk by chunk,
+# and _matrix each matrix, the bulk of every report, from its array,
+# naming non-finite entries as the encoder does; no function holds a
+# whole report's text.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _atom(x) -> str | None:
-    """JSON text of a str, None, bool, int or float; None for other types."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    text = float.__repr__(x) if isinstance(x, float) else None
-    return _NONFINITE.get(text, text)
-
-
 def _write_json(x, write) -> None:
-    """Write the text of x and a newline through write.  Tree text
-    collects in a list that goes out before each matrix and at the end,
-    so a report without matrices leaves in one write."""
-    parts: list[str] = []
-    _tree(x, 0, parts, write)
-    parts.append("\n")
-    _flush(parts, write)
+    """Write the text of x and a newline through write.  The encoder's
+    default stands the placeholder "" in for each matrix; the chunk that
+    carries it is the next one, and _matrix writes the matrix instead,
+    nested as deep as the indent after the last newline so far."""
+    matrices = []
+
+    def default(o):
+        if type(o) is np.ndarray and o.ndim == 2 and o.dtype == np.complex128:
+            matrices.append(o)
+            return ""
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    last = ""  # the last chunk holding a newline
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2,
+                                  default=default).iterencode(x):
+        if matrices:
+            _matrix(matrices.pop(), (len(last) - last.rfind("\n") - 1) // 2, write)
+        else:
+            write(chunk)
+            if "\n" in chunk:
+                last = chunk
+    write("\n")
 
 
-def _flush(parts: list[str], write) -> None:
-    """Write the pieces in parts as one string and empty the list."""
-    text = "".join(parts)
-    parts.clear()
-    write(text)
-
-
-def _tree(x, level: int, parts: list[str], write) -> None:
-    """Append the text of x nested `level` deep to parts; a matrix on the
-    way writes parts out first."""
-    atom = _atom(x)
-    if atom is not None:
-        parts.append(atom)
-    elif type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.complex128:
-        _matrix(x, level, parts, write)
-    elif not isinstance(x, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    else:
-        brackets = "{}" if isinstance(x, dict) else "[]"
-        indent = "\n" + "  " * (level + 1)
-        for i, item in enumerate(sorted(x) if brackets == "{}" else x):
-            parts.append(("," if i else brackets[0]) + indent)
-            if brackets == "{}":  # other keys as JSON text, or TypeError
-                key = item if isinstance(item, str) else _atom(item)
-                parts.append(encode_basestring_ascii(key) + ": ")
-                item = x[item]
-            _tree(item, level + 1, parts, write)
-        parts.append(indent[:-2] + brackets[1] if x else brackets)
-
-
-def _matrix(m: np.ndarray, level: int, parts: list[str], write) -> None:
-    """Write parts, then the mat_to_json lists of a 2-D complex array
-    nested `level` deep one row at a time, and leave the closing bracket
-    in parts.  Each row is cut from one all-zero row, with the pairs whose
-    bits are not all zero formatted as it reaches them and spliced in."""
+def _matrix(m: np.ndarray, level: int, write) -> None:
+    """Write the mat_to_json lists of a 2-D complex array nested `level`
+    deep, one row at a time.  Each row is cut from one all-zero row, with
+    the pairs whose bits are not all zero formatted as it reaches them and
+    spliced in."""
     rows, cols = m.shape
     i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
     if not rows * cols:
-        parts.append("[" + i1 + ("," + i1).join(["[]"] * rows) + i0 + "]" if rows else "[]")
+        write("[" + i1 + ("," + i1).join(["[]"] * rows) + i0 + "]" if rows else "[]")
         return
     ri = np.ascontiguousarray(m).view(float).reshape(-1, 2)
     bits = ri.view(np.uint64)
@@ -160,23 +133,22 @@ def _matrix(m: np.ndarray, level: int, parts: list[str], write) -> None:
     head = "," + i1 + "[" + i2 + "[" + i3
     blank = head + sep.join([zero] * cols) + i2 + "]" + i1 + "]"
     starts = iter((len(head) + (len(zero) + len(sep)) * (at % cols)).tolist())
-    parts.append("[")
-    _flush(parts, write)
     for r, n in enumerate(np.bincount(at // cols, minlength=rows).tolist()):
-        pieces, pos = [], 0 if r else 1  # the first row has no comma
+        pieces, pos = (["["], 1) if r == 0 else ([], 0)  # the first row has no comma
         for a in itertools.islice(starts, n):
             pieces += (blank[pos:a], next(cells))
             pos = a + len(zero)
         pieces.append(blank[pos:])
         write("".join(pieces))
-    parts.append(i0 + "]")
+    write(i0 + "]")
 
 
 def _emit(report: dict, args, rows: list[dict] | None = None) -> None:
     """Write the report to --out or stdout as it is made: JSON, or for
     --format csv the tidy rows, else flat key/value pairs of the scalar
     results.  A file takes the writes through a 256 KiB buffer, so a
-    report goes out in large blocks rather than one call per matrix row."""
+    report goes out in large blocks rather than one call per chunk of the
+    tree or matrix row."""
     with (open(args.out, "w", buffering=1 << 18) if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "json":

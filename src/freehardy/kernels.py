@@ -375,7 +375,9 @@ def _smallest_lambda(mu: np.ndarray, a: np.ndarray, tau: np.ndarray,
                      tol: float) -> float:
     """membership_norm's bisection on [0, MEMBERSHIP_CAP] for the Gram
     spectrum mu, the weights a (pins x columns) and the column tolerances
-    tau: 0.0 when lambda = 0 passes, math.inf when the cap fails."""
+    tau: 0.0 when lambda = 0 passes, math.inf when the cap fails.  It ends
+    early, on hi, once the interval is two adjacent doubles, whose
+    midpoint is one of them, so a tol below their spacing still ends."""
 
     def ok(lams: list[float]) -> np.ndarray:
         # D is (lambdas, pins, columns); the sum over pins rounds as it
@@ -396,6 +398,8 @@ def _smallest_lambda(mu: np.ndarray, a: np.ndarray, tau: np.ndarray,
             mids = _midpoints(lo, hi, BISECTION_LEVELS)
             passed, i = ok(mids), 0
             while i < len(mids) and hi - lo > tol * max(1.0, lo):
+                if mids[i] in (lo, hi):  # adjacent doubles: nothing between
+                    return hi
                 if passed[i]:
                     hi, i = mids[i], 2 * i + 1
                 else:

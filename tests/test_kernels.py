@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -610,6 +613,31 @@ def test_bisection_branches(mu, a, tau, want):
     mu, a, tau = (np.array(x, dtype=float) for x in (mu, a, tau))
     got = _smallest_lambda(mu, a, tau, 1e-8)
     assert got == want == membership_bisection_oracle(mu, a, tau)
+
+
+def test_bisection_below_the_spacing_of_doubles_ends():
+    # at tol = 1e-17 the interval shrinks to two adjacent doubles, whose
+    # midpoint is one of them; the call runs in a process of its own, so
+    # a bisection that never ends fails at the timeout instead of hanging.
+    # lambda moves with tol through tau (by 1.3e-10 from 1e-12 to 1e-17),
+    # so it is compared with tol = 1e-16, whose bisection ends at the bound
+    call = ("membership_norm(KernelSpec(KernelKind.SZEGO, deg=6), "
+            "parse('0.3+0.2*z1', 2, 4), nilpotent_pins(2, 8, default_rng(0)), "
+            "tol=1e-17)['lambda']")
+    code = ("from numpy.random import default_rng\n"
+            "from freehardy.kernels import (KernelKind, KernelSpec, "
+            "membership_norm, nilpotent_pins)\n"
+            "from freehardy.parser import parse\n"
+            f"print({call}.hex())")
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    want = membership_norm(KernelSpec(KernelKind.SZEGO, deg=6),
+                           parse("0.3+0.2*z1", 2, 4),
+                           nilpotent_pins(2, 8, np.random.default_rng(0)),
+                           tol=1e-16)["lambda"]
+    assert abs(float.fromhex(out.stdout) - want) <= 1e-13
 
 
 def test_bisection_sums_over_pins_in_the_order_of_one_lambda():

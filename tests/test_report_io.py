@@ -99,6 +99,10 @@ def test_writer_matches_json_dumps(x):
     assert streamed(x) == reference(x) + "\n"
 
 
+MATRIX = np.array([[0.5 + 1j, 0j, complex(-0.0, 0.0)], [0j, 2.5j, float("nan")]])
+EMPTY = np.zeros((2, 0), dtype=complex)
+
+
 @pytest.mark.parametrize("x", [
     [[[0.5, -0.0], [float("nan"), float("inf")]], [[-float("inf"), 1e-05],
                                                    [1e300, 2.5e-320]]],
@@ -108,6 +112,12 @@ def test_writer_matches_json_dumps(x):
     [[], []], [[[np.float64(1.5), 2.0]]],
     {"nested": {"m": [[[0.1, 0.2]]], "list": [[[[0.3, 0.4]]]]}},
     {1: "int key", 2.5: "float key"}, {True: 1, False: 0}, {None: "x"},
+    # matrices among the encoder's chunks: "" values beside them, first in
+    # a list, after a closed container, at the top and in tuples
+    ["", MATRIX, ""], {"": "", "a": "", "m": MATRIX, "z": "", "e": EMPTY},
+    [MATRIX, 1.5], [[1.0, {"k": [2]}], MATRIX, EMPTY],
+    {"a": {"b": [[], {}]}, "b": MATRIX}, MATRIX, EMPTY,
+    (MATRIX, "", (EMPTY, MATRIX)),
 ])
 def test_writer_examples(x):
     assert streamed(x) == reference(x) + "\n"

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freehardy.fock import Side
 from freehardy.series import (FreeSeries, MatrixPoint, cayley,
@@ -721,6 +721,54 @@ def test_factor_psd_splits_a_permuted_block_diagonal_matrix(blocks, seed):
     assert np.abs(evals - np.linalg.eigvalsh(G)).max() <= 1e-12 * scale
     assert W.shape[1] == sum(ranks) == factor_psd_oracle(G, 1e-10)[0].shape[1]
     assert cut == 1e-10 * np.abs(evals).max()
+
+
+# blocks of eigenvalues, each (kept, u, negative): a kept one is 10^(lo u)
+# in [1e3 rank_tol, 1], a dropped one is at most cut / 1e3, exact zero at
+# u = 0, of either sign
+GAPPED_SPECTRA = st.lists(st.lists(st.tuples(st.booleans(), st.floats(0, 1),
+                                             st.booleans()),
+                                   min_size=1, max_size=6),
+                          min_size=1, max_size=5)
+
+
+@settings(max_examples=60)
+@given(GAPPED_SPECTRA, st.booleans(), st.sampled_from([1e-10, 1e-8, 1e-6]),
+       st.integers(0, 2 ** 32 - 1))
+def test_factor_psd_rank_is_exact_across_a_spectral_gap(blocks, connected,
+                                                        rank_tol, seed):
+    # G = Q diag(lambda) Q*, one dense Q (one eigh) or a permuted direct
+    # sum of blocks (one eigh per component size), with no eigenvalue
+    # within a factor 1e3 of the cut rank_tol * max |lambda|
+    lo = 3 + np.log10(rank_tol)
+    kept = [[10 ** (lo * u) for k, u, _ in b if k] for b in blocks]
+    top = max(map(max, filter(None, kept)), default=0.0)
+    assume(top > 0)
+    lams = [np.array([10 ** (lo * u) if k else
+                      (-1) ** neg * top * rank_tol * 10 ** (-3 - 12 * u) * (u > 0)
+                      for k, u, neg in b]) for b in blocks]
+    keep = [np.array([k for k, _, _ in b]) for b in blocks]
+    if connected:
+        lams, keep = [np.concatenate(lams)], [np.concatenate(keep)]
+    rng = np.random.default_rng(seed)
+    n = sum(map(len, lams))
+    G, G_kept = np.zeros((2, n, n), dtype=complex)
+    at = 0
+    for lam, k in zip(lams, keep):
+        g = rng.standard_normal((2, len(lam), len(lam)))
+        Q, sl = np.linalg.qr(g[0] + 1j * g[1])[0], slice(at, at + len(lam))
+        G[sl, sl] = (Q * lam) @ Q.conj().T
+        G_kept[sl, sl] = (Q * (lam * k)) @ Q.conj().T
+        at += len(lam)
+    perm = rng.permutation(n)
+    G, G_kept = G[np.ix_(perm, perm)], G_kept[np.ix_(perm, perm)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_linalg(mp, ("eigh",))
+        W, Wplus, evals, cut = factor_psd(G, rank_tol)
+    assert (calls[0][1] == (n, n)) == (len(lams) == 1)
+    assert W.shape[1] == sum(map(len, kept))
+    assert np.abs(W @ W.conj().T - G_kept).max() <= 1e-12 * top
+    assert np.abs(Wplus @ W - np.eye(W.shape[1])).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 7, 40])
