@@ -28,7 +28,7 @@ from .clark import (clark_moments, cuntz_check, gns_build,
 from .colligation import (Colligation, canonical_colligation, column_schur_defect,
                           complete_column, transfer_eval, transfer_series)
 from .gleason import CeObstructionError, NotSchurError, ce_test, extremality_gap
-from .kernels import KernelKind, KernelSpec, gram_psd_check, nilpotent_pins
+from .kernels import KernelKind, KernelSpec, gram_psd_check, nilpotent_stack
 from .parser import ParseError, parse
 from .series import (FreeSeries, MatrixPoint, cayley, evaluate, json_field,
                      mat_from_json, schur_norm_bound, schur_norm_estimate,
@@ -59,14 +59,14 @@ def _load_series(args) -> FreeSeries:
     raise ValueError("provide --expr or --input")
 
 
-def _random_points(d: int, count: int, seed: int, n: int = 2,
-                   radius: float = 0.4) -> list[MatrixPoint]:
-    # one draw, in the order of a loop over points, letters, re then im
-    g = np.random.default_rng(seed).standard_normal((count, d, 2, n, n))
+def _random_points(d: int, count: int, seed: int) -> list[MatrixPoint]:
+    """count points of level 2 scaled to row norm 0.4, from one draw in the
+    order of a loop over points, letters, re then im."""
+    g = np.random.default_rng(seed).standard_normal((count, d, 2, 2, 2))
     mats = g[:, :, 0] + 1j * g[:, :, 1]
-    rn = np.linalg.norm(mats.swapaxes(1, 2).reshape(count, n, d * n), 2, axis=(1, 2))
-    mats *= np.divide(radius, rn, out=np.ones(count), where=rn > 0)[:, None, None, None]
-    return [MatrixPoint(d, n, list(Z)) for Z in mats]
+    rn = np.linalg.norm(mats.swapaxes(1, 2).reshape(count, 2, 2 * d), 2, axis=(1, 2))
+    mats *= np.divide(0.4, rn, out=np.ones(count), where=rn > 0)[:, None, None, None]
+    return [MatrixPoint(d, 2, list(Z)) for Z in mats]
 
 
 def _load_points(args, d: int) -> list[MatrixPoint]:
@@ -354,12 +354,12 @@ def cmd_kernel_gram(args) -> int:
     kind = KernelKind(args.kind.replace("-", "_"))
     B = _load_series(args) if kind is not KernelKind.SZEGO else None
     spec = KernelSpec(kind, B, deg=args.N)
-    rng = np.random.default_rng(args.seed)
-    pins = nilpotent_pins(args.d if B is None else B.d, args.num_points, rng)
+    pins = nilpotent_stack(args.d if B is None else B.d, args.num_points,
+                           np.random.default_rng(args.seed))
     res = gram_psd_check(spec, pins, tol=args.tol)
     eigs = [float(v) for v in res["eigenvalues"]]
     results = {"min_eig": res["min_eig"], "certified": res["certified"],
-               "num_pins": len(pins), "tol": args.tol, "eigenvalues": eigs}
+               "num_pins": len(pins.v), "tol": args.tol, "eigenvalues": eigs}
     rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(eigs)]
     _emit(_report(args, results), args, rows)
     return 0 if res["certified"] else 2

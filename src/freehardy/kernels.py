@@ -16,20 +16,22 @@ over all pins certifies Schur class membership up to truncation.
 Kernels are computed on stacks of blocks, never at a dense direct sum:
 points (the pins of a Gram, one per side for kernel_eval) are stacked as
 (d, k, n, n), padded with zeros to one level, which is exact since kernels
-respect direct sums.  A Gram pairs P = u u*, u the stacked pin vectors,
-so its Szego sums take P as factors L R*: level g adds (Z^a L)(W^a R)*
-over the words a of length g in one matrix product, its factors are one
-batched product of the letters with level g - 1, columns that vanish on
-either side are dropped, and the sum stops at the first empty level,
-which at jointly nilpotent pins comes after at most the pin level.  A
-level whose next factors would be wider than min(k n, l m) hands its
-outer product to the fixed point S -> P + sum_k Z_k S W_k*, which sums
-the remaining levels and stops at the first iterate that repeats its
-predecessor bit for bit; a dense P (szego_eval, and the Szego sum of
-kernel_eval) enters that fixed point directly.  The inner sum of DbrRight
-always goes by factors, a dense P as (P, I).  Each series is evaluated once per block stack,
-so once in all for a Gram, and a Gram is contracted with y (x) h before
-any (k n p)^2 kernel matrix is formed.
+respect direct sums.  The pins of a Gram come as one PinStack, the arrays
+that nilpotent_stack draws (ce_test and the kernel-gram command pass one),
+or as a list of Pinning, whose levels may differ.  A Gram pairs P = u u*,
+u the stacked pin vectors, so its Szego sums take P as factors L R*: level
+g adds (Z^a L)(W^a R)* over the words a of length g in one matrix product,
+its factors are one batched product of the letters with level g - 1,
+columns that vanish on either side are dropped, and the sum stops at the
+first empty level, which at jointly nilpotent pins comes after at most the
+pin level.  A level whose next factors would be wider than min(k n, l m)
+hands its outer product to the fixed point S -> P + sum_k Z_k S W_k*,
+which sums the remaining levels and stops at the first iterate that
+repeats its predecessor bit for bit; a dense P (szego_eval, and the Szego
+sum of kernel_eval) enters that fixed point directly.  The inner sum of
+DbrRight always goes by factors, a dense P as (P, I).  Each series is
+evaluated once per block stack, so once in all for a Gram, and a Gram is
+contracted with y (x) h before any (k n p)^2 kernel matrix is formed.
 
 Each Gram is certified from one eigendecomposition G = Q diag(mu) Q*: a
 membership step lambda^2 G - w w* >= -tau is the Schur complement test
@@ -258,13 +260,17 @@ def _stack_pins(pins: list[Pinning] | PinStack, p: int):
     """The pins' points as one (d, k, n, n) block stack, v as (k, n) and
     y (x) h as (k, n, p, 1), padded with zeros to the largest level n; h
     is ones / sqrt(p) by default, and is ignored at p = 1.  A PinStack is
-    read as it stands."""
+    read as it stands, once its arrays are checked to hold k pins of one
+    level n each: Z as (d, k, n, n), y and v as (k, n), h as (k, p)."""
     if not len(pins.v if isinstance(pins, PinStack) else pins):
         raise ValueError("need at least one pin")
     one = np.ones(p) / math.sqrt(p)
     if isinstance(pins, PinStack):
-        Z, y, v = pins.Z, pins.y, pins.v
-        h = [one] * len(v) if pins.h is None or p == 1 else list(pins.h)
+        Z, y, v, h, k = pins.Z, pins.y, pins.v, pins.h, len(pins.v)
+        n, got = Z.shape[-1], [np.shape(x) for x in (Z, y, v, h)]
+        if got != [(len(Z), k, n, n), (k, n), (k, n), () if h is None else (k, p)]:
+            raise ValueError(f"PinStack needs Z (d,k,n,n), y, v (k,n), h (k,p); got {got}")
+        h = [one] * k if h is None or p == 1 else list(h)
     else:
         if len({pin.Z.d for pin in pins}) != 1:
             raise ValueError("pins live over different alphabets")
@@ -359,6 +365,12 @@ def membership_norm(spec: KernelSpec, f: FreeSeries,
     tree in one call and walks down the tree with the results, so it ends
     on the lambda of a one-step bisection, bit for bit.
 
+    tol is both the width at which the bisection stops and the psd slack
+    tau_c, which scales with the largest Gram eigenvalue: lambda can sit
+    below its value at tol = 0 by far more than tol (by 1.3e-6 at the
+    default tol, at a Szego Gram of largest eigenvalue 121), and it moves
+    up toward that value as tol shrinks.
+
     Returns math.inf when no lambda below the cap certifies; with
     refining pin families this is evidence (not proof) that a column lies
     outside the space.
@@ -423,11 +435,3 @@ def nilpotent_stack(d: int, count: int, rng: np.random.Generator,
     mats *= np.divide(scale, rn, out=np.ones(count), where=rn > 0)[:, None, None, None]
     return PinStack(np.ascontiguousarray(mats.swapaxes(0, 1)),
                     np.ascontiguousarray(yv[:, 0]), np.ascontiguousarray(yv[:, 1]))
-
-
-def nilpotent_pins(d: int, count: int, rng: np.random.Generator,
-                   n: int = 3, scale: float = 0.8) -> list[Pinning]:
-    """The pins of nilpotent_stack, one Pinning each."""
-    pins = nilpotent_stack(d, count, rng, n, scale)
-    return [Pinning(MatrixPoint(d, n, list(Z)), y, v)
-            for Z, y, v in zip(pins.Z.swapaxes(0, 1), pins.y, pins.v)]

@@ -138,15 +138,13 @@ def reversal(d: int, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _reversal(d: int, N: int) -> np.ndarray:
+    # grade g + 1 from grade g: the word a.j (rank r d + j in its grade)
+    # reverses to j.rev(a), rank j d^g + rev(a); the empty word is fixed
     off = grade_offsets(d, N)
-    out = np.empty(off[-1], dtype=np.int64)
-    for g in range(N + 1):
-        rel = np.arange(d ** g, dtype=np.int64)
-        rev = np.zeros_like(rel)
-        digits = rel.copy()
-        for _ in range(g):
-            rev = rev * d + digits % d
-            digits //= d
-        out[off[g]:off[g + 1]] = off[g] + rev
+    out = np.zeros(off[-1], dtype=np.int64)
+    for g in range(N):
+        rev = out[off[g]:off[g + 1]] - off[g]
+        rev = (rev[:, None] + d ** g * np.arange(d, dtype=np.int64)).ravel()
+        out[off[g + 1]:off[g + 2]] = off[g + 1] + rev
     out.flags.writeable = False
     return out

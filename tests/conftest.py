@@ -5,7 +5,8 @@ import pytest
 from hypothesis import settings
 
 from freehardy.fock import Side
-from freehardy.kernels import MEMBERSHIP_CAP, KernelKind, kernel_gram
+from freehardy.kernels import (MEMBERSHIP_CAP, KernelKind, Pinning,
+                               kernel_gram, nilpotent_stack)
 from freehardy.parser import ParseError, _tokenize
 from freehardy.series import (FreeSeries, MatrixPoint, cayley,
                               constant_series, dagger_series, evaluate,
@@ -55,6 +56,14 @@ def nilpotent_point(rng, d, n, scale=0.8):
     if rn > 0:
         Z = MatrixPoint(d, n, [m * (scale / rn) for m in Z.mats])
     return Z
+
+
+def nilpotent_pins(d, count, rng, n=3, scale=0.8):
+    """The pins of kernels.nilpotent_stack, one Pinning each, for tests
+    that want Pinning objects: h is left to its default."""
+    pins = nilpotent_stack(d, count, rng, n, scale)
+    return [Pinning(MatrixPoint(d, n, list(Z)), y, v)
+            for Z, y, v in zip(pins.Z.swapaxes(0, 1), pins.y, pins.v)]
 
 
 def ball_point(rng, d, n, radius=0.4):

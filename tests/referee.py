@@ -1,4 +1,5 @@
-"""A 40-digit referee for the Clark moment matrix and the Szego distance.
+"""A 40-digit referee for the Clark moment matrix, the Szego distance and
+the Gleason extremality gap.
 
 Everything here is recomputed in mpmath from the coefficients of the
 symbol, which are binary floats and so enter exactly: the Cayley
@@ -10,7 +11,9 @@ Schur complement of that matrix,
     dist^2 = max_j  c_j* (M00 - M01 M11^-1 M10) c_j / c_j* M00 c_j,
 
 c = I - B(0), which needs M11 invertible (a symbol that is not column
-extreme).  Sizes stay at m = word_count(d, N) p <= 64.
+extreme).  Sizes stay at m = word_count(d, N) p <= 64.  The Gleason gap
+is solved against the model-space matrix D = I - T T* built from the
+terms of B, one lu_solve per column (extremality_gap).
 """
 
 from __future__ import annotations
@@ -88,6 +91,46 @@ def szego_distance(B, M: mp.matrix) -> mp.mpf:
             den = (_adjoint(cj) * M[0:p, 0:p] * cj)[0, 0]
             worst = max(worst, mp.sqrt(mp.re(num) / mp.re(den)))
         return worst
+
+
+def extremality_gap(B, N: int) -> tuple[mp.matrix, mp.matrix]:
+    """The Gleason gap of the Schur series B at N, and the D it solves
+    with.  D = I - T T* on words of length <= M = N - deg(B), T the right
+    multiplier of B, is I less B_w B_v* at the block (b.w, b.v) for each
+    pair of terms w, v of B and each word b that keeps both in range, and
+
+        gap = I - B0* B0 - sum_j G_j* D^-1 G_j,
+
+    G_j the j-th Gleason component (B_{j.b} at the block b) cut to M.
+    Needs D invertible, which a strict contraction gives."""
+    terms = dict(B.terms())
+    M = N - max(map(len, terms), default=0)
+    p, q, words = B.p, B.q, enumerate_tuples(B.d, M)
+    at = {w: i * p for i, w in enumerate(words)}
+    m = len(words) * p
+    with mp.workdps(DPS):
+        C = {w: _mp(X) for w, X in terms.items()}
+        D = mp.eye(m)
+        for w, Bw in C.items():
+            for v, Bv in C.items():
+                BB = Bw * _adjoint(Bv)
+                for b in words:
+                    if len(b) + max(len(w), len(v)) <= M:
+                        for i in range(p):
+                            for j in range(p):
+                                D[at[b + w] + i, at[b + v] + j] -= BB[i, j]
+        B0 = C.get((), mp.zeros(p, q))
+        gap = mp.eye(q) - _adjoint(B0) * B0
+        for letter in range(1, B.d + 1):
+            G = mp.zeros(m, q)
+            for w, X in C.items():
+                if w[:1] == (letter,) and len(w) - 1 <= M:
+                    G[at[w[1:]]:at[w[1:]] + p, 0:q] = X
+            DG = mp.matrix(m, q)
+            for j in range(q):
+                DG[:, j] = mp.lu_solve(D, G[:, j])
+            gap -= _adjoint(G) * DG
+        return gap, D
 
 
 def to_numpy(A: mp.matrix) -> np.ndarray:

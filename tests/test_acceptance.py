@@ -21,12 +21,11 @@ from freehardy.colligation import (canonical_colligation, column_schur_defect,
                                    complete_column, transfer_series)
 from freehardy.gleason import (a_empty_sq, exactgs_residual, extremality_gap,
                                clark_intertwining_residual)
-from freehardy.kernels import (KernelKind, KernelSpec, Pinning,
-                               gram_psd_check, nilpotent_pins)
+from freehardy.kernels import KernelKind, KernelSpec, Pinning, gram_psd_check
 from freehardy.parser import parse
 from freehardy.series import FreeSeries, MatrixPoint, cayley, evaluate
 
-from conftest import ball_point, nilpotent_point, random_schur
+from conftest import ball_point, nilpotent_pins, nilpotent_point, random_schur
 
 SQRT_HALF = 0.7071067811865476
 

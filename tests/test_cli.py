@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freehardy import kernels
 from freehardy.cli import _random_points, build_parser, main
 from freehardy.colligation import canonical_colligation
-from freehardy.kernels import KernelKind, KernelSpec, nilpotent_pins
+from freehardy.kernels import KernelKind, KernelSpec
 from freehardy.parser import parse
 from freehardy.series import FreeSeries, MatrixPoint, series_degree
 from freehardy.words import enumerate_tuples
 
-from conftest import ball_point, gram_oracle
+from conftest import ball_point, gram_oracle, nilpotent_pins
 
 
 def run(capsys, argv):
@@ -410,6 +411,19 @@ def test_kernel_gram_kinds_on_matrix_symbol(capsys, tmp_path, kind):
     want = np.linalg.eigvalsh(gram_oracle(spec, pins))
     got = np.array(rep["results"]["eigenvalues"])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_kernel_gram_builds_no_pinning(monkeypatch, capsys):
+    # kernel-gram passes the arrays nilpotent_stack draws as one PinStack
+    def refuse(self):
+        raise AssertionError("kernel-gram built a Pinning")
+
+    monkeypatch.setattr(kernels.Pinning, "__post_init__", refuse)
+    for kind in ("szego", "dbr-left", "dbr-right", "herglotz"):
+        code, rep = run_json(capsys, ["kernel-gram", "--expr", "0.4*z1+0.3*z2*z1",
+                                      "--d", "2", "--deg", "2", "--kind", kind,
+                                      "--num-points", "7"])
+        assert code == 0 and rep["results"]["num_pins"] == 7
 
 
 def test_parse_error_exit_one(capsys):

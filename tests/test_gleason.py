@@ -16,7 +16,7 @@ from freehardy.gleason import (CeObstructionError, NotSchurError, a_empty_sq,
                                shift_compressions, square_completion,
                                szego_distance, vacuum_kernel)
 from freehardy.fock import Side
-from freehardy.kernels import PinStack, _stack_pins, nilpotent_pins
+from freehardy.kernels import PinStack, _stack_pins
 from freehardy.parser import parse
 from freehardy.series import (FreeSeries, MatrixPoint, dagger_series,
                               evaluate, factor_psd, letter_series,
@@ -25,7 +25,7 @@ from freehardy.series import (FreeSeries, MatrixPoint, dagger_series,
 from freehardy.words import enumerate_tuples, word_count
 
 from conftest import (creation_oracle, defect_oracle, defect_scatter_oracle,
-                      membership_residual_oracle, nilpotent_point,
+                      membership_residual_oracle, nilpotent_pins, nilpotent_point,
                       outer_mate_a0sq, random_schur, random_series,
                       spy_linalg, szego_svd_oracle)
 
@@ -790,8 +790,8 @@ def test_ce_test_takes_no_svd_of_the_nonempty_word_columns(monkeypatch):
 
 def _pins_one_at_a_time(B, seed):
     """ce_test's pins as it drew them before they were stacked: Pinning
-    objects from nilpotent_pins, then a unit h per pin, re then im, from
-    the stream [seed, 1]."""
+    objects from conftest.nilpotent_pins, then a unit h per pin, re then
+    im, from the stream [seed, 1]."""
     p = square_completion(B).p
     pins = nilpotent_pins(B.d, word_count(B.d, 3) + 2,
                           np.random.default_rng(seed), n=4, scale=0.85)

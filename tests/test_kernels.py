@@ -13,7 +13,7 @@ from freehardy.kernels import (MEMBERSHIP_CAP, KernelKind, KernelSpec,
                                Pinning, PinStack, _rank_one_vectors,
                                _smallest_lambda, _stack_pins, gram_psd_check,
                                kernel_eval, kernel_gram, membership_norm,
-                               nilpotent_pins, nilpotent_stack, szego_eval)
+                               nilpotent_stack, szego_eval)
 from freehardy.parser import parse
 from freehardy.series import (MatrixPoint, cayley,
                               constant_series, evaluate,
@@ -24,7 +24,7 @@ from freehardy.words import enumerate_tuples, index_map
 from conftest import (ball_point, coefficient_kernel, direct_sum,
                       gram_oracle, herglotz_coefficient, kernel_oracle,
                       membership_bisection_oracle, membership_oracle,
-                      nilpotent_point, random_schur,
+                      nilpotent_pins, nilpotent_point, random_schur,
                       random_series, rank_one_oracle, szego_oracle, unit_vector)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -576,6 +576,39 @@ def test_nilpotent_pins_are_the_stack_one_pin_each(d, n):
             assert x.tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("field, cut", [("h", np.s_[:1]), ("y", np.s_[:, :2]),
+                                        ("v", np.s_[:, :2]), ("h", np.s_[:, :1]),
+                                        ("Z", np.s_[:, :4])],
+                         ids=["one h row", "short y", "short v", "h of p = 1",
+                              "Z of 4 pins"])
+def test_pin_stack_of_wrong_shapes_is_refused(field, cut):
+    # one h row for five pins broadcast to five copies of it, and a short
+    # y failed in a reshape; both are refused with the shapes, as a
+    # Pinning refuses vectors that do not match its level
+    B = parse("[[0.5,0.1],[0.2,0.3]]*z1", 2, 1, (2, 2))
+    spec = KernelSpec(KernelKind.DBR_LEFT, B, deg=4)
+    stack = nilpotent_stack(2, 5, np.random.default_rng(3))
+    stack.h = np.ones((5, 2)) / math.sqrt(2)
+    assert kernel_gram(spec, stack).shape == (5, 5)
+    setattr(stack, field, getattr(stack, field)[cut])
+    with pytest.raises(ValueError, match=r"PinStack needs .*; got \[\("):
+        kernel_gram(spec, stack)
+
+
+def test_membership_tol_is_also_the_psd_slack():
+    # tol scales the slack tau as well as the bisection width, so lambda
+    # sits below its tau = 0 value by far more than tol and rises toward
+    # it as tol shrinks
+    spec, f = KernelSpec(KernelKind.SZEGO, deg=6), parse("0.3+0.2*z1", 2, 4)
+    pins = nilpotent_stack(2, 8, np.random.default_rng(0))
+    lams = {tol: membership_norm(spec, f, pins, tol=tol)["lambda"]
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 0.0)}
+    ladder = [lams[tol] for tol in (1e-6, 1e-8, 1e-10, 1e-12, 0.0)]
+    assert ladder == sorted(ladder)
+    assert lams[0.0] - lams[1e-8] > 100 * 1e-8
+    assert abs(lams[1e-14] - lams[0.0]) <= 1e-11
+
+
 # Gram spectra for the bisection: mu sorted, with `neg` of its entries
 # negative (an indefinite Gram), weights a of r columns over 10^scale,
 # tau as membership_norm forms it.
@@ -622,11 +655,11 @@ def test_bisection_below_the_spacing_of_doubles_ends():
     # lambda moves with tol through tau (by 1.3e-10 from 1e-12 to 1e-17),
     # so it is compared with tol = 1e-16, whose bisection ends at the bound
     call = ("membership_norm(KernelSpec(KernelKind.SZEGO, deg=6), "
-            "parse('0.3+0.2*z1', 2, 4), nilpotent_pins(2, 8, default_rng(0)), "
+            "parse('0.3+0.2*z1', 2, 4), nilpotent_stack(2, 8, default_rng(0)), "
             "tol=1e-17)['lambda']")
     code = ("from numpy.random import default_rng\n"
             "from freehardy.kernels import (KernelKind, KernelSpec, "
-            "membership_norm, nilpotent_pins)\n"
+            "membership_norm, nilpotent_stack)\n"
             "from freehardy.parser import parse\n"
             f"print({call}.hex())")
     src = os.path.dirname(os.path.dirname(kernels.__file__))
@@ -635,7 +668,7 @@ def test_bisection_below_the_spacing_of_doubles_ends():
                          env={**os.environ, "PYTHONPATH": src})
     want = membership_norm(KernelSpec(KernelKind.SZEGO, deg=6),
                            parse("0.3+0.2*z1", 2, 4),
-                           nilpotent_pins(2, 8, np.random.default_rng(0)),
+                           nilpotent_stack(2, 8, np.random.default_rng(0)),
                            tol=1e-16)["lambda"]
     assert abs(float.fromhex(out.stdout) - want) <= 1e-13
 

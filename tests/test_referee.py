@@ -1,6 +1,6 @@
-"""The Clark moment matrix and both float routes to the Szego distance
-against the 40-digit referee (tests/referee.py), within c u cond(M),
-u the unit roundoff of doubles."""
+"""The Clark moment matrix, both float routes to the Szego distance and
+the Gleason gap against the 40-digit referee (tests/referee.py), within
+c u cond(M) and c u cond(D), u the unit roundoff of doubles."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ pytest.importorskip("mpmath")
 import referee
 from freehardy import gleason
 from freehardy.clark import clark_moments, gns_build, moment_matrix
-from freehardy.gleason import square_completion
+from freehardy.gleason import extremality_gap, square_completion
 from freehardy.parser import parse
 from freehardy.series import FreeSeries
 
@@ -55,3 +55,30 @@ def test_szego_distance_against_the_referee(name):
     B0 = B.coeff(())
     for route in (gleason._szego(gns, B0, 1e-10), szego_svd_oracle(gns, B0)):
         assert abs(route - want) <= C * U * cond
+
+
+# strict contractions, so that D = I - T T* is invertible; sizes
+# m = word_count(d, N - deg) p stay at most 31
+GAP_SYMBOLS = {
+    "0.5*z1+0.4*z2*z1 N=5": (lambda: parse("0.5*z1+0.4*z2*z1", 2, 2), 5),
+    "0.3*z1+0.4*z2 N=5": (lambda: parse("0.3*z1+0.4*z2", 2, 1), 5),
+    "0.6*z1-0.5*z2*z2 N=5": (lambda: parse("0.6*z1-0.5*z2*z2", 2, 2), 5),
+    "0.7*z1+0.2*z1*z1 d=1 N=20": (lambda: parse("0.7*z1+0.2*z1*z1", 1, 2), 20),
+    "0.2+0.6*z1+0.3*z3*z2 N=4": (lambda: parse("0.2+0.6*z1+0.3*z3*z2", 3, 2), 4),
+    "2x2 N=4": (lambda: parse("[[0.5,0.1],[0.2,0.3]]*z1"
+                              "+[[0.1,0.2],[0.3,0.1]]*z2*z1", 2, 2, (2, 2)), 4),
+    "2x1 N=5": (lambda: parse("[[0.2],[0.1]]+[[0.3],[0.1]]*z1"
+                              "+[[0.2],[0.3]]*z2*z1", 2, 2, (2, 1)), 5),
+    "complex scalar N=4": SYMBOLS["complex scalar N=4"],
+}
+
+
+@pytest.mark.parametrize("name", list(GAP_SYMBOLS))
+def test_gleason_gap_against_the_referee(name):
+    make, N = GAP_SYMBOLS[name]
+    B = make()
+    gap_ref, D_ref = referee.extremality_gap(B, N)
+    assert D_ref.rows <= 31
+    cond = float(np.linalg.cond(referee.to_numpy(D_ref)))
+    err = np.linalg.norm(extremality_gap(B, N)["gap"] - referee.to_numpy(gap_ref), 2)
+    assert err <= C * U * cond
